@@ -90,7 +90,7 @@ func run() error {
 		reps       = flag.Int("reps", 1, "timed repetitions per cell (mean runtime reported)")
 		warmup     = flag.Int("warmup", 0, "untimed warm-up executions per cell")
 		retries    = flag.Int("retries", 0, "extra attempts for transiently failed cells")
-		resume     = flag.String("resume", "", "checkpoint file: journal finished cells and skip them on re-run")
+		resume     = flag.String("resume", "", "stamped result store file: record successful cells and restore them on re-run (default with -cache-dir: the store inside the cache directory)")
 		cacheDir   = flag.String("cache-dir", "", "incremental campaign cache directory: generated graphs and platform ETL outputs are stored under their content fingerprint, and unchanged matrix cells restore from the stamped result store without executing (empty = caching off)")
 		noCache    = flag.Bool("no-cache", false, "ignore -cache-dir and the benchmark.cache.dir property: run everything live")
 		cacheVer   = flag.Bool("cache-verify", false, "verify cached artifacts on read (recompute content checksums); corrupted artifacts are regenerated")
@@ -203,7 +203,8 @@ func run() error {
 
 	// The incremental campaign cache: one directory holding generated
 	// graphs, platform ETL blobs, and the stamped result store. -no-cache
-	// wins over both the flag and the property.
+	// wins over both the flag and the property. A campaign opens exactly
+	// one stamped result store: -resume FILE if given, else the cache's.
 	cachePath := pick(*cacheDir, "benchmark.cache.dir", "")
 	if v, err := props.Bool("benchmark.cache.verify", *cacheVer); err == nil {
 		*cacheVer = v
@@ -212,7 +213,6 @@ func run() error {
 		cachePath = ""
 	}
 	var cache *artifact.Cache
-	var stamps *stamp.Store
 	if cachePath != "" {
 		c, err := artifact.Open(cachePath)
 		if err != nil {
@@ -220,7 +220,11 @@ func run() error {
 		}
 		c.Verify = *cacheVer
 		cache = c
-		s, err := stamp.OpenStore(cache.StampStorePath())
+	}
+	storePath := stampStorePath(*resume, cache)
+	var stamps *stamp.Store
+	if storePath != "" {
+		s, err := stamp.OpenStore(storePath)
 		if err != nil {
 			return err
 		}
@@ -253,7 +257,6 @@ func run() error {
 		Reps:            *reps,
 		Warmup:          *warmup,
 		Retries:         *retries,
-		CheckpointPath:  *resume,
 		Ingests:         ingests,
 		Tracker:         tracker,
 		Stamps:          stamps,
@@ -271,7 +274,7 @@ func run() error {
 	}
 	// Distributed mode: instead of the local pool, a manager leases the
 	// cells to graphrunner processes. Everything else — restore, retry,
-	// journaling, stamping, collation, /status — is shared.
+	// stamping, collation, /status — is shared.
 	if *serveAddr != "" {
 		specs, err := platformSpecs(platformNames, props, *platWork)
 		if err != nil {
@@ -300,35 +303,24 @@ func run() error {
 	fmt.Printf("running %d platforms × %d graphs × %d algorithms\n", len(plats), len(graphs), len(algs))
 	// Ctrl-C cancels the campaign context: the running kernel notices
 	// within one check stride, in-flight cells come back cancelled (not
-	// failed), and journaled cells survive for -resume. A second Ctrl-C
-	// after stop() restores the default handler and kills the process.
+	// failed), and successful cells stay in the stamped result store, so
+	// re-running the same command resumes. A second Ctrl-C after stop()
+	// restores the default handler and kills the process.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	rep, err := bench.Run(ctx)
 	stopSignals()
 	if err != nil {
 		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			hint := ""
-			if *resume != "" {
-				hint = fmt.Sprintf("; re-run with -resume %s to continue", *resume)
+			if stamps == nil {
+				return errors.New("interrupted: campaign cancelled (no -resume or -cache-dir: nothing to resume)")
 			}
-			return fmt.Errorf("interrupted: campaign cancelled, finished cells journaled%s", hint)
+			return fmt.Errorf("interrupted: campaign cancelled, finished cells stamped in %s; re-run the same command to continue", storePath)
 		}
 		return err
 	}
 	fmt.Println(rep.Summary())
-	var executed, uptodate, resumed int
-	for _, r := range rep.Results {
-		switch r.Provenance {
-		case report.ProvenanceUptodate:
-			uptodate++
-		case report.ProvenanceResumed:
-			resumed++
-		default:
-			executed++
-		}
-	}
-	fmt.Printf("cells: %d executed, %d uptodate, %d resumed\n", executed, uptodate, resumed)
+	fmt.Println(cellCounts(rep.Results))
 	if err := writeReport(dir, rep); err != nil {
 		return err
 	}
@@ -352,6 +344,30 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// stampStorePath picks the campaign's one stamped result store: the
+// -resume file if given, else the store inside the artifact cache, else
+// none ("").
+func stampStorePath(resume string, cache *artifact.Cache) string {
+	if resume == "" && cache != nil {
+		return cache.StampStorePath()
+	}
+	return resume
+}
+
+// cellCounts renders the driver's cell line: cells executed by this
+// campaign versus cells restored uptodate from the stamped result store.
+func cellCounts(results []report.RunResult) string {
+	var executed, uptodate int
+	for _, r := range results {
+		if r.Provenance == report.ProvenanceUptodate {
+			uptodate++
+		} else {
+			executed++
+		}
+	}
+	return fmt.Sprintf("cells: %d executed, %d uptodate", executed, uptodate)
 }
 
 // fetchTrendSection asks the results database for history-aware

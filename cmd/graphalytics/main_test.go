@@ -437,3 +437,47 @@ func TestBuildGraphsArtifactCache(t *testing.T) {
 		}
 	}
 }
+
+// A campaign opens exactly one stamped result store: -resume wins,
+// -cache-dir supplies the default, neither means no store.
+func TestStampStorePath(t *testing.T) {
+	cache, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		resume string
+		cache  *artifact.Cache
+		want   string
+	}{
+		{"neither", "", nil, ""},
+		{"resume", "run.jsonl", nil, "run.jsonl"},
+		{"cache", "", cache, cache.StampStorePath()},
+		{"resume-overrides-cache", "run.jsonl", cache, "run.jsonl"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := stampStorePath(tc.resume, tc.cache); got != tc.want {
+				t.Errorf("stampStorePath(%q) = %q, want %q", tc.resume, got, tc.want)
+			}
+		})
+	}
+}
+
+// Every cell that did not restore from the store counts as executed,
+// whatever its status or other provenance.
+func TestCellCounts(t *testing.T) {
+	results := []report.RunResult{
+		{Status: report.StatusSuccess, Provenance: report.ProvenanceUptodate},
+		{Status: report.StatusSuccess, Provenance: report.ProvenanceUptodate},
+		{Status: report.StatusSuccess},
+		{Status: report.StatusSuccess, Provenance: report.ProvenanceETLCache},
+		{Status: report.StatusOOM},
+	}
+	if got, want := cellCounts(results), "cells: 3 executed, 2 uptodate"; got != want {
+		t.Errorf("cellCounts = %q, want %q", got, want)
+	}
+	if got, want := cellCounts(nil), "cells: 0 executed, 0 uptodate"; got != want {
+		t.Errorf("cellCounts(nil) = %q, want %q", got, want)
+	}
+}

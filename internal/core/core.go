@@ -14,10 +14,13 @@
 // pool with per-platform concurrency limits. Each cell may repeat
 // (warm-ups plus timed repetitions, the methodology LDBC Graphalytics
 // standardized), transient failures retry while OOM/timeout stay
-// terminal, and completed cells journal to a checkpoint file so an
-// interrupted campaign resumes without re-running finished work. The
-// report is collated by matrix coordinates, so its ordering is
-// identical regardless of schedule.
+// terminal. Every successful cell is recorded in one stamped result
+// store (stamp.Store) under its content fingerprint, and a cell whose
+// fingerprint is already stored restores as UPTODATE instead of
+// running — which is both how an interrupted campaign resumes and how
+// an unchanged re-run becomes a no-op. Failed cells are never stored,
+// so they re-run. The report is collated by matrix coordinates, so its
+// ordering is identical regardless of schedule.
 package core
 
 import (
@@ -46,7 +49,7 @@ import (
 // Benchmark is one configured benchmark campaign.
 type Benchmark struct {
 	// Platforms are the systems under test. Names must be unique: they
-	// key the report matrix and the resume journal.
+	// key the report matrix.
 	Platforms []platform.Platform
 	// Graphs are the datasets. Names must be unique.
 	Graphs []*graph.Graph
@@ -88,11 +91,6 @@ type Benchmark struct {
 	// RetryBackoff is the wait before the first retry (doubling per
 	// retry; 0 = immediate).
 	RetryBackoff time.Duration
-	// CheckpointPath, when non-empty, journals every finished cell to
-	// this file; re-running the same campaign with the same path skips
-	// the journaled cells and re-executes only unfinished ones.
-	// (Monitor samples are not preserved across a resume.)
-	CheckpointPath string
 	// Ingests records the host-graph ingest phase (parse + CSR build)
 	// of each dataset, carried into the report as a first-class phase
 	// alongside the per-cell processing times. Drivers populate it via
@@ -109,7 +107,9 @@ type Benchmark struct {
 	// validation policy × platform configuration including the worker
 	// budget × binary version), and a cell whose fingerprint is already
 	// stored is marked UPTODATE — its full report entry (runtimes,
-	// RepStats, kTEPS) restores and no kernel runs. Drivers normally
+	// RepStats, kTEPS) restores and no kernel runs. This is also how an
+	// interrupted campaign resumes: re-running it over the same store
+	// executes only the cells that did not succeed. Drivers normally
 	// open the store at artifact.Cache.StampStorePath() so stamps live
 	// next to the cached artifacts.
 	Stamps *stamp.Store
@@ -117,7 +117,7 @@ type Benchmark struct {
 	// the driver (generator kind + seed + parameters — cheaper and more
 	// precise than content hashing). Graphs without an entry are
 	// fingerprinted by content (one serialization pass) whenever
-	// stamping, journaling, or artifact caching is active.
+	// stamping or artifact caching is active.
 	GraphStamps map[string]stamp.Fingerprint
 	// Artifacts, when non-nil, caches platform ETL outputs under their
 	// fingerprint for platforms implementing platform.CachedLoader, so a
@@ -134,7 +134,7 @@ type Benchmark struct {
 	// (internal/dist) plugs into: every pending cell becomes one
 	// scheduler job that hands a self-contained CellSpec to the
 	// executor and records whatever comes back through the same
-	// journal/stamp/collation path as local execution. Platforms are
+	// stamp/collation path as local execution. Platforms are
 	// never loaded in this process; ETL happens wherever the executor
 	// runs the cell. Local execution (nil) is the default and its
 	// schedule, job structure, and report output are unchanged.
@@ -203,14 +203,6 @@ func (b *Benchmark) Run(ctx context.Context) (*report.Report, error) {
 			Retryable:   transient,
 		},
 	}
-	if b.CheckpointPath != "" {
-		j, err := sched.OpenJournal(b.CheckpointPath)
-		if err != nil {
-			return nil, fmt.Errorf("core: opening checkpoint: %w", err)
-		}
-		defer j.Close()
-		c.journal = j
-	}
 	if err := c.setupStamps(algs); err != nil {
 		return nil, err
 	}
@@ -257,7 +249,7 @@ func (b *Benchmark) Run(ctx context.Context) (*report.Report, error) {
 	// Deterministic collation: matrix coordinates, never schedule order.
 	for i, r := range c.cells {
 		if r == nil {
-			// Every path (success, failure, load failure, journal)
+			// Every path (success, failure, load failure, restore)
 			// fills its slot; this is a harness bug, not a missing value.
 			return nil, fmt.Errorf("core: internal error: cell %d not executed", i)
 		}
@@ -299,21 +291,21 @@ func checkUniqueNames(platforms []platform.Platform, graphs []*graph.Graph) erro
 }
 
 // campaign is the shared state of one Benchmark.Run: the cell slots the
-// jobs fill, the per-(platform, graph) load states, and the journal.
+// jobs fill and the per-(platform, graph) load states.
 type campaign struct {
-	b       *Benchmark
-	algs    []algo.Kind
-	retry   sched.RetryPolicy
-	journal *sched.Journal
+	b     *Benchmark
+	algs  []algo.Kind
+	retry sched.RetryPolicy
 	// cells has one slot per matrix coordinate; each slot is written by
-	// exactly one job (or restored from the journal before scheduling).
+	// exactly one job (or restored from the stamp store before
+	// scheduling).
 	cells []*report.RunResult
 	pgs   []*pgState
 	// progressMu serializes the Progress callback across workers.
 	progressMu sync.Mutex
 
 	// stamping is true when cell fingerprints are computed at all —
-	// whenever a journal, stamped result store, or artifact cache is
+	// whenever a stamped result store, artifact cache, or executor is
 	// configured. Without any of them the campaign pays zero hashing.
 	stamping bool
 	// binary is the resolved binary/kernel version in fingerprints.
@@ -323,10 +315,6 @@ type campaign struct {
 	// wlStamps maps each algorithm to its workload identity stamp
 	// (kind + validation policy + whether validation runs).
 	wlStamps map[algo.Kind]string
-	// staleWarned gates the once-per-campaign warning about journal
-	// entries whose fingerprints no longer match (buildJobs only, so no
-	// lock needed).
-	staleWarned bool
 }
 
 // setupStamps resolves the fingerprint inputs: the binary version, one
@@ -338,7 +326,7 @@ func (c *campaign) setupStamps(algs []algo.Kind) error {
 	// content address under which runners fetch graph artifacts, and the
 	// cell fingerprint keeps manager- and runner-side stamp stores
 	// coherent.
-	c.stamping = c.journal != nil || b.Stamps != nil || b.Artifacts != nil || b.Executor != nil
+	c.stamping = b.Stamps != nil || b.Artifacts != nil || b.Executor != nil
 	if !c.stamping {
 		return nil
 	}
@@ -411,20 +399,16 @@ type pendingCell struct {
 	fp   stamp.Fingerprint
 }
 
-// cellKey is the base journal and job identity of one matrix cell; it
-// must be stable across processes for resume to work. When stamping is
-// active the journal key is cellKey + "@" + fingerprint.Short(), so a
-// journaled result from a different configuration or binary never
-// matches — it is reported as stale instead of silently resumed.
+// cellKey is the scheduler job identity of one matrix cell.
 func cellKey(p, g string, a algo.Kind) string {
 	return "cell/" + p + "/" + g + "/" + string(a)
 }
 
 // buildJobs turns the matrix into scheduler jobs. Cells restored from
-// the stamped result store (UPTODATE) or the resume journal create no
-// job; the remainder is planned by the active execution path — the
-// local pool (per (platform, graph) pair one load job feeding one run
-// job per algorithm; a pair whose cells all restored skips its load job
+// the stamped result store (UPTODATE) create no job; the remainder is
+// planned by the active execution path — the local pool (per
+// (platform, graph) pair one load job feeding one run job per
+// algorithm; a pair whose cells all restored skips its load job
 // too, so a re-run of an unchanged matrix performs zero loads and zero
 // kernel runs) or, with an Executor configured, one independent
 // executor job per cell.
@@ -449,30 +433,21 @@ func (c *campaign) buildJobs() []sched.Job {
 
 // pendingCellsFor restores what it can of one (platform, graph) pair's
 // cells and returns the rest — the cells some executor must actually
-// run — with their slots, journal keys, and fingerprints resolved.
+// run — with their slots, job keys, and fingerprints resolved.
 func (c *campaign) pendingCellsFor(pi int, p platform.Platform, gi int, g *graph.Graph) []pendingCell {
 	b := c.b
 	var pending []pendingCell
 	for ai, a := range c.algs {
 		slot := (pi*len(b.Graphs)+gi)*len(c.algs) + ai
-		base := cellKey(p.Name(), g.Name(), a)
 		fp := c.cellFP(p, g, a)
-		key := base
-		if !fp.IsZero() {
-			key = base + "@" + fp.Short()
-		}
-		if c.restoreCell(slot, key, fp) {
+		if c.restoreCell(slot, fp) {
 			continue
 		}
 		if b.Stamps != nil {
 			telemetry.Metrics.Counter("stamp_cell_misses_total",
 				"matrix cells whose fingerprint was not in the stamped result store").Inc()
 		}
-		if c.journal != nil && !fp.IsZero() &&
-			(c.journal.Has(base) || c.journal.HasPrefix(base+"@")) {
-			c.warnStale(key)
-		}
-		pending = append(pending, pendingCell{slot: slot, alg: a, key: key, fp: fp})
+		pending = append(pending, pendingCell{slot: slot, alg: a, key: cellKey(p.Name(), g.Name(), a), fp: fp})
 	}
 	return pending
 }
@@ -506,22 +481,6 @@ func (c *campaign) localJobs(p platform.Platform, g *graph.Graph, pending []pend
 	return jobs
 }
 
-// warnStale reports (once per campaign, plus a counter) journal entries
-// whose coordinates match a cell but whose fingerprint does not: the
-// entry was recorded under a different platform configuration, worker
-// budget, dataset, or binary, and is deliberately not reused.
-func (c *campaign) warnStale(key string) {
-	telemetry.Metrics.Counter("core_journal_stale_entries_total",
-		"journaled cells rejected on resume because their fingerprint no longer matches").Inc()
-	if c.staleWarned {
-		return
-	}
-	c.staleWarned = true
-	slog.Warn("core: journal holds entries for this cell under a different fingerprint "+
-		"(configuration or binary changed); re-running instead of resuming",
-		"cell", key)
-}
-
 // classLimits maps each platform to its concurrency hint so that
 // memory-budgeted engines serialize their own jobs while the rest of
 // the campaign proceeds.
@@ -535,34 +494,24 @@ func (c *campaign) classLimits() map[string]int {
 	return limits
 }
 
-// restoreCell fills a slot without executing anything, trying the
-// stamped result store first (the cell is UPTODATE: some prior campaign
-// produced this exact fingerprint) and the resume journal second (an
-// interrupted run of this campaign finished it). Restored results carry
-// a provenance mark so reports never pass restored numbers off as fresh
-// measurements.
-func (c *campaign) restoreCell(slot int, key string, fp stamp.Fingerprint) bool {
-	if c.b.Stamps != nil && !fp.IsZero() {
-		var r report.RunResult
-		if ok, err := c.b.Stamps.Get(fp, &r); ok && err == nil {
-			r.Provenance = report.ProvenanceUptodate
-			c.cells[slot] = &r
-			telemetry.Metrics.Counter("stamp_cell_hits_total",
-				"matrix cells restored from the stamped result store (UPTODATE)").Inc()
-			return true
-		}
-	}
-	if c.journal == nil {
+// restoreCell fills a slot without executing anything when the stamped
+// result store holds the cell's fingerprint (the cell is UPTODATE: some
+// prior campaign — or an interrupted run of this one — produced this
+// exact result). Restored results carry a provenance mark so reports
+// never pass restored numbers off as fresh measurements. An unreadable
+// entry just re-runs the cell.
+func (c *campaign) restoreCell(slot int, fp stamp.Fingerprint) bool {
+	if c.b.Stamps == nil || fp.IsZero() {
 		return false
 	}
 	var r report.RunResult
-	ok, err := c.journal.Get(key, &r)
-	if !ok || err != nil {
-		// An unreadable entry just re-runs the cell.
+	if ok, err := c.b.Stamps.Get(fp, &r); !ok || err != nil {
 		return false
 	}
-	r.Provenance = report.ProvenanceResumed
+	r.Provenance = report.ProvenanceUptodate
 	c.cells[slot] = &r
+	telemetry.Metrics.Counter("stamp_cell_hits_total",
+		"matrix cells restored from the stamped result store (UPTODATE)").Inc()
 	return true
 }
 
@@ -666,8 +615,8 @@ func (c *campaign) runCellJob(ctx context.Context, pg *pgState, a algo.Kind, slo
 	r, execErr := c.runCell(ctx, pg, a)
 	r.Attempts = attempt
 	if ctx.Err() != nil {
-		// Never record or journal a cancelled cell: the resumed
-		// campaign must re-run it.
+		// Never record a cancelled cell: the resumed campaign must
+		// re-run it.
 		return ctx.Err()
 	}
 	if !c.finalAttempt(execErr, attempt) {
@@ -680,39 +629,17 @@ func (c *campaign) runCellJob(ctx context.Context, pg *pgState, a algo.Kind, slo
 	return nil
 }
 
-// journalWarnOnce gates the Warn-level line for journal write failures
-// (one per process; later failures log at Debug so a full disk cannot
-// flood a long campaign's log).
-var journalWarnOnce sync.Once
-
 // finishCell publishes a final cell outcome: slot write (collation),
-// journal entry (resume), stamp-store entry (successes only — failures
-// must re-run next campaign, they are circumstances, not content),
-// progress callback (live output). Journal and stamp writes are
-// best-effort — a failed write only means the cell re-runs later — but
-// they are counted and warned about, never silently dropped: a full
-// disk showing up as a mysteriously non-resumable campaign is a
-// debugging trap.
+// stamp-store entry (successes only — failures must re-run next
+// campaign, they are circumstances, not content), progress callback
+// (live output). The stamp write is best-effort — a failed write only
+// means the cell re-runs later — but it is counted, never silently
+// dropped.
 func (c *campaign) finishCell(slot int, key string, fp stamp.Fingerprint, r report.RunResult) {
 	c.cells[slot] = &r
 	slog.Debug("core: cell finished",
 		"cell", key, "platform", r.Platform, "graph", r.Graph, "algorithm", string(r.Algorithm),
 		"status", string(r.Status), "runtime", r.Runtime, "attempts", r.Attempts)
-	if c.journal != nil {
-		if err := c.journal.Record(key, r); err != nil {
-			telemetry.Metrics.Counter("core_journal_write_failures_total",
-				"cell results that failed to journal (cell re-runs on resume)").Inc()
-			warned := false
-			journalWarnOnce.Do(func() {
-				warned = true
-				slog.Warn("core: journal write failed; affected cells will re-run on resume",
-					"cell", key, "err", err)
-			})
-			if !warned {
-				slog.Debug("core: journal write failed", "cell", key, "err", err)
-			}
-		}
-	}
 	if c.b.Stamps != nil && !fp.IsZero() && r.Status == report.StatusSuccess {
 		if err := c.b.Stamps.Put(fp, r); err != nil {
 			telemetry.Metrics.Counter("stamp_store_write_failures_total",

@@ -60,7 +60,7 @@ type CellSpec struct {
 }
 
 // CellExecutor is the execution seam of the campaign engine: the
-// scheduler, restore logic, journaling, stamping, and report collation
+// scheduler, restore logic, stamping, and report collation
 // are identical for every campaign, and only the way a pending cell
 // turns into a RunResult differs. The default (Benchmark.Executor ==
 // nil) is the local pool — the in-process DAG with one ETL per

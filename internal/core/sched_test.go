@@ -15,7 +15,6 @@ import (
 	"graphalytics/internal/platform/mapreduce"
 	"graphalytics/internal/platform/pregel"
 	"graphalytics/internal/report"
-	"graphalytics/internal/sched"
 )
 
 // countingPlatform wraps a platform and counts ETL and run executions,
@@ -174,10 +173,10 @@ func TestSingleRunHasNoRepStats(t *testing.T) {
 }
 
 // TestResumeSkipsFinishedCells interrupts a campaign mid-way and
-// verifies the checkpoint makes the re-run execute only the cells the
-// first run did not finish.
+// verifies the stamped result store makes the re-run execute only the
+// cells the first run did not finish.
 func TestResumeSkipsFinishedCells(t *testing.T) {
-	checkpoint := filepath.Join(t.TempDir(), "campaign.journal")
+	path := filepath.Join(t.TempDir(), "stamps.jsonl")
 	g := smokeGraph(t, 200, "resume")
 
 	// First campaign: cancel after two finished cells.
@@ -185,10 +184,10 @@ func TestResumeSkipsFinishedCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	finished := 0
 	b1 := &Benchmark{
-		Platforms:      []platform.Platform{cp1},
-		Graphs:         []*graph.Graph{g},
-		Parallelism:    1,
-		CheckpointPath: checkpoint,
+		Platforms:   []platform.Platform{cp1},
+		Graphs:      []*graph.Graph{g},
+		Parallelism: 1,
+		Stamps:      openStamps(t, path),
 		Progress: func(report.RunResult) {
 			if finished++; finished == 2 {
 				cancel()
@@ -199,23 +198,18 @@ func TestResumeSkipsFinishedCells(t *testing.T) {
 		t.Fatalf("interrupted campaign err = %v, want context.Canceled", err)
 	}
 
-	j, err := sched.OpenJournal(checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	journaled := j.Len()
-	j.Close()
-	if journaled < 2 || journaled >= len(algo.Kinds) {
-		t.Fatalf("journaled cells = %d, want partial progress", journaled)
+	stored := openStamps(t, path).Len()
+	if stored < 2 || stored >= len(algo.Kinds) {
+		t.Fatalf("stamped cells = %d, want partial progress", stored)
 	}
 
 	// Resumed campaign: only the unfinished cells may execute.
 	cp2 := &countingPlatform{Platform: pregel.New(pregel.Options{})}
 	b2 := &Benchmark{
-		Platforms:      []platform.Platform{cp2},
-		Graphs:         []*graph.Graph{g},
-		Parallelism:    1,
-		CheckpointPath: checkpoint,
+		Platforms:   []platform.Platform{cp2},
+		Graphs:      []*graph.Graph{g},
+		Parallelism: 1,
+		Stamps:      openStamps(t, path),
 	}
 	rep, err := b2.Run(context.Background())
 	if err != nil {
@@ -232,17 +226,26 @@ func TestResumeSkipsFinishedCells(t *testing.T) {
 			t.Errorf("cell %d out of order: %s", i, r.Algorithm)
 		}
 	}
-	if got, want := cp2.runs.Load(), int64(len(algo.Kinds)-journaled); got != want {
-		t.Errorf("resumed campaign executed %d cells, want %d (journal had %d)", got, want, journaled)
+	uptodate := 0
+	for _, r := range rep.Results {
+		if r.Provenance == report.ProvenanceUptodate {
+			uptodate++
+		}
+	}
+	if uptodate != stored {
+		t.Errorf("resumed report marks %d cells uptodate, want %d", uptodate, stored)
+	}
+	if got, want := cp2.runs.Load(), int64(len(algo.Kinds)-stored); got != want {
+		t.Errorf("resumed campaign executed %d cells, want %d (store had %d)", got, want, stored)
 	}
 
-	// A third run over the complete journal re-executes nothing, not
-	// even the ETL.
+	// A third run over the complete store re-executes nothing, not even
+	// the ETL.
 	cp3 := &countingPlatform{Platform: pregel.New(pregel.Options{})}
 	b3 := &Benchmark{
-		Platforms:      []platform.Platform{cp3},
-		Graphs:         []*graph.Graph{g},
-		CheckpointPath: checkpoint,
+		Platforms: []platform.Platform{cp3},
+		Graphs:    []*graph.Graph{g},
+		Stamps:    openStamps(t, path),
 	}
 	rep3, err := b3.Run(context.Background())
 	if err != nil {
@@ -252,7 +255,7 @@ func TestResumeSkipsFinishedCells(t *testing.T) {
 		t.Fatalf("third report has %d results", len(rep3.Results))
 	}
 	if cp3.loads.Load() != 0 || cp3.runs.Load() != 0 {
-		t.Errorf("fully journaled campaign still executed %d loads, %d runs", cp3.loads.Load(), cp3.runs.Load())
+		t.Errorf("fully stamped campaign still executed %d loads, %d runs", cp3.loads.Load(), cp3.runs.Load())
 	}
 }
 

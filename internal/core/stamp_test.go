@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,20 +157,20 @@ func TestStampInvalidation(t *testing.T) {
 	}
 }
 
-// Satellite bugfix: a journaled result from a different binary (or any
-// other fingerprint input) must not be silently reused on resume — the
-// mismatched entry is rejected and the cell re-executes.
-func TestResumeRejectsMismatchedJournal(t *testing.T) {
-	checkpoint := filepath.Join(t.TempDir(), "campaign.journal")
+// A stored result from a different binary (or any other fingerprint
+// input) must not be reused on resume: its fingerprint no longer
+// matches, so the cell re-executes.
+func TestResumeRejectsFingerprintMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stamps.jsonl")
 	g := smokeGraph(t, 150, "mismatch")
 	run := func(binary string) (*countingPlatform, *report.Report) {
 		cp := &countingPlatform{Platform: pregel.New(pregel.Options{})}
 		b := &Benchmark{
-			Platforms:      []platform.Platform{cp},
-			Graphs:         []*graph.Graph{g},
-			Algorithms:     []algo.Kind{algo.BFS, algo.CONN},
-			CheckpointPath: checkpoint,
-			BinaryVersion:  binary,
+			Platforms:     []platform.Platform{cp},
+			Graphs:        []*graph.Graph{g},
+			Algorithms:    []algo.Kind{algo.BFS, algo.CONN},
+			Stamps:        openStamps(t, path),
+			BinaryVersion: binary,
 		}
 		rep, err := b.Run(context.Background())
 		if err != nil {
@@ -180,26 +182,169 @@ func TestResumeRejectsMismatchedJournal(t *testing.T) {
 	if cp, _ := run("v1"); cp.runs.Load() != 2 {
 		t.Fatalf("first campaign executed %d cells", cp.runs.Load())
 	}
-	// Same checkpoint, same binary: everything resumes.
+	// Same store, same binary: everything restores.
 	if cp, rep := run("v1"); cp.runs.Load() != 0 {
 		t.Errorf("same-binary resume executed %d cells, want 0", cp.runs.Load())
 	} else {
 		for _, r := range rep.Results {
-			if r.Provenance != report.ProvenanceResumed {
-				t.Errorf("%s: provenance = %q, want resumed", r.Algorithm, r.Provenance)
+			if r.Provenance != report.ProvenanceUptodate {
+				t.Errorf("%s: provenance = %q, want uptodate", r.Algorithm, r.Provenance)
 			}
 		}
 	}
-	// Same checkpoint, different binary: the stale entries must NOT be
+	// Same store, different binary: the stale entries must NOT be
 	// reused — every cell re-executes live.
 	cp, rep := run("v2")
 	if cp.runs.Load() != 2 {
-		t.Errorf("new-binary resume executed %d cells, want 2 (stale journal reused?)", cp.runs.Load())
+		t.Errorf("new-binary resume executed %d cells, want 2 (stale stamp reused?)", cp.runs.Load())
 	}
 	for _, r := range rep.Results {
 		if r.Provenance != report.ProvenanceLive {
 			t.Errorf("%s: provenance = %q, want live", r.Algorithm, r.Provenance)
 		}
+	}
+}
+
+// The store records successes only: a cell that failed terminally is
+// not restored on resume but executes again, while its successful
+// neighbour restores.
+func TestResumeRerunsFailedCells(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stamps.jsonl")
+	g := smokeGraph(t, 150, "refail")
+	run := func(failFirst int64) (*countingPlatform, *report.Report) {
+		cp := &countingPlatform{Platform: pregel.New(pregel.Options{}), failFirst: failFirst}
+		b := &Benchmark{
+			Platforms:   []platform.Platform{cp},
+			Graphs:      []*graph.Graph{g},
+			Algorithms:  []algo.Kind{algo.BFS, algo.CONN},
+			Parallelism: 1,
+			Stamps:      openStamps(t, path),
+		}
+		rep, err := b.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp, rep
+	}
+
+	// No retries: the injected failure of the first cell is terminal.
+	_, rep := run(1)
+	if rep.Results[0].Status != report.StatusError || rep.Results[1].Status != report.StatusSuccess {
+		t.Fatalf("first campaign: %s, %s; want error, success", rep.Results[0].Status, rep.Results[1].Status)
+	}
+	cp, rep := run(0)
+	if cp.runs.Load() != 1 {
+		t.Errorf("resume executed %d cells, want 1 (the failed one)", cp.runs.Load())
+	}
+	if r := rep.Results[0]; r.Status != report.StatusSuccess || r.Provenance != report.ProvenanceLive {
+		t.Errorf("failed cell on resume: %s, provenance %q; want success, live", r.Status, r.Provenance)
+	}
+	if r := rep.Results[1]; r.Provenance != report.ProvenanceUptodate {
+		t.Errorf("successful cell on resume: provenance %q, want uptodate", r.Provenance)
+	}
+}
+
+// faultyPlatform injects one terminal failure into every cell; an empty
+// fault runs the wrapped platform unchanged. The fault is a circumstance,
+// not an input, so it does not enter the config stamp.
+type faultyPlatform struct {
+	platform.Platform
+	fault string
+}
+
+func (f *faultyPlatform) StampConfig() string { return platform.StampConfigOf(f.Platform) }
+
+func (f *faultyPlatform) LoadGraph(g *graph.Graph) (platform.Loaded, error) {
+	switch f.fault {
+	case "load-failed":
+		return nil, errors.New("injected load failure")
+	case "load-oom":
+		return nil, fmt.Errorf("injected: %w", platform.ErrOutOfMemory)
+	}
+	l, err := f.Platform.LoadGraph(g)
+	if err != nil {
+		return nil, err
+	}
+	return &faultyLoaded{Loaded: l, fault: f.fault}, nil
+}
+
+type faultyLoaded struct {
+	platform.Loaded
+	fault string
+}
+
+func (l *faultyLoaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*platform.Result, error) {
+	switch l.fault {
+	case "oom":
+		return nil, fmt.Errorf("injected: %w", platform.ErrOutOfMemory)
+	case "timeout":
+		return nil, fmt.Errorf("injected: %w", context.DeadlineExceeded)
+	case "error":
+		return nil, errors.New("injected kernel failure")
+	}
+	res, err := l.Loaded.Run(ctx, kind, params)
+	if err != nil || l.fault != "invalid" {
+		return res, err
+	}
+	depths := append(algo.BFSOutput(nil), res.Output.(algo.BFSOutput)...)
+	depths[0] = 12345
+	return &platform.Result{Output: depths, Counters: res.Counters}, nil
+}
+
+// Every terminal failure status — kernel OOM, timeout, error, invalid
+// output, load failure, load OOM — stays out of the store, so a resumed
+// campaign re-executes the cell; once it succeeds it restores.
+func TestResumeRerunsEveryTerminalStatus(t *testing.T) {
+	cases := []struct {
+		fault string
+		want  report.Status
+	}{
+		{"oom", report.StatusOOM},
+		{"timeout", report.StatusTimeout},
+		{"error", report.StatusError},
+		{"invalid", report.StatusInvalid},
+		{"load-failed", report.StatusLoadError},
+		{"load-oom", report.StatusOOM},
+	}
+	g := smokeGraph(t, 150, "terminal")
+	for _, tc := range cases {
+		t.Run(tc.fault, func(t *testing.T) {
+			s := openStamps(t, filepath.Join(t.TempDir(), "stamps.jsonl"))
+			run := func(fault string) (*countingPlatform, *report.Report) {
+				cp := &countingPlatform{Platform: &faultyPlatform{Platform: pregel.New(pregel.Options{}), fault: fault}}
+				b := &Benchmark{
+					Platforms:  []platform.Platform{cp},
+					Graphs:     []*graph.Graph{g},
+					Algorithms: []algo.Kind{algo.BFS},
+					Validate:   true,
+					Stamps:     s,
+				}
+				rep, err := b.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cp, rep
+			}
+
+			if _, rep := run(tc.fault); rep.Results[0].Status != tc.want {
+				t.Fatalf("faulty campaign: status %s (%s), want %s", rep.Results[0].Status, rep.Results[0].Err, tc.want)
+			}
+			if s.Len() != 0 {
+				t.Fatalf("a %s cell was stored (%d stamps)", tc.want, s.Len())
+			}
+			cp, rep := run("")
+			if cp.loads.Load() != 1 || cp.runs.Load() != 1 {
+				t.Errorf("resume executed %d loads, %d runs; want 1, 1", cp.loads.Load(), cp.runs.Load())
+			}
+			if r := rep.Results[0]; r.Status != report.StatusSuccess || r.Provenance != report.ProvenanceLive {
+				t.Errorf("resumed cell: %s, provenance %q; want success, live", r.Status, r.Provenance)
+			}
+			cp, rep = run("")
+			if cp.runs.Load() != 0 || rep.Results[0].Provenance != report.ProvenanceUptodate {
+				t.Errorf("third campaign executed %d runs, provenance %q; want 0, uptodate",
+					cp.runs.Load(), rep.Results[0].Provenance)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -207,6 +208,67 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		}
 		if r.Runtime <= 0 {
 			t.Errorf("%s: runtime not recorded", r.Cell())
+		}
+	}
+}
+
+// TestDistributedResumeRestoresFromStore runs a distributed campaign
+// into a stamped result store, then re-runs it through a manager with no
+// runners at all: every cell must restore from the store, uptodate, so
+// the second campaign finishes without leasing anything.
+func TestDistributedResumeRestoresFromStore(t *testing.T) {
+	g := testGraph(t, 150, "distresume")
+	path := filepath.Join(t.TempDir(), "stamps.jsonl")
+	mkBench := func() *core.Benchmark {
+		stamps, err := stamp.OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { stamps.Close() })
+		return &core.Benchmark{
+			Platforms:  []platform.Platform{pregel.New(pregel.Options{})},
+			Graphs:     []*graph.Graph{g},
+			Algorithms: []algo.Kind{algo.BFS, algo.CONN},
+			Validate:   true,
+			Stamps:     stamps,
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	first := mkBench()
+	mgr := startManager(t, first.Platforms, first.Graphs, 0)
+	startRunner(t, ctx, mgr.Addr().String(), "r1", 2)
+	first.Executor = mgr
+	rep1, err := first.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	for _, r := range rep1.Results {
+		if r.Status != report.StatusSuccess || r.Provenance == report.ProvenanceUptodate {
+			t.Fatalf("first campaign %s: %s, provenance %q", r.Cell(), r.Status, r.Provenance)
+		}
+	}
+
+	second := mkBench()
+	idle := startManager(t, second.Platforms, second.Graphs, 0)
+	second.Executor = idle
+	restoreCtx, cancelRestore := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelRestore()
+	rep2, err := second.Run(restoreCtx)
+	if err != nil {
+		t.Fatalf("resumed campaign with no runners: %v (a cell was leased instead of restored)", err)
+	}
+	if len(rep2.Results) != len(rep1.Results) {
+		t.Fatalf("resumed report has %d results, want %d", len(rep2.Results), len(rep1.Results))
+	}
+	for i, r := range rep2.Results {
+		if r.Status != report.StatusSuccess || r.Provenance != report.ProvenanceUptodate {
+			t.Errorf("%s: %s, provenance %q; want success, uptodate", r.Cell(), r.Status, r.Provenance)
+		}
+		if r.Runtime != rep1.Results[i].Runtime {
+			t.Errorf("%s: restored runtime %v, want %v", r.Cell(), r.Runtime, rep1.Results[i].Runtime)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 //
 // The manager side (Manager) implements core.CellExecutor, so the
 // campaign engine in internal/core is shared verbatim between local and
-// distributed execution — restore, journaling, stamping, retry
+// distributed execution — restore, stamping, retry
 // classification, and report collation all behave identically; only the
 // mechanism that turns one pending cell into a report row differs. The
 // runner side (Runner) executes each lease as a single-cell local

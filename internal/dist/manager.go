@@ -56,7 +56,7 @@ type ManagerOptions struct {
 // keepalives and finally the finished report row back. A runner that
 // dies (connection drop) or stalls (lease timeout) has its in-flight
 // cells silently re-queued — cell-level idempotence is already
-// guaranteed by the campaign's journal and stamp store, and exactly one
+// guaranteed by the campaign's stamp store, and exactly one
 // result per cell ever reaches the report because completion is
 // resolved per task, not per lease.
 type Manager struct {

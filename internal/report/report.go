@@ -71,11 +71,11 @@ type RunResult struct {
 	// percentiles, CPU/GC totals); nil when monitoring was disabled.
 	Resources *monitor.Resources `json:"resources,omitempty"`
 	// Provenance records where the cell's numbers came from:
-	// ProvenanceLive (executed this campaign), ProvenanceResumed
-	// (restored from the resume journal), ProvenanceUptodate (restored
-	// from the stamped result store — the cell's fingerprint matched a
-	// prior campaign), or ProvenanceETLCache (executed, but the platform
-	// load came from the ETL artifact cache).
+	// ProvenanceLive (executed this campaign), ProvenanceUptodate
+	// (restored from the stamped result store — the cell's fingerprint
+	// matched a prior or interrupted campaign), or ProvenanceETLCache
+	// (executed, but the platform load came from the ETL artifact
+	// cache).
 	Provenance Provenance `json:"provenance,omitempty"`
 }
 
@@ -90,12 +90,10 @@ const (
 	// campaign but whose platform ETL was restored from the artifact
 	// cache (LoadTime measures the restore, not the transformation).
 	ProvenanceETLCache Provenance = "etl-cache"
-	// ProvenanceResumed marks a cell restored from the resume journal of
-	// an interrupted run of this same campaign.
-	ProvenanceResumed Provenance = "resumed"
 	// ProvenanceUptodate marks a cell restored from the stamped result
-	// store: its content fingerprint matched a previous campaign, so no
-	// kernel ran (the incremental-build UPTODATE state).
+	// store: its content fingerprint matched a previous (possibly
+	// interrupted) campaign, so no kernel ran (the incremental-build
+	// UPTODATE state).
 	ProvenanceUptodate Provenance = "uptodate"
 )
 
@@ -305,8 +303,8 @@ func IngestTable(ingests []IngestStat) string {
 // ResourceTable renders the per-cell phase breakdown (load vs compute
 // wall time) and resource envelope (peak RSS, peak heap, mean CPU, GC
 // pause) sampled by the System Monitor. Cells with neither monitoring
-// data nor a provenance mark are omitted; restored cells (resumed /
-// uptodate) always render, with their envelope columns carried from the
+// data nor a provenance mark are omitted; restored (uptodate) cells
+// always render, with their envelope columns carried from the
 // original run when it was serialized and "n/a" otherwise — restored
 // monitor data is labeled, never silently dropped or passed off as
 // fresh samples.
@@ -461,7 +459,7 @@ func (rep *Report) Summary() string {
 			parts = append(parts, fmt.Sprintf("%d %s", counts[s], s))
 		}
 	}
-	for _, p := range []Provenance{ProvenanceUptodate, ProvenanceResumed, ProvenanceETLCache} {
+	for _, p := range []Provenance{ProvenanceUptodate, ProvenanceETLCache} {
 		if prov[p] > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", prov[p], p))
 		}

@@ -132,7 +132,7 @@ func TestResourceTableProvenance(t *testing.T) {
 		{Platform: "pregel", Graph: "g", Algorithm: algo.BFS, Status: StatusSuccess,
 			Runtime: time.Second, Provenance: ProvenanceUptodate},
 		{Platform: "pregel", Graph: "g", Algorithm: algo.CONN, Status: StatusSuccess,
-			Runtime: time.Second, Provenance: ProvenanceResumed},
+			Runtime: time.Second, Provenance: ProvenanceETLCache},
 		// Live cell without monitor data: excluded, as before.
 		{Platform: "pregel", Graph: "g", Algorithm: algo.PR, Status: StatusSuccess,
 			Runtime: time.Second},
@@ -141,7 +141,7 @@ func TestResourceTableProvenance(t *testing.T) {
 	if !strings.Contains(table, "origin") {
 		t.Fatalf("resource table lacks an origin column:\n%s", table)
 	}
-	if !strings.Contains(table, "uptodate") || !strings.Contains(table, "resumed") {
+	if !strings.Contains(table, "uptodate") {
 		t.Errorf("restored cells dropped from resource table:\n%s", table)
 	}
 	// Restored rows have no monitor samples: they render n/a, not zeros.
@@ -156,11 +156,10 @@ func TestResourceTableProvenance(t *testing.T) {
 func TestSummaryProvenanceCounts(t *testing.T) {
 	results := sampleResults()
 	results[0].Provenance = ProvenanceUptodate
-	results[1].Provenance = ProvenanceResumed
 	results[3].Provenance = ProvenanceETLCache
 	rep := &Report{Results: results}
 	s := rep.Summary()
-	for _, want := range []string{"uptodate", "resumed", "etl-cache"} {
+	for _, want := range []string{"uptodate", "etl-cache"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary lacks %q count:\n%s", want, s)
 		}

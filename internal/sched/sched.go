@@ -4,8 +4,8 @@
 // scheduler executes it on a bounded worker pool with per-class
 // concurrency limits (so memory-budgeted platforms can serialize their
 // own jobs while others proceed), a retry policy that distinguishes
-// transient from terminal failures, and an optional journal that lets
-// an interrupted campaign resume without re-running finished jobs.
+// transient from terminal failures. Resuming an interrupted campaign is
+// the caller's concern: it leaves finished work out of the job set.
 //
 // The scheduler guarantees: dependencies complete before dependents
 // start; dependents of a failed job are skipped (not run); the full
@@ -70,9 +70,6 @@ const (
 	Failed Status = "failed"
 	// SkippedDep: a (transitive) dependency failed; Run never executed.
 	SkippedDep Status = "skipped-dep"
-	// SkippedJournal: the journal already holds this job; Run never
-	// executed and dependents treat it as Done.
-	SkippedJournal Status = "skipped-journal"
 )
 
 // JobResult is the scheduler's account of one job.
@@ -95,9 +92,6 @@ type Options struct {
 	ClassLimits map[string]int
 	// Retry is the re-execution policy for failed jobs.
 	Retry RetryPolicy
-	// Journal, when non-nil, marks jobs whose ID it already contains as
-	// SkippedJournal without running them.
-	Journal *Journal
 	// OnDone, when non-nil, observes each job outcome as it resolves
 	// (called from the scheduling goroutine, never concurrently).
 	OnDone func(JobResult)
@@ -213,18 +207,11 @@ func (s *state) run(ctx context.Context) (Results, error) {
 	}
 	defer close(dispatch)
 
-	// Seed: jobs with no dependencies are ready. Snapshot the roots
-	// first — journal skips resolve inline and their cascades decrement
-	// indegrees, so scanning the live slice while enqueueing would see
-	// freshly-unblocked dependents as roots and enqueue them twice.
-	var roots []int
+	// Seed: jobs with no dependencies are ready.
 	for i, n := range s.dag.indegree {
 		if n == 0 {
-			roots = append(roots, i)
+			s.enqueue(i)
 		}
-	}
-	for _, i := range roots {
-		s.enqueue(i)
 	}
 	s.dispatchReady(dispatch)
 
@@ -257,16 +244,12 @@ func (s *state) run(ctx context.Context) (Results, error) {
 	return s.results, nil
 }
 
-// enqueue admits a dependency-free job: journal hits resolve
+// enqueue admits a dependency-free job: doomed jobs resolve
 // immediately, everything else joins the ready queue in index order.
 func (s *state) enqueue(i int) {
 	job := s.dag.jobs[i]
 	if s.doomed[i] != nil {
 		s.resolve(i, JobResult{ID: job.ID, Status: SkippedDep, Err: s.doomed[i]})
-		return
-	}
-	if s.opts.Journal != nil && s.opts.Journal.Has(job.ID) {
-		s.resolve(i, JobResult{ID: job.ID, Status: SkippedJournal})
 		return
 	}
 	at := sort.SearchInts(s.ready, i)
@@ -304,7 +287,7 @@ func (s *state) dispatchReady(dispatch chan<- dispatched) {
 }
 
 // resolve records a job outcome and cascades to dependents: a success
-// (or journal skip) unblocks them, a failure dooms them. Cascades are
+// unblocks them, a failure dooms them. Cascades are
 // processed inline, so by the time resolve returns every transitively
 // affected job is accounted for.
 func (s *state) resolve(i int, r JobResult) {
@@ -325,7 +308,7 @@ func (s *state) resolve(i int, r JobResult) {
 	if s.opts.OnDone != nil {
 		s.opts.OnDone(r)
 	}
-	ok := r.Status == Done || r.Status == SkippedJournal
+	ok := r.Status == Done
 	for _, dep := range s.dag.dependents[i] {
 		if !ok && s.doomed[dep] == nil {
 			s.doomed[dep] = fmt.Errorf("sched: dependency %q %s: %w", r.ID, r.Status, firstErr(r.Err, s.doomed[i]))
@@ -354,8 +337,6 @@ func statusMetric(s Status) string {
 		return "failed"
 	case SkippedDep:
 		return "skipped_dep"
-	case SkippedJournal:
-		return "skipped_journal"
 	}
 	return "unknown"
 }

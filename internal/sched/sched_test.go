@@ -248,35 +248,6 @@ func TestDependentsOfFailureSkipped(t *testing.T) {
 	}
 }
 
-func TestJournalSkipsCompletedJobs(t *testing.T) {
-	j, err := OpenJournal(t.TempDir() + "/journal.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.Record("done-before", 1); err != nil {
-		t.Fatal(err)
-	}
-	var ranSkipped, ranDependent atomic.Bool
-	jobs := []Job{
-		{ID: "done-before", Run: func(context.Context, int) error { ranSkipped.Store(true); return nil }},
-		{ID: "after", Deps: []string{"done-before"}, Run: func(context.Context, int) error { ranDependent.Store(true); return nil }},
-	}
-	res, err := Run(context.Background(), jobs, Options{Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ranSkipped.Load() {
-		t.Error("journaled job was re-run")
-	}
-	if res["done-before"].Status != SkippedJournal {
-		t.Errorf("status = %s", res["done-before"].Status)
-	}
-	if !ranDependent.Load() || res["after"].Status != Done {
-		t.Error("dependent of journaled job must still run")
-	}
-}
-
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -346,45 +317,5 @@ func TestManyJobsRace(t *testing.T) {
 	}
 	if res["sink"].Status != Done {
 		t.Errorf("sink = %+v", res["sink"])
-	}
-}
-
-// TestJournalSkipChainResolvesOnce: a chain whose first two jobs are
-// journaled must resolve each job exactly once and still run the tail
-// (regression: the seed scan used to re-enqueue dependents unblocked
-// by inline journal-skip cascades).
-func TestJournalSkipChainResolvesOnce(t *testing.T) {
-	j, err := OpenJournal(t.TempDir() + "/journal.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.Record("a", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Record("b", nil); err != nil {
-		t.Fatal(err)
-	}
-	var bRuns, cRuns atomic.Int64
-	jobs := []Job{
-		{ID: "a", Run: noop},
-		{ID: "b", Deps: []string{"a"}, Run: func(context.Context, int) error { bRuns.Add(1); return nil }},
-		{ID: "c", Deps: []string{"b"}, Run: func(context.Context, int) error { cRuns.Add(1); return nil }},
-	}
-	res, err := Run(context.Background(), jobs, Options{Parallelism: 4, Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
-	}
-	if res["a"].Status != SkippedJournal || res["b"].Status != SkippedJournal {
-		t.Errorf("journaled chain: a=%s b=%s", res["a"].Status, res["b"].Status)
-	}
-	if bRuns.Load() != 0 {
-		t.Errorf("journaled job b ran %d times", bRuns.Load())
-	}
-	if res["c"].Status != Done || cRuns.Load() != 1 {
-		t.Errorf("tail job c: status=%s runs=%d, want done/1", res["c"].Status, cRuns.Load())
 	}
 }

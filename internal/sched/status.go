@@ -18,7 +18,7 @@ const (
 	StateRunning JobState = "running"
 	StateDone    JobState = "done"
 	StateFailed  JobState = "failed"
-	StateSkipped JobState = "skipped" // dependency failure or journal hit
+	StateSkipped JobState = "skipped" // dependency failure
 )
 
 // Tracker observes one campaign's schedule and serves point-in-time
@@ -182,7 +182,7 @@ func (t *Tracker) resolve(idx int, r JobResult) {
 		t.transition(idx, StateDone)
 	case Failed:
 		t.transition(idx, StateFailed)
-	default: // SkippedDep, SkippedJournal
+	default: // SkippedDep
 		t.transition(idx, StateSkipped)
 	}
 }

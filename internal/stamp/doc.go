@@ -15,9 +15,11 @@
 // OfGraph for a graph's content, ETL for a platform's transformed form
 // of a dataset, and BinaryVersion for the running binary's identity
 // (module version plus VCS revision, so two binaries built from the
-// same tree agree). Store is the durable side: an append-only JSONL
-// file ("stamps.jsonl" in the artifact cache) mapping fingerprints to
-// stored cell results, crash-tolerant and last-write-wins on replay.
+// same tree agree). Store is the durable side and the campaign's only
+// cell-result store: an append-only JSONL file ("stamps.jsonl" in the
+// artifact cache, or the driver's -resume file) mapping fingerprints to
+// successful cell results, crash-tolerant and last-write-wins on
+// replay. Resuming an interrupted campaign is restoring from it.
 //
 // Fingerprints are also the distribution currency: distributed
 // campaigns (internal/dist) ship them in leases so runner processes

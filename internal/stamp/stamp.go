@@ -19,8 +19,8 @@ type Fingerprint [32]byte
 // String returns the full lowercase hex form.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// Short returns the first 12 hex characters — enough to key journal
-// entries and cache file names without collisions in practice while
+// Short returns the first 12 hex characters — enough to key log lines
+// and cache file names without collisions in practice while
 // keeping keys readable.
 func (f Fingerprint) Short() string { return hex.EncodeToString(f[:])[:12] }
 

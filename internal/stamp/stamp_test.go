@@ -182,7 +182,6 @@ func TestStoreLastWriteWinsAndTornLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	var got storedResult
 	if ok, err := s2.Get(fp, &got); !ok || err != nil {
 		t.Fatalf("Get after torn line = %v, %v", ok, err)
@@ -192,6 +191,22 @@ func TestStoreLastWriteWinsAndTornLine(t *testing.T) {
 	}
 	if s2.Len() != 1 {
 		t.Fatalf("torn line counted: len = %d", s2.Len())
+	}
+
+	// A Put after the torn tail must survive the next reload, not be
+	// glued onto the fragment.
+	fp2 := Dataset("y", "1")
+	if err := s2.Put(fp2, storedResult{Runtime: 3}); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if !s3.Has(fp2) || !s3.Has(fp) || s3.Len() != 2 {
+		t.Fatalf("entry written after a torn tail lost: has(new)=%v has(old)=%v len=%d", s3.Has(fp2), s3.Has(fp), s3.Len())
 	}
 }
 

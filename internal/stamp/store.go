@@ -11,14 +11,15 @@ import (
 )
 
 // Store is the stamped result store: an append-only file of JSON lines
-// mapping fingerprints to finished results, persisted next to the
-// resume journal. Where the journal answers "which cells of THIS
-// campaign already ran" (keyed by coordinates), the store answers "has
-// ANY campaign ever produced this exact cell" (keyed by content
-// address), which is what turns a re-run of an unchanged matrix into a
-// no-op that still renders complete reports. A torn final line (crash
-// mid-write) is skipped on reload; a re-recorded fingerprint overrides
-// earlier entries (last write wins).
+// mapping fingerprints to finished results. It is the campaign's one
+// cell-result store: it answers "has any campaign — an earlier one, or
+// an interrupted run of this one — produced this exact cell" (keyed by
+// content address), which is what makes an interrupted campaign resume
+// and turns a re-run of an unchanged matrix into a no-op that still
+// renders complete reports. A torn final line (crash mid-write) is cut
+// off on reopen, so the next Put starts a fresh line; malformed lines
+// are skipped; a re-recorded fingerprint overrides earlier entries
+// (last write wins).
 type Store struct {
 	mu      sync.Mutex
 	path    string
@@ -33,10 +34,18 @@ type storeEntry struct {
 }
 
 // OpenStore loads the stamped result store at path (creating it and
-// its parent directory if absent) and opens it for appending.
+// its parent directory if absent), truncates a torn final line, and
+// opens it for appending.
 func OpenStore(path string) (*Store, error) {
 	s := &Store{path: path, entries: make(map[Fingerprint]json.RawMessage)}
 	if data, err := os.ReadFile(path); err == nil {
+		if n := len(data); n > 0 && data[n-1] != '\n' {
+			// A crash mid-Put left a line without its newline; appending
+			// onto it would corrupt the next record too.
+			if err := os.Truncate(path, int64(bytes.LastIndexByte(data, '\n')+1)); err != nil {
+				return nil, fmt.Errorf("stamp: truncating torn store line: %w", err)
+			}
+		}
 		sc := bufio.NewScanner(bytes.NewReader(data))
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
 		for sc.Scan() {

@@ -124,15 +124,16 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := time.Now()
-	s.t.emit(s, end)
+	s.t.emit(s)
 }
 
 // emit writes one complete event. ts/dur are microseconds, the
-// trace_event clock domain.
-func (t *Tracer) emit(s *Span, end time.Time) {
+// trace_event clock domain. The end time is read under the lock, so the
+// file order of events is their end order.
+func (t *Tracer) emit(s *Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	end := time.Now()
 	if t.closed || t.err != nil || t.w == nil {
 		return
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -173,5 +174,54 @@ func TestTraceContainsNoTrailingComma(t *testing.T) {
 	s := buf.String()
 	if strings.Contains(s, ",\n]") {
 		t.Fatalf("trailing comma before ]:\n%s", s)
+	}
+}
+
+// A span opened while tracing but ended after Stop is dropped: the
+// closed array stays valid JSON.
+func TestTracerDropsSpanEndedAfterStop(t *testing.T) {
+	var buf bytes.Buffer
+	var tr Tracer
+	tr.Start(&buf)
+	tr.StartSpan("a", "kept").End()
+	late := tr.StartSpan("a", "late")
+	if err := tr.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	late.End()
+	if got := parseTrace(t, buf.Bytes()); len(got) != 1 || got[0].Name != "kept" {
+		t.Fatalf("trace after late End: %+v", got)
+	}
+}
+
+// failingWriter accepts the first n writes, then fails every write.
+type failingWriter struct {
+	n      int
+	writes int
+}
+
+var errSinkFull = errors.New("sink full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes > w.n {
+		return 0, errSinkFull
+	}
+	return len(p), nil
+}
+
+// The first write error sticks: Stop reports it and no later event or
+// array terminator is attempted.
+func TestTracerWriteErrorIsSticky(t *testing.T) {
+	w := &failingWriter{n: 2} // "[\n" and one event
+	var tr Tracer
+	tr.Start(w)
+	tr.StartSpan("a", "ok").End()
+	tr.StartSpan("a", "fails").End()
+	tr.StartSpan("a", "skipped").End()
+	if err := tr.Stop(); !errors.Is(err, errSinkFull) {
+		t.Fatalf("Stop = %v, want the sink's write error", err)
+	}
+	if w.writes != 3 {
+		t.Fatalf("sink saw %d writes, want 3 (writes after the error must stop)", w.writes)
 	}
 }
