@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -37,6 +38,24 @@ const binMagic = "GALB"
 
 // ErrBadFormat reports a malformed binary graph file.
 var ErrBadFormat = errors.New("graph: bad binary format")
+
+// maxPrealloc caps the elements the reader allocates on the word of a
+// header count alone when the input's length is unknown. Beyond it,
+// arrays grow with the data actually decoded, so a corrupt header cannot
+// demand more memory than the input supplies.
+const maxPrealloc = 1 << 16
+
+// growFor returns s with room for at least one more element, doubling
+// its capacity but never past want elements in total.
+func growFor[T any](s []T, want uint64) []T {
+	more := min(max(uint64(len(s)), 1), want-uint64(len(s)))
+	return slices.Grow(s, int(more))
+}
+
+// truncated wraps a short read inside a binary graph as ErrBadFormat.
+func truncated(section string, err error) error {
+	return fmt.Errorf("%w: truncated %s: %v", ErrBadFormat, section, err)
+}
 
 // WriteBinary serializes g to w in the binary format.
 func (g *Graph) WriteBinary(w io.Writer) error {
@@ -134,43 +153,49 @@ func ReadBinary(r io.Reader) (*Graph, error) { return ReadBinaryWorkers(r, 0) }
 // result is byte-identical for any worker count.
 func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 	workers = buildWorkers(workers)
+	// Every degree and edge takes at least one byte, so an input that
+	// knows its length (a bytes.Reader) bounds the counts exactly.
+	prealloc := uint64(maxPrealloc)
+	if l, ok := r.(interface{ Len() int }); ok {
+		prealloc = max(prealloc, uint64(l.Len()))
+	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		return nil, truncated("header", err)
 	}
 	if string(magic) != binMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
 	}
 	version, err := br.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, truncated("header", err)
 	}
 	if version != 1 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
 	}
 	flags, err := br.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, truncated("header", err)
 	}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, truncated("header", err)
 	}
 	if nameLen > 1<<20 {
 		return nil, fmt.Errorf("%w: absurd name length %d", ErrBadFormat, nameLen)
 	}
 	nameBytes := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBytes); err != nil {
-		return nil, err
+		return nil, truncated("name", err)
 	}
 	n64, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, truncated("header", err)
 	}
 	arcs, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, truncated("header", err)
 	}
 	if n64 > 1<<32 || arcs > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible sizes n=%d arcs=%d", ErrBadFormat, n64, arcs)
@@ -182,26 +207,41 @@ func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 		directed: flags&1 != 0,
 		n:        n,
 	}
-	g.outIndex = make([]int64, n+1)
+	// n and arcs are only claims until their sections have been read:
+	// the index and edge arrays grow with what was decoded, and every
+	// later section is sized by counts that have been read by then.
+	index := make([]int64, 1, min(n64, prealloc)+1)
+	sum := uint64(0)
 	for v := 0; v < n; v++ {
 		d, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, truncated("degrees", err)
 		}
-		g.outIndex[v+1] = g.outIndex[v] + int64(d)
+		if d > arcs-sum {
+			return nil, fmt.Errorf("%w: degree sum exceeds arc count %d", ErrBadFormat, arcs)
+		}
+		sum += d
+		if len(index) == cap(index) {
+			index = growFor(index, n64+1)
+		}
+		index = append(index, int64(sum))
 	}
-	if uint64(g.outIndex[n]) != arcs {
-		return nil, fmt.Errorf("%w: degree sum %d != arc count %d", ErrBadFormat, g.outIndex[n], arcs)
+	if sum != arcs {
+		return nil, fmt.Errorf("%w: degree sum %d != arc count %d", ErrBadFormat, sum, arcs)
 	}
-	g.outEdges = make([]VertexID, arcs)
+	g.outIndex = index
+	edges := make([]VertexID, 0, min(arcs, prealloc))
 	for v := 0; v < n; v++ {
 		prev := uint64(0)
-		for i := g.outIndex[v]; i < g.outIndex[v+1]; i++ {
+		for i := index[v]; i < index[v+1]; i++ {
 			d, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, err
+				return nil, truncated("edges", err)
 			}
-			if i == g.outIndex[v] {
+			if d >= uint64(n) {
+				return nil, fmt.Errorf("%w: edge target delta %d out of range", ErrBadFormat, d)
+			}
+			if i == index[v] {
 				prev = d
 			} else {
 				prev += d
@@ -209,9 +249,13 @@ func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 			if prev >= uint64(n) {
 				return nil, fmt.Errorf("%w: edge target %d out of range", ErrBadFormat, prev)
 			}
-			g.outEdges[i] = VertexID(prev)
+			if len(edges) == cap(edges) {
+				edges = growFor(edges, arcs)
+			}
+			edges = append(edges, VertexID(prev))
 		}
 	}
+	g.outEdges = edges
 	if flags&8 != 0 {
 		// The weight section is a flat float64 block: stream it in
 		// fixed-size reads and convert each block off the wire.
@@ -225,7 +269,7 @@ func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 				buf = make([]byte, need)
 			}
 			if _, err := io.ReadFull(br, buf[:need]); err != nil {
-				return nil, fmt.Errorf("%w: truncated weights: %v", ErrBadFormat, err)
+				return nil, truncated("weights", err)
 			}
 			for i := off; i < end; i++ {
 				g.outWeights[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[(i-off)*8:]))
@@ -237,7 +281,7 @@ func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 		for v := 0; v < n; v++ {
 			l, err := binary.ReadVarint(br)
 			if err != nil {
-				return nil, err
+				return nil, truncated("labels", err)
 			}
 			g.labels[v] = l
 		}

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +116,57 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	buf.WriteByte(1) // deg(1) = 1
 	if _, err := ReadBinary(&buf); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("degree mismatch err = %v", err)
+	}
+}
+
+// galbImage assembles a GALB image with an empty name: the n and arcs
+// header varints, then the body varints as given.
+func galbImage(flags byte, varints ...uint64) []byte {
+	b := append([]byte(binMagic), 1, flags, 0)
+	for _, v := range varints {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// hostileGALB are headers and bodies whose counts the input does not
+// back: each must end in ErrBadFormat without allocating what it claims.
+var hostileGALB = []struct {
+	name string
+	data []byte
+}{
+	{"n=2^32 without degrees", galbImage(0, 1<<32, 0)},
+	{"arcs=deg=2^34 without edges", galbImage(0, 1, 1<<34, 1<<34)},
+	{"weighted arcs=deg=2^34 without edges", galbImage(8, 1, 1<<34, 1<<34)},
+	{"degree sum wraps to the arc count", galbImage(0, 2, 0, 1<<63, 1<<63, 0)},
+	{"edge delta wraps below n", galbImage(0, 2, 2, 2, 0, 1, math.MaxUint64)},
+	{"truncated weights", galbImage(8, 2, 1, 1, 0, 1)},
+	{"truncated labels", galbImage(2, 1, 0, 0)},
+}
+
+func TestBinaryRejectsHostileCounts(t *testing.T) {
+	for _, tc := range hostileGALB {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadBinary(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("err = %v, want ErrBadFormat", err)
+			}
+			// The read buffer (1 MiB) plus capped up-front capacities.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+				t.Errorf("allocated %d bytes for a %d-byte input", alloc, len(tc.data))
+			}
+		})
+	}
+}
+
+// Arrays that outgrow the up-front capacity still decode exactly.
+func TestBinaryRoundTripBeyondPrealloc(t *testing.T) {
+	g := randomTestGraph(maxPrealloc+500, 3*maxPrealloc, 11, true)
+	if diff := graphDiff(g, roundTripBinary(t, g)); diff != "" {
+		t.Fatal(diff)
 	}
 }
 

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -62,6 +64,52 @@ func FuzzParseEdgeLine(f *testing.F) {
 		}
 		if diff := graphDiff(seq, par); diff != "" {
 			t.Fatalf("graph mismatch: %s", diff)
+		}
+	})
+}
+
+// FuzzReadBinary fuzzes the GALB reader: every input ends in
+// ErrBadFormat or in a graph that serializes back to an image the reader
+// decodes to the same bytes again.
+func FuzzReadBinary(f *testing.F) {
+	b := NewBuilder(Directed(true), WithReverse(), WithName("fuzz"))
+	b.AddEdgeWeighted(10, 20, 0.5)
+	b.AddEdgeWeighted(20, -3, 2)
+	b.AddEdgeWeighted(-3, 10, 1)
+	b.AddEdgeWeighted(-3, -3, 0)
+	g, err := b.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if err := g.WriteBinary(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	for _, tc := range hostileGALB {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinaryWorkers(bytes.NewReader(data), 2)
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("error is not ErrBadFormat: %v", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := g.WriteBinary(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadBinaryWorkers(bytes.NewReader(first.Bytes()), 2)
+		if err != nil {
+			t.Fatalf("re-reading an accepted graph: %v", err)
+		}
+		if err := back.WriteBinary(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("accepted graph does not round-trip")
 		}
 	})
 }

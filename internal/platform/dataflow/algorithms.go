@@ -163,7 +163,7 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 		// merged by list concatenation; TallyVotes canonicalizes order.
 		msgs, err := AggregateMessages(ctx, env, verts, 20, 20,
 			func(c *Ctx[[]algo.Vote], u, v graph.VertexID, du, dv cdVD) {
-				if !CanonicalArc(l.g, u, v) {
+				if !c.Canonical(u, v) {
 					return
 				}
 				c.SendToDst(v, []algo.Vote{{Label: du.label, Score: du.score, Degree: du.degree}})
@@ -200,77 +200,18 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 
 // ------------------------------ STATS ------------------------------
 
+// runStats is the mean of runLCC's per-vertex coefficients, summed in
+// vertex order as the reference does.
 func (l *loaded) runStats(ctx context.Context, env *Env, p algo.Params) (algo.StatsOutput, error) {
-	n := l.g.NumVertices()
-	// Round 1: collect neighbor IDs (both directions), dedup + sort.
-	empty, err := MapVertices(ctx, env, n, 24, func(graph.VertexID) []graph.VertexID { return nil })
-	if err != nil {
-		return algo.StatsOutput{}, err
-	}
-	env.Counters.Supersteps++
-	collected, err := AggregateMessages(ctx, env, empty, 24, 24,
-		func(c *Ctx[[]graph.VertexID], u, v graph.VertexID, _, _ []graph.VertexID) {
-			c.SendToDst(v, []graph.VertexID{u})
-			c.SendToSrc(u, []graph.VertexID{v})
-		},
-		func(a, b []graph.VertexID) []graph.VertexID { return append(a, b...) })
-	if err != nil {
-		return algo.StatsOutput{}, err
-	}
-	nbh, err := JoinVertices(ctx, env, empty, 24, collected, func(v graph.VertexID, _ []graph.VertexID, ids []graph.VertexID) []graph.VertexID {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out := ids[:0]
-		var last graph.VertexID
-		for i, x := range ids {
-			if x == v {
-				continue
-			}
-			if i > 0 && x == last && len(out) > 0 {
-				continue
-			}
-			out = append(out, x)
-			last = x
-		}
-		return out
-	})
-	if err != nil {
-		return algo.StatsOutput{}, err
-	}
-	// Neighborhood-list bytes are summed after the join: the join
-	// closures run in parallel and cannot share an accumulator.
-	nbhBytes := int64(0)
-	for _, ids := range nbh {
-		nbhBytes += int64(len(ids)) * 4
-	}
-	if err := env.allocRetained(nbhBytes); err != nil {
-		return algo.StatsOutput{}, err
-	}
-
-	// Round 2: per canonical neighbor pair, exchange closed-pair counts.
-	env.Counters.Supersteps++
-	counts, err := AggregateMessages(ctx, env, nbh, 24, 8,
-		func(c *Ctx[int64], u, v graph.VertexID, nu, nv []graph.VertexID) {
-			if !CanonicalArc(l.g, u, v) {
-				return
-			}
-			if len(nv) >= 2 {
-				c.SendToDst(v, algo.CountClosedPairs(l.g.OutNeighbors(u), nv, u))
-			}
-			if len(nu) >= 2 {
-				c.SendToSrc(u, algo.CountClosedPairs(l.g.OutNeighbors(v), nu, v))
-			}
-		},
-		func(a, b int64) int64 { return a + b })
+	lcc, err := l.runLCC(ctx, env, p)
 	if err != nil {
 		return algo.StatsOutput{}, err
 	}
 	var sum float64
-	for v := 0; v < n; v++ {
-		d := float64(len(nbh[v]))
-		if d >= 2 {
-			sum += float64(counts[graph.VertexID(v)]) / (d * (d - 1))
-		}
+	for _, c := range lcc {
+		sum += c
 	}
+	n := l.g.NumVertices()
 	return algo.StatsOutput{Vertices: n, Edges: l.g.NumEdges(), MeanLCC: sum / float64(n)}, nil
 }
 

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"graphalytics/internal/algo"
@@ -104,19 +105,52 @@ func TestUnsupportedKind(t *testing.T) {
 	}
 }
 
+// canonicalPairs counts, per vertex, the canonical arcs a triplet scan
+// of g delivers to it.
+func canonicalPairs(t *testing.T, g *graph.Graph) map[graph.VertexID]int64 {
+	t.Helper()
+	env := NewEnv(g, 3, nil, &platform.Counters{})
+	verts := make([]struct{}, g.NumVertices())
+	got, err := AggregateMessages(context.Background(), env, verts, 0, 8,
+		func(c *Ctx[int64], u, v graph.VertexID, _, _ struct{}) {
+			if c.Canonical(u, v) {
+				c.SendToSrc(u, 1)
+				c.SendToDst(v, 1)
+			}
+		},
+		func(a, b int64) int64 { return a + b })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestCanonicalArc(t *testing.T) {
 	g, err := datagen.Generate(datagen.Config{Persons: 200, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Undirected graph: exactly one canonical arc per pair.
-	count := 0
-	g.Arcs(func(u, v graph.VertexID) {
-		if CanonicalArc(g, u, v) {
-			count++
-		}
-	})
-	if int64(count) != g.NumEdges() {
-		t.Errorf("canonical arcs = %d, want %d (one per undirected edge)", count, g.NumEdges())
+	var count int64
+	for _, c := range canonicalPairs(t, g) {
+		count += c
+	}
+	if count != 2*g.NumEdges() {
+		t.Errorf("canonical arc endpoints = %d, want %d (one arc per undirected edge)", count, 2*g.NumEdges())
+	}
+
+	// Directed multigraph: parallel and reciprocal arcs of a pair still
+	// give one canonical arc, so each vertex meets each neighbor once.
+	b := graph.NewBuilder(graph.Directed(true), graph.WithReverse())
+	for _, e := range [][2]graph.VertexID{{0, 1}, {0, 1}, {1, 0}, {2, 1}, {2, 1}, {2, 2}} {
+		b.AddEdgeID(e[0], e[1])
+	}
+	multi, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[graph.VertexID]int64{0: 1, 1: 2, 2: 1}
+	if got := canonicalPairs(t, multi); !reflect.DeepEqual(got, want) {
+		t.Errorf("neighbor pairs met per vertex = %v, want %v", got, want)
 	}
 }

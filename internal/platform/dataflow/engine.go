@@ -91,6 +91,9 @@ type Ctx[M any] struct {
 	sentB   int64
 	netB    int64
 	edges   int64
+	// repeat is set while the scanned arc repeats its predecessor in the
+	// source's sorted adjacency: a parallel arc of a multigraph.
+	repeat bool
 }
 
 func (c *Ctx[M]) deliver(dst graph.VertexID, m M) {
@@ -182,6 +185,7 @@ func AggregateMessagesW[VD, M any](ctx context.Context, env *Env, verts []VD, vd
 				adj := env.G.OutNeighbors(graph.VertexID(u))
 				ws := env.G.OutWeights(graph.VertexID(u))
 				for i, v := range adj {
+					c.repeat = i > 0 && adj[i-1] == v
 					send(c, graph.VertexID(u), v, graph.WeightAt(ws, i), verts[u], verts[v])
 					c.edges++
 				}
@@ -405,12 +409,12 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// CanonicalArc reports whether (u, v) is the canonical arc of its
-// unordered pair: true when u < v or when the reciprocal arc does not
-// exist. Algorithms that must interact once per neighbor pair (CD
-// votes, STATS counts) send only along canonical arcs.
-func CanonicalArc(g *graph.Graph, u, v graph.VertexID) bool {
-	return u < v || !g.HasArc(v, u)
+// Canonical reports whether the scanned arc (u, v) is the canonical arc
+// of its unordered pair: the first copy of u→v, with u < v or no
+// reciprocal arc v→u. Algorithms that must interact once per neighbor
+// pair (CD votes, STATS counts) send only along canonical arcs.
+func (c *Ctx[M]) Canonical(u, v graph.VertexID) bool {
+	return !c.repeat && (u < v || !c.env.G.HasArc(v, u))
 }
 
 var busyMu sync.Mutex

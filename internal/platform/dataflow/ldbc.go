@@ -129,10 +129,10 @@ func (l *loaded) runSSSP(ctx context.Context, env *Env, p algo.Params) (algo.SSS
 
 // ------------------------------ LCC ------------------------------
 
-// runLCC: the per-vertex variant of runStats — the same two rounds
-// (neighborhood exchange along canonical arcs, then closed-pair counts)
-// with the final division kept per vertex instead of folded into a
-// mean.
+// runLCC computes the local clustering coefficients in two rounds:
+// every vertex collects its neighborhood, then each canonical arc
+// carries closed-pair counts to both endpoints. runStats averages the
+// result.
 func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCOutput, error) {
 	n := l.g.NumVertices()
 	// Round 1: collect neighbor IDs (both directions), dedup + sort.
@@ -183,7 +183,7 @@ func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCO
 	env.Counters.Supersteps++
 	counts, err := AggregateMessages(ctx, env, nbh, 24, 8,
 		func(c *Ctx[int64], u, v graph.VertexID, nu, nv []graph.VertexID) {
-			if !CanonicalArc(l.g, u, v) {
+			if !c.Canonical(u, v) {
 				return
 			}
 			if len(nv) >= 2 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
@@ -94,11 +95,14 @@ func (p *Platform) WriteETL(l platform.Loaded, w io.Writer) error {
 
 // ReadETL implements platform.CachedLoader: it reconstructs the record
 // stores from a WriteETL blob and applies the same memory budget as
-// LoadGraph (a cached load still has to fit).
+// LoadGraph (a cached load still has to fit). The blob is checked
+// against g before anything is allocated — its shape must be the one
+// BuildStore gives g — and every record field is range-checked, so a
+// corrupt blob is an error here rather than a panic or a hang in a
+// traversal.
 func (p *Platform) ReadETL(g *graph.Graph, r io.Reader) (platform.Loaded, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
 	header := make([]byte, 22)
-	if _, err := io.ReadFull(br, header); err != nil {
+	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, fmt.Errorf("%w: header: %w", errETL, err)
 	}
 	if string(header[:4]) != etlMagic {
@@ -110,34 +114,63 @@ func (p *Platform) ReadETL(g *graph.Graph, r io.Reader) (platform.Loaded, error)
 	flags := header[5]
 	numNodes := binary.LittleEndian.Uint64(header[6:14])
 	numRels := binary.LittleEndian.Uint64(header[14:22])
-	if int(numNodes) != g.NumVertices() {
+	if numNodes != uint64(g.NumVertices()) {
 		return nil, fmt.Errorf("%w: %d nodes for a %d-vertex graph", errETL, numNodes, g.NumVertices())
 	}
+	if want := relCount(g); numRels != want {
+		return nil, fmt.Errorf("%w: %d relationships for a graph with %d", errETL, numRels, want)
+	}
+	// A store without relationships has no property store to flag.
+	directed, weighted := flags&etlFlagDirected != 0, flags&etlFlagWeighted != 0
+	if directed != g.Directed() || (numRels > 0 && weighted != g.Weighted()) {
+		return nil, fmt.Errorf("%w: flags %#x do not match the graph (directed %t, weighted %t)",
+			errETL, flags, g.Directed(), g.Weighted())
+	}
+	mem := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget)
+	if err := mem.Alloc(storeBytes(int(numNodes), int(numRels), weighted)); err != nil {
+		return nil, err
+	}
+
+	br := bufio.NewReaderSize(r, 1<<20)
 	s := &Store{
-		directed: flags&etlFlagDirected != 0,
+		directed: directed,
 		nodes:    make([]int32, numNodes),
 		rels:     make([]relRecord, numRels),
 		cache:    newPageCache(p.opts.PageCachePages),
 	}
+	// Chains are built by prepending, so every chain pointer names an
+	// earlier relationship: a head is below numRels, a next pointer below
+	// its own record. That bound also makes every chain walk terminate.
 	var buf [16]byte
 	for i := range s.nodes {
 		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("%w: node store: %w", errETL, err)
 		}
-		s.nodes[i] = int32(binary.LittleEndian.Uint32(buf[:4]))
+		head := int32(binary.LittleEndian.Uint32(buf[:4]))
+		if head < -1 || int64(head) >= int64(numRels) {
+			return nil, fmt.Errorf("%w: node %d: chain head %d out of range", errETL, i, head)
+		}
+		s.nodes[i] = head
 	}
 	for i := range s.rels {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("%w: relationship store: %w", errETL, err)
 		}
-		s.rels[i] = relRecord{
+		rel := relRecord{
 			src:     graph.VertexID(binary.LittleEndian.Uint32(buf[0:])),
 			dst:     graph.VertexID(binary.LittleEndian.Uint32(buf[4:])),
 			srcNext: int32(binary.LittleEndian.Uint32(buf[8:])),
 			dstNext: int32(binary.LittleEndian.Uint32(buf[12:])),
 		}
+		if uint64(rel.src) >= numNodes || uint64(rel.dst) >= numNodes {
+			return nil, fmt.Errorf("%w: relationship %d: endpoint (%d,%d) out of range", errETL, i, rel.src, rel.dst)
+		}
+		if rel.srcNext < -1 || rel.dstNext < -1 || int(rel.srcNext) >= i || int(rel.dstNext) >= i {
+			return nil, fmt.Errorf("%w: relationship %d: chain pointers (%d,%d) out of range", errETL, i, rel.srcNext, rel.dstNext)
+		}
+		s.rels[i] = rel
 	}
-	if flags&etlFlagWeighted != 0 {
+	if weighted {
 		s.weights = make([]float64, numRels)
 		for i := range s.weights {
 			if _, err := io.ReadFull(br, buf[:8]); err != nil {
@@ -146,9 +179,22 @@ func (p *Platform) ReadETL(g *graph.Graph, r io.Reader) (platform.Loaded, error)
 			s.weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
 		}
 	}
-	mem := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget)
-	if err := mem.Alloc(s.Bytes()); err != nil {
-		return nil, err
-	}
 	return &loaded{p: p, g: g, store: s, mem: mem}, nil
+}
+
+// relCount is the number of relationships BuildStore creates for g, one
+// per EdgesW callback: every arc of a directed graph, and every arc u→v
+// with u <= v of an undirected one (adjacency lists are sorted, so those
+// are the tail of u's list).
+func relCount(g *graph.Graph) uint64 {
+	if g.Directed() {
+		return uint64(g.NumArcs())
+	}
+	var c uint64
+	for u := 0; u < g.NumVertices(); u++ {
+		adj := g.OutNeighbors(graph.VertexID(u))
+		lo, _ := slices.BinarySearch(adj, graph.VertexID(u))
+		c += uint64(len(adj) - lo)
+	}
+	return c
 }

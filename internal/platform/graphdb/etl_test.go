@@ -2,11 +2,14 @@ package graphdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"graphalytics/internal/gen/datagen"
+	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 )
 
@@ -88,6 +91,98 @@ func TestETLRejectsGarbage(t *testing.T) {
 		if _, err := p.ReadETL(g, bytes.NewReader(blob)); !errors.Is(err, errETL) {
 			t.Errorf("%s: err = %v, want errETL", name, err)
 		}
+	}
+}
+
+// etlBlob loads g live and returns its ETL blob.
+func etlBlob(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
+	p := New(Options{})
+	live, err := p.LoadGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	var blob bytes.Buffer
+	if err := p.WriteETL(live, &blob); err != nil {
+		t.Fatal(err)
+	}
+	return blob.Bytes()
+}
+
+// An undirected graph with self-loops has a relationship count that is
+// not NumEdges(); the count ReadETL expects is BuildStore's.
+func TestETLRoundTripSelfLoops(t *testing.T) {
+	b := graph.NewBuilder(graph.Directed(false))
+	for _, e := range [][2]graph.VertexID{{0, 0}, {0, 1}, {1, 2}, {2, 2}, {3, 3}} {
+		b.AddEdgeID(e[0], e[1])
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := BuildStore(g, 0).NumRels(); int64(got) == g.NumEdges() {
+		t.Fatalf("test graph has %d relationships = NumEdges; want a graph where they differ", got)
+	}
+	l, err := New(Options{}).ReadETL(g, bytes.NewReader(etlBlob(t, g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+}
+
+// Each corruption of a valid blob is caught while reading it.
+func TestETLRejectsCorruptRecords(t *testing.T) {
+	g, err := datagen.Generate(datagen.Config{Persons: 100, Seed: 3, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	node := func(v int) int { return 22 + 4*v }
+	rel := func(i int) int { return 22 + 4*n + 16*i }
+	put32 := func(b []byte, off int, v int32) { binary.LittleEndian.PutUint32(b[off:], uint32(v)) }
+	numRels := int32(binary.LittleEndian.Uint64(etlBlob(t, g)[14:22]))
+	for name, corrupt := range map[string]func(b []byte){
+		"numRels":           func(b []byte) { binary.LittleEndian.PutUint64(b[14:], uint64(numRels)+1) },
+		"numRels huge":      func(b []byte) { binary.LittleEndian.PutUint64(b[14:], 1<<60) },
+		"directed flag":     func(b []byte) { b[5] ^= etlFlagDirected },
+		"weighted flag":     func(b []byte) { b[5] ^= etlFlagWeighted },
+		"chain head < -1":   func(b []byte) { put32(b, node(n-1), -2) },
+		"chain head >= rel": func(b []byte) { put32(b, node(0), numRels) },
+		"src >= n":          func(b []byte) { put32(b, rel(5), int32(n)) },
+		"dst >= n":          func(b []byte) { put32(b, rel(5)+4, int32(n)) },
+		"srcNext < -1":      func(b []byte) { put32(b, rel(5)+8, -2) },
+		"dstNext >= rels":   func(b []byte) { put32(b, rel(5)+12, numRels) },
+		"srcNext cycle":     func(b []byte) { put32(b, rel(5)+8, 5) },
+		"dstNext forward":   func(b []byte) { put32(b, rel(5)+12, 6) },
+	} {
+		blob := etlBlob(t, g)
+		corrupt(blob)
+		if _, err := New(Options{}).ReadETL(g, bytes.NewReader(blob)); !errors.Is(err, errETL) {
+			t.Errorf("%s: err = %v, want errETL", name, err)
+		}
+	}
+}
+
+// The budget is applied to the header's shape, before the stores are
+// allocated: an over-budget blob costs next to nothing to reject.
+func TestETLBudgetBeforeAllocation(t *testing.T) {
+	g, err := datagen.Generate(datagen.Config{Persons: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := etlBlob(t, g)
+	size := BuildStore(g, 0).Bytes()
+	tiny := New(Options{MemoryBudget: 1024})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = tiny.ReadETL(g, bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, platform.ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(size)/8 {
+		t.Errorf("rejecting a %d-byte store allocated %d bytes", size, alloc)
 	}
 }
 

@@ -84,10 +84,13 @@ func BuildStore(g *graph.Graph, pageCachePages int) *Store {
 
 // Bytes returns the store's record footprint (including the
 // relationship property store when the graph is weighted).
-func (s *Store) Bytes() int64 {
-	b := int64(len(s.nodes))*nodeRecordBytes + int64(len(s.rels))*relRecordBytes
-	if s.weights != nil {
-		b += int64(len(s.weights)) * 8
+func (s *Store) Bytes() int64 { return storeBytes(len(s.nodes), len(s.rels), s.weights != nil) }
+
+// storeBytes is the record footprint of a store of the given shape.
+func storeBytes(nodes, rels int, weighted bool) int64 {
+	b := int64(nodes)*nodeRecordBytes + int64(rels)*relRecordBytes
+	if weighted {
+		b += int64(rels) * 8
 	}
 	return b
 }

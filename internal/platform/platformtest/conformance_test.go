@@ -3,6 +3,8 @@ package platformtest
 import (
 	"testing"
 
+	"graphalytics/internal/algo"
+	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platform/dataflow"
 	"graphalytics/internal/platform/graphdb"
@@ -74,5 +76,63 @@ func TestWeightedGraphReachesPlatforms(t *testing.T) {
 	}
 	if len(workload.All()) < 8 {
 		t.Fatalf("workload registry has %d entries, want at least the 8 built-ins", len(workload.All()))
+	}
+}
+
+// TestAdversarialShapes asserts each adversarial graph still has the
+// property it is named for, so a builder option cannot quietly turn one
+// into an ordinary graph.
+func TestAdversarialShapes(t *testing.T) {
+	selfLoop := func(g *graph.Graph) bool {
+		for v := 0; v < g.NumVertices(); v++ {
+			if g.HasArc(graph.VertexID(v), graph.VertexID(v)) {
+				return true
+			}
+		}
+		return false
+	}
+	repeatedArc := func(g *graph.Graph) bool {
+		for v := 0; v < g.NumVertices(); v++ {
+			adj := g.OutNeighbors(graph.VertexID(v))
+			for i := 1; i < len(adj); i++ {
+				if adj[i] == adj[i-1] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	weightsAll := func(w float64) func(*graph.Graph) bool {
+		return func(g *graph.Graph) bool {
+			if !g.Weighted() || g.NumArcs() == 0 {
+				return false
+			}
+			all := true
+			g.ArcsW(func(_, _ graph.VertexID, x float64) { all = all && x == w })
+			return all
+		}
+	}
+	components := func(want int) func(*graph.Graph) bool {
+		return func(g *graph.Graph) bool { return len(algo.ComponentSizes(algo.RunConn(g))) == want }
+	}
+	checks := map[string]func(*graph.Graph) bool{
+		"single-self-loop":   func(g *graph.Graph) bool { return g.NumVertices() == 1 && selfLoop(g) },
+		"isolated-plus-edge": func(g *graph.Graph) bool { return g.NumEdges() == 1 && g.OutDegree(0) == 0 },
+		"star-200":           func(g *graph.Graph) bool { return g.OutDegree(0) == 200 },
+		"pairs-100":          components(100),
+		"self-loops":         selfLoop,
+		"duplicate-arcs":     repeatedArc,
+		"zero-weights":       weightsAll(0),
+		"equal-weights":      weightsAll(1.5),
+	}
+	for _, g := range adversarial(t) {
+		check, ok := checks[g.Name()]
+		if !ok {
+			t.Errorf("%s: no shape check", g.Name())
+			continue
+		}
+		if !check(g) {
+			t.Errorf("%s does not have its shape: %v", g.Name(), g)
+		}
 	}
 }

@@ -23,45 +23,83 @@ import (
 )
 
 // Graphs returns the conformance graph matrix: directed and undirected
-// random graphs, a social-network graph, a disconnected graph, a
-// weighted graph (exercising the weighted workloads beyond unit
-// weights), and a tiny pathological graph.
+// random graphs, a disconnected graph, a weighted graph (exercising the
+// weighted workloads beyond unit weights), a tiny graph, a
+// social-network graph, and the adversarial shapes of adversarial.
 func Graphs(tb testing.TB) []*graph.Graph {
 	tb.Helper()
-	var out []*graph.Graph
-
-	rnd := func(name string, n, m int, seed int64, directed, weighted bool) *graph.Graph {
-		r := rand.New(rand.NewSource(seed))
-		b := graph.NewBuilder(graph.Directed(directed), graph.Dedup(), graph.DropSelfLoops(), graph.WithReverse(), graph.WithName(name))
-		b.SetNumVertices(n)
-		for i := 0; i < m; i++ {
-			u, v := graph.VertexID(r.Intn(n)), graph.VertexID(r.Intn(n))
-			if weighted {
-				b.AddEdgeIDWeighted(u, v, 0.25+r.Float64())
-			} else {
-				b.AddEdgeID(u, v)
-			}
-		}
-		g, err := b.Build()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return g
+	out := []*graph.Graph{
+		build(tb, "rand-directed", 300, true, rnd(1, 300, 1500, nil), simple...),
+		build(tb, "rand-undirected", 300, false, rnd(2, 300, 1200, nil), simple...),
+		build(tb, "rand-sparse-disconnected", 400, true, rnd(3, 400, 220, nil), simple...),
+		build(tb, "rand-weighted", 300, true, rnd(5, 300, 1400, func(r *rand.Rand) float64 { return 0.25 + r.Float64() }), simple...),
+		build(tb, "tiny", 8, false, rnd(4, 8, 12, nil), simple...),
 	}
-
-	out = append(out,
-		rnd("rand-directed", 300, 1500, 1, true, false),
-		rnd("rand-undirected", 300, 1200, 2, false, false),
-		rnd("rand-sparse-disconnected", 400, 220, 3, true, false),
-		rnd("rand-weighted", 300, 1400, 5, true, true),
-		rnd("tiny", 8, 12, 4, false, false),
-	)
 	sn, err := datagen.Generate(datagen.Config{Persons: 500, Seed: 77, Name: "social"})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out = append(out, sn)
-	return out
+	return append(append(out, sn), adversarial(tb)...)
+}
+
+// adversarial returns the graph shapes implementations commonly get
+// wrong ("SoK: The Faults in our Graph Benchmarks"): a lone vertex,
+// isolated vertices (the source among them), a hub, many components,
+// self-loops, parallel arcs, and zero or tied weights. The empty graph
+// is absent: the Builder rejects it (graph.ErrEmptyGraph).
+func adversarial(tb testing.TB) []*graph.Graph {
+	return []*graph.Graph{
+		build(tb, "single-self-loop", 1, false, func(b *graph.Builder) { b.AddEdgeID(0, 0) }),
+		build(tb, "isolated-plus-edge", 50, true, func(b *graph.Builder) { b.AddEdgeID(48, 49) }, simple...),
+		build(tb, "star-200", 201, false, func(b *graph.Builder) {
+			for leaf := 1; leaf <= 200; leaf++ {
+				b.AddEdgeID(0, graph.VertexID(leaf))
+			}
+		}, simple...),
+		build(tb, "pairs-100", 200, false, func(b *graph.Builder) {
+			for v := 0; v < 200; v += 2 {
+				b.AddEdgeID(graph.VertexID(v), graph.VertexID(v+1))
+			}
+		}, simple...),
+		build(tb, "self-loops", 60, true, rnd(6, 60, 300, nil), graph.Dedup()),
+		build(tb, "duplicate-arcs", 30, true, rnd(7, 30, 400, nil), graph.DropSelfLoops()),
+		build(tb, "zero-weights", 80, true, rnd(8, 80, 320, func(*rand.Rand) float64 { return 0 }), simple...),
+		build(tb, "equal-weights", 80, false, rnd(9, 80, 240, func(*rand.Rand) float64 { return 1.5 }), simple...),
+	}
+}
+
+// simple makes a Builder build a simple graph: no parallel arcs, no
+// self-loops.
+var simple = []graph.BuilderOption{graph.Dedup(), graph.DropSelfLoops()}
+
+// rnd adds m seeded random arcs over n vertices, weighted by weight
+// unless it is nil.
+func rnd(seed int64, n, m int, weight func(*rand.Rand) float64) func(*graph.Builder) {
+	return func(b *graph.Builder) {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < m; i++ {
+			u, v := graph.VertexID(r.Intn(n)), graph.VertexID(r.Intn(n))
+			if weight != nil {
+				b.AddEdgeIDWeighted(u, v, weight(r))
+			} else {
+				b.AddEdgeID(u, v)
+			}
+		}
+	}
+}
+
+// build builds an n-vertex graph with reverse adjacency from the arcs
+// add feeds its Builder.
+func build(tb testing.TB, name string, n int, directed bool, add func(*graph.Builder), opts ...graph.BuilderOption) *graph.Graph {
+	tb.Helper()
+	b := graph.NewBuilder(append([]graph.BuilderOption{graph.Directed(directed), graph.WithReverse(), graph.WithName(name)}, opts...)...)
+	b.SetNumVertices(n)
+	add(b)
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }
 
 // Conformance runs every registered workload of p on every conformance
@@ -112,7 +150,7 @@ func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 	t.Helper()
 	counts := []int{1, 2, 8}
 	gs := Graphs(t)
-	sweep := []*graph.Graph{gs[0], gs[3]} // rand-directed + rand-weighted
+	sweep := append([]*graph.Graph{gs[0], gs[3]}, adversarial(t)...) // rand-directed + rand-weighted + adversarial
 	specs := workload.All()
 	for _, g := range sweep {
 		g := g
