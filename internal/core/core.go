@@ -8,6 +8,11 @@
 // against the reference implementations, monitors the system during
 // runs, and hands the results to the Report Generator.
 //
+// Validation computes each reference output once per campaign: the
+// cells of one (graph, workload) pair on every platform share one
+// lazily computed reference, which is dropped when the last of them
+// finishes.
+//
 // Campaigns execute through the internal/sched scheduler: the matrix
 // becomes a DAG with one ETL/load job per (platform, graph) pair
 // feeding one run job per algorithm cell, executed by a bounded worker
@@ -169,6 +174,16 @@ func Ingest(source string, workers int, build func() (*graph.Graph, error)) (*gr
 // Run executes the full matrix and returns the report. The context
 // cancels the whole campaign.
 func (b *Benchmark) Run(ctx context.Context) (*report.Report, error) {
+	c, err := b.newCampaign()
+	if err != nil {
+		return nil, err
+	}
+	return c.run(ctx)
+}
+
+// newCampaign checks the configuration and resolves the fingerprint
+// inputs of one Run.
+func (b *Benchmark) newCampaign() (*campaign, error) {
 	if len(b.Platforms) == 0 {
 		return nil, errors.New("core: no platforms configured")
 	}
@@ -202,16 +217,22 @@ func (b *Benchmark) Run(ctx context.Context) (*report.Report, error) {
 			Backoff:     b.RetryBackoff,
 			Retryable:   transient,
 		},
+		refs: map[refKey]*reference{},
 	}
 	if err := c.setupStamps(algs); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
 
+// run plans, schedules and collates the campaign.
+func (c *campaign) run(ctx context.Context) (*report.Report, error) {
+	b := c.b
 	rep := &report.Report{Started: time.Now()}
 	rep.Ingests = append(rep.Ingests, b.Ingests...)
 	jobs := c.buildJobs()
 	slog.Info("core: campaign start",
-		"platforms", len(b.Platforms), "graphs", len(b.Graphs), "algorithms", len(algs),
+		"platforms", len(b.Platforms), "graphs", len(b.Graphs), "algorithms", len(c.algs),
 		"cells", len(c.cells), "jobs", len(jobs), "reps", b.Reps, "warmup", b.Warmup)
 	parallelism := b.Parallelism
 	limits := c.classLimits()
@@ -315,6 +336,69 @@ type campaign struct {
 	// wlStamps maps each algorithm to its workload identity stamp
 	// (kind + validation policy + whether validation runs).
 	wlStamps map[algo.Kind]string
+
+	// refs holds the reference output of each (graph, workload) pair
+	// that local cells validate against. Planning fills the map; it is
+	// read-only once jobs run.
+	refs map[refKey]*reference
+}
+
+var referencesTotal = telemetry.Metrics.Counter("core_references_total",
+	"reference outputs computed, one per (graph, workload) pair a campaign validates")
+
+type refKey struct {
+	graph string
+	alg   algo.Kind
+}
+
+// reference is the reference output of one (graph, workload) pair,
+// shared by that pair's cells on every platform. Params are
+// campaign-wide and their defaults depend only on the graph, so the pair
+// determines the output. The first cell to validate computes it, cells
+// validating meanwhile wait for that computation, and the last sharing
+// cell to finish drops it, so a pair holds its output no longer than its
+// cells need it.
+type reference struct {
+	spec   workload.Spec
+	g      *graph.Graph
+	params algo.Params
+	once   sync.Once
+	out    any
+	// pending counts the sharing cells that have not finished.
+	pending atomic.Int64
+}
+
+// shareReference returns the reference entry of (g, a), creating it on
+// first use, and counts one more cell sharing it.
+func (c *campaign) shareReference(g *graph.Graph, a algo.Kind) *reference {
+	k := refKey{g.Name(), a}
+	ref := c.refs[k]
+	if ref == nil {
+		spec, _ := workload.Lookup(a)
+		ref = &reference{spec: spec, g: g, params: c.b.Params.WithDefaults(g.NumVertices())}
+		c.refs[k] = ref
+	}
+	ref.pending.Add(1)
+	return ref
+}
+
+// want returns the reference output, computing it on first use.
+func (r *reference) want() any {
+	r.once.Do(func() {
+		sp := telemetry.StartSpan("cell", "reference:"+r.g.Name()+"/"+string(r.spec.Kind))
+		r.out = r.spec.Reference(r.g, r.params)
+		sp.End()
+		referencesTotal.Inc()
+	})
+	return r.out
+}
+
+// release records that one sharing cell finished; the last one drops
+// the output.
+func (r *reference) release() {
+	if r.pending.Add(-1) == 0 {
+		r.out = nil
+	}
 }
 
 // setupStamps resolves the fingerprint inputs: the binary version, one
@@ -397,6 +481,9 @@ type pendingCell struct {
 	alg  algo.Kind
 	key  string
 	fp   stamp.Fingerprint
+	// ref is the shared reference the cell validates against (nil when
+	// the campaign does not validate or an executor runs the cell).
+	ref *reference
 }
 
 // cellKey is the scheduler job identity of one matrix cell.
@@ -455,6 +542,11 @@ func (c *campaign) pendingCellsFor(pi int, p platform.Platform, gi int, g *graph
 // localJobs plans one (platform, graph) pair for the local pool: a load
 // job (the ETL step, run once) feeding one run job per pending cell.
 func (c *campaign) localJobs(p platform.Platform, g *graph.Graph, pending []pendingCell) []sched.Job {
+	if c.b.Validate {
+		for i := range pending {
+			pending[i].ref = c.shareReference(g, pending[i].alg)
+		}
+	}
 	pg := &pgState{p: p, g: g, pendingCells: pending}
 	loadID := "load/" + p.Name() + "/" + g.Name()
 	jobs := make([]sched.Job, 0, len(pending)+1)
@@ -472,7 +564,7 @@ func (c *campaign) localJobs(p platform.Platform, g *graph.Graph, pending []pend
 			Deps:  []string{loadID},
 			Class: p.Name(),
 			Run: func(ctx context.Context, attempt int) error {
-				return c.runCellJob(ctx, pg, cell.alg, cell.slot, cell.key, cell.fp, attempt)
+				return c.runCellJob(ctx, pg, cell, attempt)
 			},
 		})
 	}
@@ -555,7 +647,7 @@ func (c *campaign) loadJob(pg *pgState, attempt int) error {
 					GraphEdges: pg.g.NumEdges(), Err: err.Error(),
 					Attempts: attempt,
 				}
-				c.finishCell(cell.slot, cell.key, cell.fp, r)
+				c.finishCell(cell, r)
 			}
 		}
 		return err
@@ -611,8 +703,8 @@ func (c *campaign) loadOrRestore(pg *pgState) (platform.Loaded, bool, error) {
 // runCellJob executes one matrix cell (warm-ups + repetitions) and, on
 // its final attempt, records the result and possibly unloads the
 // graph. Transient failures propagate so the scheduler can retry.
-func (c *campaign) runCellJob(ctx context.Context, pg *pgState, a algo.Kind, slot int, key string, fp stamp.Fingerprint, attempt int) error {
-	r, execErr := c.runCell(ctx, pg, a)
+func (c *campaign) runCellJob(ctx context.Context, pg *pgState, cell pendingCell, attempt int) error {
+	r, execErr := c.runCell(ctx, pg, cell)
 	r.Attempts = attempt
 	if ctx.Err() != nil {
 		// Never record a cancelled cell: the resumed campaign must
@@ -622,7 +714,7 @@ func (c *campaign) runCellJob(ctx context.Context, pg *pgState, a algo.Kind, slo
 	if !c.finalAttempt(execErr, attempt) {
 		return execErr
 	}
-	c.finishCell(slot, key, fp, r)
+	c.finishCell(cell, r)
 	if pg.remaining.Add(-1) == 0 {
 		pg.loaded.Close()
 	}
@@ -630,13 +722,17 @@ func (c *campaign) runCellJob(ctx context.Context, pg *pgState, a algo.Kind, slo
 }
 
 // finishCell publishes a final cell outcome: slot write (collation),
-// stamp-store entry (successes only — failures must re-run next
-// campaign, they are circumstances, not content), progress callback
-// (live output). The stamp write is best-effort — a failed write only
-// means the cell re-runs later — but it is counted, never silently
-// dropped.
-func (c *campaign) finishCell(slot int, key string, fp stamp.Fingerprint, r report.RunResult) {
-	c.cells[slot] = &r
+// release of the shared reference, stamp-store entry (successes only —
+// failures must re-run next campaign, they are circumstances, not
+// content), progress callback (live output). The stamp write is
+// best-effort — a failed write only means the cell re-runs later — but
+// it is counted, never silently dropped.
+func (c *campaign) finishCell(cell pendingCell, r report.RunResult) {
+	key, fp := cell.key, cell.fp
+	c.cells[cell.slot] = &r
+	if cell.ref != nil {
+		cell.ref.release()
+	}
 	slog.Debug("core: cell finished",
 		"cell", key, "platform", r.Platform, "graph", r.Graph, "algorithm", string(r.Algorithm),
 		"status", string(r.Status), "runtime", r.Runtime, "attempts", r.Attempts)
@@ -658,8 +754,8 @@ func (c *campaign) finishCell(slot int, key string, fp stamp.Fingerprint, r repo
 // executions, then max(1, Reps) timed repetitions. The returned error
 // is the raw execution error (nil on success) for the retry policy;
 // the RunResult is complete either way.
-func (c *campaign) runCell(ctx context.Context, pg *pgState, a algo.Kind) (report.RunResult, error) {
-	b := c.b
+func (c *campaign) runCell(ctx context.Context, pg *pgState, cell pendingCell) (report.RunResult, error) {
+	b, a := c.b, cell.alg
 	r := report.RunResult{
 		Platform: pg.p.Name(), Graph: pg.g.Name(), Algorithm: a,
 		LoadTime: pg.loadTime, GraphEdges: pg.g.NumEdges(),
@@ -760,8 +856,10 @@ func (c *campaign) runCell(ctx context.Context, pg *pgState, a algo.Kind) (repor
 		r.KTEPS = float64(pg.g.NumEdges()) / r.Runtime.Seconds() / 1000
 	}
 	if b.Validate {
+		ref := cell.ref
+		want := ref.want()
 		vsp := telemetry.StartSpan("cell", "validate:"+cellTag)
-		r.Validation = workload.Validate(pg.g, a, b.Params.WithDefaults(pg.g.NumVertices()), res.Output)
+		r.Validation = ref.spec.Check(pg.g, ref.params, res.Output, want)
 		vsp.SetAttr("valid", r.Validation.Valid)
 		vsp.End()
 		if !r.Validation.Valid {

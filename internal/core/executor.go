@@ -145,7 +145,7 @@ func (c *campaign) runExecutorCell(ctx context.Context, spec CellSpec, cell pend
 		r = missingValue(spec, execErr)
 	}
 	r.Attempts = attempt
-	c.finishCell(cell.slot, cell.key, cell.fp, r)
+	c.finishCell(cell, r)
 	return execErr
 }
 

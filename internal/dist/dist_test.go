@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,6 +76,83 @@ func TestFrameRejectsOversized(t *testing.T) {
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
+}
+
+// rawFrame prefixes body with a frame header announcing n bytes.
+func rawFrame(n uint32, body string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, n), body...)
+}
+
+// A length prefix within the limits but far beyond the bytes that follow
+// must end in an error without allocating what it announces.
+func TestFrameHostileLengthPrefix(t *testing.T) {
+	blob := func(size int64) string {
+		return fmt.Sprintf(`{"type":"blob","found":true,"size":%d}`, size)
+	}
+	cases := []struct {
+		name   string
+		stream []byte
+	}{
+		{"frame-max-empty", rawFrame(maxFrame, "")},
+		{"frame-max-short", rawFrame(maxFrame, `{"type":"hello"}`)},
+		{"blob-4GiB-empty", rawFrame(uint32(len(blob(4<<30))), blob(4<<30))},
+		{"blob-max-short", append(rawFrame(uint32(len(blob(maxBlob))), blob(maxBlob)), "payload"...)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fc := &frameConn{r: bytes.NewReader(c.stream)}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := fc.recv()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("truncated stream accepted")
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Errorf("allocated %d bytes for a %d-byte stream", d, len(c.stream))
+			}
+		})
+	}
+}
+
+// FuzzFrameRecv feeds arbitrary byte streams to the frame reader: every
+// input ends in frames or an error, never a panic, and a blob's payload
+// is exactly the size its frame announced.
+func FuzzFrameRecv(f *testing.F) {
+	var valid bytes.Buffer
+	fc := &frameConn{w: &valid}
+	for _, m := range []*Msg{
+		{Type: TypeHello, Runner: "r1", Platforms: []string{"pregel", "graphdb"}, Slots: 2, Binary: "v1", Version: ProtocolVersion},
+		{Type: TypeLease, Lease: &Lease{ID: 1, Platform: PlatformSpec{Name: "pregel", Workers: 2},
+			Graph: GraphRef{Name: "g", FP: "ab12", Edges: 10}, Algorithm: "BFS", Reps: 2}},
+		{Type: TypeResult, LeaseID: 1, Result: &report.RunResult{Platform: "pregel", Graph: "g",
+			Algorithm: algo.BFS, Status: report.StatusSuccess, Runtime: time.Millisecond}},
+	} {
+		if err := fc.send(m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), valid.Bytes()...))
+	}
+	if err := fc.sendBlob(&Msg{Type: TypeBlob, ReqID: 7, Kind: "graph", Found: true}, []byte("payload")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(rawFrame(maxFrame, ""))
+	f.Add(rawFrame(0, ""))
+	blob := `{"type":"blob","found":true,"size":4294967296}`
+	f.Add(rawFrame(uint32(len(blob)), blob))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc := &frameConn{r: bytes.NewReader(data)}
+		for {
+			m, payload, err := fc.recv()
+			if err != nil {
+				return
+			}
+			if m.Type == TypeBlob && m.Found && int64(len(payload)) != m.Size {
+				t.Fatalf("blob announced %d bytes, delivered %d", m.Size, len(payload))
+			}
+		}
+	})
 }
 
 // --- distributed campaign helpers ---

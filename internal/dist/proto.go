@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -24,6 +26,12 @@ const maxFrame = 16 << 20
 // maxBlob bounds one artifact transfer (a serialized graph or ETL
 // blob).
 const maxBlob = int64(8) << 30
+
+// maxPrealloc caps the buffer allocated for a frame body or blob payload
+// before any of it has been read. maxFrame and maxBlob bound what a
+// length prefix may announce; the buffer grows only with bytes actually
+// received, so a hostile prefix costs an error, not its announced size.
+const maxPrealloc = 64 << 10
 
 // Message types. Every frame is one Msg; the "blob" frame is followed
 // by exactly Size raw bytes of artifact payload outside the JSON.
@@ -203,8 +211,8 @@ func (fc *frameConn) recv() (*Msg, []byte, error) {
 		if m.Size < 0 || m.Size > maxBlob {
 			return nil, nil, fmt.Errorf("dist: blob size %d out of range", m.Size)
 		}
-		payload := make([]byte, m.Size)
-		if _, err := io.ReadFull(fc.r, payload); err != nil {
+		payload, err := readN(fc.r, m.Size)
+		if err != nil {
 			return nil, nil, fmt.Errorf("dist: reading blob payload: %w", err)
 		}
 		return m, payload, nil
@@ -237,8 +245,8 @@ func readFrame(r io.Reader) (*Msg, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("dist: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readN(r, int64(n))
+	if err != nil {
 		return nil, err
 	}
 	var m Msg
@@ -246,4 +254,20 @@ func readFrame(r io.Reader) (*Msg, error) {
 		return nil, fmt.Errorf("dist: decoding frame: %w", err)
 	}
 	return &m, nil
+}
+
+// readN reads exactly n bytes from r into a buffer that starts at most
+// maxPrealloc bytes large and grows with the bytes read. A stream that
+// ends early is io.ErrUnexpectedEOF.
+func readN(r io.Reader, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	// MinRead of headroom lets ReadFrom see EOF without regrowing.
+	buf.Grow(int(min(n, maxPrealloc)) + bytes.MinRead)
+	if _, err := io.CopyN(&buf, r, n); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

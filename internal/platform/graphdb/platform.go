@@ -42,15 +42,11 @@ func (p *Platform) StampConfig() string {
 		p.opts.MemoryBudget, p.opts.PageCachePages)
 }
 
-// ConcurrencyLimit implements platform.ConcurrencyHinter: the record
-// store and its page cache are sized for one resident graph, so a
-// memory-budgeted database serializes its jobs.
-func (p *Platform) ConcurrencyLimit() int {
-	if p.opts.MemoryBudget > 0 {
-		return 1
-	}
-	return 0
-}
+// ConcurrencyLimit implements platform.ConcurrencyHinter: the database
+// is single-threaded — a loaded store's page cache is unsynchronized,
+// and its hit/miss counters are per-run results — so its jobs always
+// serialize.
+func (p *Platform) ConcurrencyLimit() int { return 1 }
 
 // LoadGraph implements platform.Platform: it builds the record stores.
 // Unlike the distributed platforms, the whole store must fit in one

@@ -102,8 +102,14 @@ func build(tb testing.TB, name string, n int, directed bool, add func(*graph.Bui
 	return g
 }
 
+// suiteParams returns the algorithm parameters the suite runs every
+// workload on g with, defaults applied.
+func suiteParams(g *graph.Graph) algo.Params {
+	return algo.Params{Source: 0, Seed: 99, EvoNewVertices: 6}.WithDefaults(g.NumVertices())
+}
+
 // Conformance runs every registered workload of p on every conformance
-// graph and fails the test on any output its spec's validator rejects.
+// graph and fails the test on any output its spec's check rejects.
 func Conformance(t *testing.T, p platform.Platform) {
 	t.Helper()
 	specs := workload.All()
@@ -118,7 +124,7 @@ func Conformance(t *testing.T, p platform.Platform) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 
-			params := algo.Params{Source: 0, Seed: 99, EvoNewVertices: 6}.WithDefaults(g.NumVertices())
+			params := suiteParams(g)
 
 			for _, spec := range specs {
 				spec := spec
@@ -130,7 +136,7 @@ func Conformance(t *testing.T, p platform.Platform) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if v := spec.Validate(g, params, res.Output); !v.Valid {
+					if v := spec.Check(g, params, res.Output, spec.Reference(g, params)); !v.Valid {
 						t.Fatalf("%s output rejected (%s policy): %s", spec.Kind, spec.Policy, v.Detail)
 					}
 				})
@@ -142,10 +148,11 @@ func Conformance(t *testing.T, p platform.Platform) {
 // WorkersSweep runs every registered workload at worker counts 1, 2
 // and 8 and asserts each parallel run matches the workers=1 run under
 // the workload's validation policy: every output must pass the spec's
-// validator, and exact-policy outputs must additionally be
-// bit-identical to the single-worker run. factory builds the platform
-// at a given worker count (whatever the engine calls it — BSP workers,
-// map/reduce slots, dataset partitions).
+// check against one reference output per (graph, workload), and
+// exact-policy outputs must additionally be bit-identical to the
+// single-worker run. factory builds the platform at a given worker
+// count (whatever the engine calls it — BSP workers, map/reduce slots,
+// dataset partitions).
 func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 	t.Helper()
 	counts := []int{1, 2, 8}
@@ -155,7 +162,13 @@ func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 	for _, g := range sweep {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
-			params := algo.Params{Source: 0, Seed: 99, EvoNewVertices: 6}.WithDefaults(g.NumVertices())
+			params := suiteParams(g)
+			refs := map[algo.Kind]any{}
+			for _, spec := range specs {
+				if spec.Supports(g) == nil {
+					refs[spec.Kind] = spec.Reference(g, params)
+				}
+			}
 			outputs := make(map[int]map[algo.Kind]any, len(counts))
 			for _, w := range counts {
 				loaded, err := factory(w).LoadGraph(g)
@@ -164,14 +177,15 @@ func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 				}
 				outputs[w] = map[algo.Kind]any{}
 				for _, spec := range specs {
-					if err := spec.Supports(g); err != nil {
+					want, ok := refs[spec.Kind]
+					if !ok {
 						continue
 					}
 					res, err := loaded.Run(context.Background(), spec.Kind, params)
 					if err != nil {
 						t.Fatalf("workers=%d %s: %v", w, spec.Kind, err)
 					}
-					if v := spec.Validate(g, params, res.Output); !v.Valid {
+					if v := spec.Check(g, params, res.Output, want); !v.Valid {
 						t.Fatalf("workers=%d %s rejected (%s policy): %s", w, spec.Kind, spec.Policy, v.Detail)
 					}
 					outputs[w][spec.Kind] = res.Output

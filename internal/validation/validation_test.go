@@ -25,14 +25,14 @@ func TestValidReferenceOutputs(t *testing.T) {
 		kind algo.Kind
 		res  Result
 	}{
-		{algo.STATS, ValidateStats(g, algo.RunStats(g))},
-		{algo.BFS, ValidateBFS(g, 0, algo.RunBFS(g, 0))},
-		{algo.CONN, ValidateConn(g, algo.RunConn(g))},
-		{algo.CD, ValidateCD(g, params, algo.RunCD(g, params))},
-		{algo.EVO, ValidateEvo(g, params, algo.RunEvo(g, params))},
-		{algo.PR, ValidatePageRank(g, params, algo.RunPageRank(g, params))},
-		{algo.SSSP, ValidateSSSP(g, 0, algo.RunSSSP(g, 0))},
-		{algo.LCC, ValidateLCC(g, algo.RunLCC(g))},
+		{algo.STATS, CheckStats(g, algo.RunStats(g), algo.RunStats(g))},
+		{algo.BFS, CheckBFS(g, algo.RunBFS(g, 0), algo.RunBFS(g, 0))},
+		{algo.CONN, CheckConn(g, algo.RunConn(g), algo.RunConn(g))},
+		{algo.CD, CheckCD(g, algo.RunCD(g, params), algo.RunCD(g, params))},
+		{algo.EVO, CheckEvo(g, algo.RunEvo(g, params), algo.RunEvo(g, params))},
+		{algo.PR, CheckPageRank(g, algo.RunPageRank(g, params), algo.RunPageRank(g, params))},
+		{algo.SSSP, CheckSSSP(g, algo.RunSSSP(g, 0), algo.RunSSSP(g, 0))},
+		{algo.LCC, CheckLCC(g, algo.RunLCC(g), algo.RunLCC(g))},
 	}
 	for _, c := range cases {
 		if !c.res.Valid {
@@ -49,17 +49,17 @@ func TestPageRankRejections(t *testing.T) {
 	bad := make(algo.PROutput, len(want))
 	copy(bad, want)
 	bad[0] += 1e-3
-	if r := ValidatePageRank(g, params, bad); r.Valid {
+	if r := CheckPageRank(g, bad, want); r.Valid {
 		t.Error("perturbed rank accepted")
 	}
 	// Noise within epsilon is fine.
 	near := make(algo.PROutput, len(want))
 	copy(near, want)
 	near[0] += 1e-13
-	if r := ValidatePageRank(g, params, near); !r.Valid {
+	if r := CheckPageRank(g, near, want); !r.Valid {
 		t.Errorf("epsilon-close ranks rejected: %s", r.Detail)
 	}
-	if r := ValidatePageRank(g, params, want[:len(want)-1]); r.Valid {
+	if r := CheckPageRank(g, want[:len(want)-1], want); r.Valid {
 		t.Error("truncated output accepted")
 	}
 	// NaN must never validate — NaN comparisons are false both ways, so
@@ -68,7 +68,7 @@ func TestPageRankRejections(t *testing.T) {
 	for i := range nan {
 		nan[i] = math.NaN()
 	}
-	if r := ValidatePageRank(g, params, nan); r.Valid {
+	if r := CheckPageRank(g, nan, want); r.Valid {
 		t.Error("all-NaN ranks accepted")
 	}
 }
@@ -79,10 +79,10 @@ func TestSSSPRejections(t *testing.T) {
 	bad := make(algo.SSSPOutput, len(want))
 	copy(bad, want)
 	bad[len(bad)/2] += 0.5
-	if r := ValidateSSSP(g, 0, bad); r.Valid {
+	if r := CheckSSSP(g, bad, want); r.Valid {
 		t.Error("corrupted distance accepted")
 	}
-	if r := ValidateSSSP(g, 0, want[:len(want)-1]); r.Valid {
+	if r := CheckSSSP(g, want[:len(want)-1], want); r.Valid {
 		t.Error("truncated output accepted")
 	}
 }
@@ -93,12 +93,12 @@ func TestLCCRejections(t *testing.T) {
 	bad := make(algo.LCCOutput, len(want))
 	copy(bad, want)
 	bad[0] = 1.5 // outside [0, 1]
-	if r := ValidateLCC(g, bad); r.Valid {
+	if r := CheckLCC(g, bad, want); r.Valid {
 		t.Error("out-of-range coefficient accepted")
 	}
 	copy(bad, want)
 	bad[1] += 0.01
-	if r := ValidateLCC(g, bad); r.Valid {
+	if r := CheckLCC(g, bad, want); r.Valid {
 		t.Error("perturbed coefficient accepted")
 	}
 }
@@ -124,23 +124,23 @@ func TestStatsRejections(t *testing.T) {
 
 	bad := want
 	bad.Vertices++
-	if r := ValidateStats(g, bad); r.Valid {
+	if r := CheckStats(g, bad, want); r.Valid {
 		t.Error("wrong vertex count accepted")
 	}
 	bad = want
 	bad.Edges--
-	if r := ValidateStats(g, bad); r.Valid {
+	if r := CheckStats(g, bad, want); r.Valid {
 		t.Error("wrong edge count accepted")
 	}
 	bad = want
 	bad.MeanLCC += 0.001
-	if r := ValidateStats(g, bad); r.Valid {
+	if r := CheckStats(g, bad, want); r.Valid {
 		t.Error("wrong LCC accepted")
 	}
 	// Tiny float noise within epsilon is fine.
 	near := want
 	near.MeanLCC += 1e-12
-	if r := ValidateStats(g, near); !r.Valid {
+	if r := CheckStats(g, near, want); !r.Valid {
 		t.Errorf("epsilon-close LCC rejected: %s", r.Detail)
 	}
 }
@@ -151,10 +151,10 @@ func TestBFSRejections(t *testing.T) {
 	bad := make(algo.BFSOutput, len(want))
 	copy(bad, want)
 	bad[len(bad)/2]++
-	if r := ValidateBFS(g, 0, bad); r.Valid {
+	if r := CheckBFS(g, bad, want); r.Valid {
 		t.Error("corrupted depth accepted")
 	}
-	if r := ValidateBFS(g, 0, want[:len(want)-1]); r.Valid {
+	if r := CheckBFS(g, want[:len(want)-1], want); r.Valid {
 		t.Error("truncated output accepted")
 	}
 }
@@ -165,7 +165,7 @@ func TestConnRejections(t *testing.T) {
 	bad := make(algo.ConnOutput, len(want))
 	copy(bad, want)
 	bad[0] = 99
-	if r := ValidateConn(g, bad); r.Valid {
+	if r := CheckConn(g, bad, want); r.Valid {
 		t.Error("corrupted label accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestCDRejections(t *testing.T) {
 	bad := make(algo.CDOutput, len(want))
 	copy(bad, want)
 	bad[3] = int64(g.NumVertices()) + 5 // out of domain
-	if r := ValidateCD(g, params, bad); r.Valid {
+	if r := CheckCD(g, bad, want); r.Valid {
 		t.Error("out-of-domain label accepted")
 	}
 	copy(bad, want)
@@ -186,7 +186,7 @@ func TestCDRejections(t *testing.T) {
 		bad[3] = 0
 	}
 	if bad[3] != want[3] {
-		if r := ValidateCD(g, params, bad); r.Valid {
+		if r := CheckCD(g, bad, want); r.Valid {
 			t.Error("wrong label accepted")
 		}
 	}
@@ -199,7 +199,7 @@ func TestEvoRejections(t *testing.T) {
 
 	bad := want
 	bad.NewVertices++
-	if r := ValidateEvo(g, params, bad); r.Valid {
+	if r := CheckEvo(g, bad, want); r.Valid {
 		t.Error("wrong vertex count accepted")
 	}
 
@@ -207,7 +207,7 @@ func TestEvoRejections(t *testing.T) {
 	bad.Edges = append([][2]graph.VertexID{}, want.Edges...)
 	if len(bad.Edges) > 0 {
 		bad.Edges = bad.Edges[:len(bad.Edges)-1]
-		if r := ValidateEvo(g, params, bad); r.Valid {
+		if r := CheckEvo(g, bad, want); r.Valid {
 			t.Error("truncated edge set accepted")
 		}
 	}
@@ -215,7 +215,43 @@ func TestEvoRejections(t *testing.T) {
 	// Structurally invalid: edge from an original vertex.
 	bad = want
 	bad.Edges = append([][2]graph.VertexID{{0, 1}}, want.Edges...)
-	if r := ValidateEvo(g, params, bad); r.Valid {
+	if r := CheckEvo(g, bad, want); r.Valid {
 		t.Error("edge from original vertex accepted")
+	}
+}
+
+// TestNonFiniteRejections: a NaN or infinite value in a float output
+// never validates, in any of the float-valued workloads. NaN compares
+// false both ways, so a check of the form "fail if |Δ| > ε" accepts it.
+func TestNonFiniteRejections(t *testing.T) {
+	g := testGraph(t)
+	params := algo.Params{}.WithDefaults(g.NumVertices())
+	stats, pr, lcc, sssp := algo.RunStats(g), algo.RunPageRank(g, params), algo.RunLCC(g), algo.RunSSSP(g, 0)
+	// with returns a copy of want whose vertex 0 (the SSSP source, so its
+	// reference value is finite everywhere) holds x.
+	with := func(want []float64, x float64) []float64 {
+		got := append([]float64(nil), want...)
+		got[0] = x
+		return got
+	}
+	cases := []struct {
+		kind  algo.Kind
+		check func(x float64) Result
+	}{
+		{algo.STATS, func(x float64) Result {
+			got := stats
+			got.MeanLCC = x
+			return CheckStats(g, got, stats)
+		}},
+		{algo.PR, func(x float64) Result { return CheckPageRank(g, with(pr, x), pr) }},
+		{algo.LCC, func(x float64) Result { return CheckLCC(g, with(lcc, x), lcc) }},
+		{algo.SSSP, func(x float64) Result { return CheckSSSP(g, with(sssp, x), sssp) }},
+	}
+	for _, c := range cases {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if r := c.check(x); r.Valid {
+				t.Errorf("%s: output value %v accepted", c.kind, x)
+			}
+		}
 	}
 }

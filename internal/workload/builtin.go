@@ -11,9 +11,7 @@ import (
 // additions. Registration order is the report row order.
 //
 // Aliases follow the LDBC naming: WCC for CONN, CDLP for CD, PAGERANK
-// for PR. Each Validate asserts its output type before delegating to
-// the typed validator, so a platform returning the wrong type is an
-// invalid result, not a panic.
+// for PR.
 func init() {
 	Register(Spec{
 		Kind:        algo.BFS,
@@ -22,13 +20,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunBFS(g, p.Source)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.BFSOutput)
-			if !okT {
-				return validation.Fail("BFS output has type %T", output)
-			}
-			return validation.ValidateBFS(g, p.Source, got)
-		},
+		Check: check(validation.CheckBFS),
 	})
 	Register(Spec{
 		Kind:         algo.CD,
@@ -39,13 +31,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunCD(g, p)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.CDOutput)
-			if !okT {
-				return validation.Fail("CD output has type %T", output)
-			}
-			return validation.ValidateCD(g, p, got)
-		},
+		Check: check(validation.CheckCD),
 	})
 	Register(Spec{
 		Kind:         algo.CONN,
@@ -56,13 +42,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunConn(g)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.ConnOutput)
-			if !okT {
-				return validation.Fail("CONN output has type %T", output)
-			}
-			return validation.ValidateConn(g, got)
-		},
+		Check: check(validation.CheckConn),
 	})
 	Register(Spec{
 		Kind:         algo.EVO,
@@ -72,13 +52,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunEvo(g, p)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.EvoOutput)
-			if !okT {
-				return validation.Fail("EVO output has type %T", output)
-			}
-			return validation.ValidateEvo(g, p, got)
-		},
+		Check: check(validation.CheckEvo),
 	})
 	Register(Spec{
 		Kind:         algo.STATS,
@@ -88,13 +62,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunStats(g)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.StatsOutput)
-			if !okT {
-				return validation.Fail("STATS output has type %T", output)
-			}
-			return validation.ValidateStats(g, got)
-		},
+		Check: check(validation.CheckStats),
 	})
 	Register(Spec{
 		Kind:        algo.PR,
@@ -104,13 +72,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunPageRank(g, p)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.PROutput)
-			if !okT {
-				return validation.Fail("PR output has type %T", output)
-			}
-			return validation.ValidatePageRank(g, p, got)
-		},
+		Check: check(validation.CheckPageRank),
 	})
 	Register(Spec{
 		Kind:         algo.SSSP,
@@ -120,13 +82,7 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunSSSP(g, p.Source)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.SSSPOutput)
-			if !okT {
-				return validation.Fail("SSSP output has type %T", output)
-			}
-			return validation.ValidateSSSP(g, p.Source, got)
-		},
+		Check: check(validation.CheckSSSP),
 	})
 	Register(Spec{
 		Kind:         algo.LCC,
@@ -136,12 +92,23 @@ func init() {
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunLCC(g)
 		},
-		Validate: func(g *graph.Graph, p algo.Params, output any) validation.Result {
-			got, okT := output.(algo.LCCOutput)
-			if !okT {
-				return validation.Fail("LCC output has type %T", output)
-			}
-			return validation.ValidateLCC(g, got)
-		},
+		Check: check(validation.CheckLCC),
 	})
+}
+
+// check adapts a typed comparison to Spec.Check. It asserts both the
+// platform output and the reference output to T before comparing, so a
+// platform returning the wrong type is an invalid result, not a panic.
+func check[T any](fn func(g *graph.Graph, got, want T) validation.Result) func(*graph.Graph, algo.Params, any, any) validation.Result {
+	return func(g *graph.Graph, _ algo.Params, output, want any) validation.Result {
+		got, okT := output.(T)
+		if !okT {
+			return validation.Fail("output has type %T, want %T", output, got)
+		}
+		ref, okT := want.(T)
+		if !okT {
+			return validation.Fail("reference output has type %T, want %T", want, ref)
+		}
+		return fn(g, got, ref)
+	}
 }

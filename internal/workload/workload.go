@@ -26,7 +26,7 @@ import (
 
 // Policy names the output-comparison policy a workload validates under.
 // The policies themselves live in internal/validation; the registry
-// records which one a workload's Validate function applies so reports
+// records which one a workload's Check function applies so reports
 // and docs can state the acceptance criterion.
 type Policy string
 
@@ -51,7 +51,7 @@ type Spec struct {
 	Aliases []string
 	// Description is a one-line summary for reports and -help output.
 	Description string
-	// Policy names the validation policy Validate applies.
+	// Policy names the validation policy Check applies.
 	Policy Policy
 	// NeedsWeights marks workloads that consume edge weights (SSSP).
 	// Unweighted graphs still run them with unit weights.
@@ -61,11 +61,16 @@ type Spec struct {
 	// have when built with reverse adjacency.
 	NeedsReverse bool
 	// Reference runs the sequential reference implementation — the
-	// Output Validator's gold standard.
+	// Output Validator's gold standard. Its output depends only on g and
+	// p, so one call per (graph, params) serves every platform.
 	Reference func(g *graph.Graph, p algo.Params) any
-	// Validate checks a platform output against the reference under the
-	// workload's policy. Params must already carry defaults.
-	Validate func(g *graph.Graph, p algo.Params, output any) validation.Result
+	// Check compares a platform output against want, the output
+	// Reference returned for the same g and p, under the workload's
+	// policy. It never computes the reference and never modifies want,
+	// so callers may share one want across platforms. A wrong-typed
+	// output is an invalid result, not a panic. Params must already
+	// carry defaults.
+	Check func(g *graph.Graph, p algo.Params, output, want any) validation.Result
 }
 
 // Name returns the canonical workload name (the Kind string).
@@ -92,11 +97,11 @@ var (
 )
 
 // Register adds a workload to the registry. It panics on a duplicate
-// kind or alias, or on a spec missing its Reference or Validate
+// kind or alias, or on a spec missing its Reference or Check
 // function — these are programming errors caught at init.
 func Register(s Spec) {
-	if s.Kind == "" || s.Reference == nil || s.Validate == nil {
-		panic("workload: Register needs Kind, Reference, and Validate")
+	if s.Kind == "" || s.Reference == nil || s.Check == nil {
+		panic("workload: Register needs Kind, Reference, and Check")
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -164,13 +169,13 @@ func Parse(name string) (Spec, error) {
 	return ordered[byKind[kind]], nil
 }
 
-// Validate checks a platform output for kind against its registered
-// reference. It is the Output Validator's dispatch: the harness calls
-// it with whatever a platform returned.
+// Validate checks a platform output for kind against a freshly computed
+// reference output. A caller checking several outputs on one graph
+// computes Spec.Reference once and calls Spec.Check for each instead.
 func Validate(g *graph.Graph, kind algo.Kind, p algo.Params, output any) validation.Result {
 	s, okL := Lookup(kind)
 	if !okL {
 		return validation.Fail("unknown workload %s", kind)
 	}
-	return s.Validate(g, p, output)
+	return s.Check(g, p, output, s.Reference(g, p))
 }

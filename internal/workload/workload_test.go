@@ -74,6 +74,9 @@ func TestValidateDispatch(t *testing.T) {
 		if r := Validate(g, s.Kind, params, "bogus"); r.Valid {
 			t.Errorf("%s: wrong output type accepted", s.Kind)
 		}
+		if r := s.Check(g, params, out, "bogus"); r.Valid {
+			t.Errorf("%s: wrong reference type accepted", s.Kind)
+		}
 	}
 	if r := Validate(g, algo.Kind("XX"), params, nil); r.Valid {
 		t.Error("unknown kind accepted")

@@ -113,7 +113,7 @@ func TestCampaignTraceGolden(t *testing.T) {
 	for _, e := range events {
 		names[e.Name] = true
 	}
-	for _, prefix := range []string{"load:", "warmup:", "rep:", "validate:"} {
+	for _, prefix := range []string{"load:", "warmup:", "rep:", "reference:", "validate:"} {
 		found := false
 		for n := range names {
 			if len(n) >= len(prefix) && n[:len(prefix)] == prefix {
