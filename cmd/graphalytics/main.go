@@ -77,9 +77,9 @@ func main() {
 func run() error {
 	var (
 		configPath = flag.String("config", "", "properties file")
-		platforms  = flag.String("platforms", "", "comma-separated platforms (default all)")
+		platforms  = flag.String("platforms", "pregel,mapreduce,dataflow,graphdb", "comma-separated platforms")
 		algorithms = flag.String("algorithms", "", "comma-separated workloads, names or LDBC aliases (default: every registered workload)")
-		graphsSpec = flag.String("graphs", "", "comma-separated graph specs (social:N, rmat:SCALE, amazon|youtube|livejournal|patents|wikipedia, or file:PATH.e)")
+		graphsSpec = flag.String("graphs", "social:5000", "comma-separated graph specs (social:N, rmat:SCALE, amazon|youtube|livejournal|patents|wikipedia, or file:PATH.e)")
 		weighted   = flag.Bool("weighted", false, "generate social/rmat graphs with seeded edge weights (SSSP consumes them)")
 		loadWork   = flag.Int("load-workers", 0, "graph ingest workers: parallel parse, interning, and CSR build (0 = all cores, 1 = sequential loader)")
 		platWork   = flag.Int("platform-workers", 0, "kernel workers per platform: pregel BSP workers, mapreduce slots, dataflow partitions (0 = all cores, 1 = sequential kernels; graphdb is single-threaded by design; per-platform override: platform.<name>.workers)")
@@ -160,55 +160,21 @@ func run() error {
 		}
 		props = loaded
 	}
-	pick := func(flagVal, key, def string) string {
-		if flagVal != "" {
-			return flagVal
-		}
-		return props.String(key, def)
+	if err := applyProperties(flag.CommandLine, props); err != nil {
+		return err
 	}
 
-	platformNames := splitList(pick(*platforms, "benchmark.run.platforms", "pregel,mapreduce,dataflow,graphdb"))
+	platformNames := splitList(*platforms)
 	// An empty algorithm list means "every registered workload": the
 	// registry, not this file, decides what the suite contains.
-	algoNames := splitList(pick(*algorithms, "benchmark.run.algorithms", ""))
-	graphSpecs := splitList(pick(*graphsSpec, "benchmark.run.graphs", "social:5000"))
-	if v, err := props.Duration("benchmark.run.timeout", *timeout); err == nil {
-		*timeout = v
-	}
-	if v, err := props.Bool("benchmark.run.validate", *validate); err == nil {
-		*validate = v
-	}
-	if v, err := props.Bool("benchmark.run.weighted", *weighted); err == nil {
-		*weighted = v
-	}
-	if v, err := props.Int64("benchmark.run.parallel", int64(*parallel)); err == nil {
-		*parallel = int(v)
-	}
-	if v, err := props.Int64("benchmark.run.reps", int64(*reps)); err == nil {
-		*reps = int(v)
-	}
-	if v, err := props.Int64("benchmark.run.warmup", int64(*warmup)); err == nil {
-		*warmup = int(v)
-	}
-	if v, err := props.Int64("benchmark.run.retries", int64(*retries)); err == nil {
-		*retries = int(v)
-	}
-	if v, err := props.Int64("benchmark.run.loadworkers", int64(*loadWork)); err == nil {
-		*loadWork = int(v)
-	}
-	if v, err := props.Int64("benchmark.run.platformworkers", int64(*platWork)); err == nil {
-		*platWork = int(v)
-	}
-	dir := pick(*outDir, "benchmark.output.dir", "graphalytics-report")
+	algoNames := splitList(*algorithms)
+	graphSpecs := splitList(*graphsSpec)
 
 	// The incremental campaign cache: one directory holding generated
 	// graphs, platform ETL blobs, and the stamped result store. -no-cache
 	// wins over both the flag and the property. A campaign opens exactly
 	// one stamped result store: -resume FILE if given, else the cache's.
-	cachePath := pick(*cacheDir, "benchmark.cache.dir", "")
-	if v, err := props.Bool("benchmark.cache.verify", *cacheVer); err == nil {
-		*cacheVer = v
-	}
+	cachePath := *cacheDir
 	if *noCache {
 		cachePath = ""
 	}
@@ -321,7 +287,7 @@ func run() error {
 	}
 	fmt.Println(rep.Summary())
 	fmt.Println(cellCounts(rep.Results))
-	if err := writeReport(dir, rep); err != nil {
+	if err := writeReport(*outDir, rep); err != nil {
 		return err
 	}
 	if *submitURL != "" {
@@ -337,10 +303,49 @@ func run() error {
 		if err != nil {
 			slog.Warn("fetching regression trend failed", "url", *submitURL, "err", err)
 		} else {
-			if err := appendReportSection(dir, trend); err != nil {
+			if err := appendReportSection(*outDir, trend); err != nil {
 				return err
 			}
 			fmt.Print(trend)
+		}
+	}
+	return nil
+}
+
+// propertyFlags pairs the properties-file keys with the flags they
+// stand in for.
+var propertyFlags = []struct{ key, flag string }{
+	{"benchmark.run.platforms", "platforms"},
+	{"benchmark.run.algorithms", "algorithms"},
+	{"benchmark.run.graphs", "graphs"},
+	{"benchmark.run.timeout", "timeout"},
+	{"benchmark.run.validate", "validate"},
+	{"benchmark.run.weighted", "weighted"},
+	{"benchmark.run.parallel", "parallel"},
+	{"benchmark.run.reps", "reps"},
+	{"benchmark.run.warmup", "warmup"},
+	{"benchmark.run.retries", "retries"},
+	{"benchmark.run.loadworkers", "load-workers"},
+	{"benchmark.run.platformworkers", "platform-workers"},
+	{"benchmark.output.dir", "out"},
+	{"benchmark.cache.dir", "cache-dir"},
+	{"benchmark.cache.verify", "cache-verify"},
+}
+
+// applyProperties sets every flag the command line left unset from its
+// properties key, parsed as the flag parses its own value, so flags
+// override properties and properties override defaults. A value the
+// flag rejects is an error naming the key.
+func applyProperties(fs *flag.FlagSet, props *config.Properties) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, p := range propertyFlags {
+		if set[p.flag] || !props.Has(p.key) {
+			continue
+		}
+		v := props.String(p.key, "")
+		if err := fs.Set(p.flag, v); err != nil {
+			return fmt.Errorf("config: %s = %q: %w", p.key, v, err)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -479,5 +480,80 @@ func TestCellCounts(t *testing.T) {
 	}
 	if got, want := cellCounts(nil), "cells: 0 executed, 0 uptodate"; got != want {
 		t.Errorf("cellCounts(nil) = %q, want %q", got, want)
+	}
+}
+
+// Flags the command line sets beat their properties keys; properties
+// fill the rest; a value the flag cannot parse fails naming the key.
+func TestApplyProperties(t *testing.T) {
+	cases := []struct {
+		name    string
+		args    []string
+		props   string
+		want    map[string]string // flag -> value after the merge
+		wantErr string
+	}{
+		{
+			name:  "set flag beats property",
+			args:  []string{"-reps", "1", "-out", "cli"},
+			props: "benchmark.run.reps = 3\nbenchmark.output.dir = props\n",
+			want:  map[string]string{"reps": "1", "out": "cli"},
+		},
+		{
+			name:  "property alone takes effect",
+			props: "benchmark.run.reps = 3\nbenchmark.run.timeout = 2m\nbenchmark.run.validate = false\n",
+			want:  map[string]string{"reps": "3", "timeout": "2m0s", "validate": "false", "warmup": "0"},
+		},
+		{
+			name:  "output dir honoured without -out",
+			props: "benchmark.output.dir = props\n",
+			want:  map[string]string{"out": "props"},
+		},
+		{
+			name: "no properties keeps defaults",
+			want: map[string]string{"reps": "1", "out": "graphalytics-report", "validate": "true"},
+		},
+		{
+			name:    "malformed int",
+			props:   "benchmark.run.warmup = two\n",
+			wantErr: "benchmark.run.warmup",
+		},
+		{
+			name:    "malformed duration",
+			props:   "benchmark.run.timeout = soon\n",
+			wantErr: "benchmark.run.timeout",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("graphalytics", flag.ContinueOnError)
+			fs.Int("reps", 1, "")
+			fs.Int("warmup", 0, "")
+			fs.Duration("timeout", 5*time.Minute, "")
+			fs.Bool("validate", true, "")
+			fs.String("out", "graphalytics-report", "")
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			props, err := config.Load(strings.NewReader(tc.props))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = applyProperties(fs, props)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, want := range tc.want {
+				if got := fs.Lookup(name).Value.String(); got != want {
+					t.Errorf("-%s = %q, want %q", name, got, want)
+				}
+			}
+		})
 	}
 }

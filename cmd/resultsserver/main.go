@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	resultsserver -addr :8080 -store results.json
+//	resultsserver -addr :8080 -store results.jsonl
 //
 // The benchmark driver submits with:
 //
@@ -32,7 +32,7 @@ func main() {
 func run() error {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		store     = flag.String("store", "results.json", "persistence file (empty = memory only)")
+		store     = flag.String("store", "results.jsonl", "submission log, one JSON submission per line (empty = memory only)")
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)

@@ -1,8 +1,9 @@
 // Package config parses the Java-style .properties configuration files
 // Graphalytics uses ("Users must setup the platforms and configure
 // Graphalytics according to this", §2.3): key = value lines, #/!
-// comments, and \ line continuations, with typed accessors and
-// hierarchical key prefixes.
+// comments, and \ line continuations, with hierarchical key prefixes.
+// The driver's benchmark.* keys stand in for flags, which parse their
+// values; Int64 reads the per-platform keys.
 package config
 
 import (
@@ -13,7 +14,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Properties is a parsed properties file.
@@ -100,19 +100,6 @@ func (p *Properties) String(key, def string) string {
 	return def
 }
 
-// Int returns key's value parsed as int, or def.
-func (p *Properties) Int(key string, def int) (int, error) {
-	v, ok := p.values[key]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("config: %s: %w", key, err)
-	}
-	return n, nil
-}
-
 // Int64 returns key's value parsed as int64, or def.
 func (p *Properties) Int64(key string, def int64) (int64, error) {
 	v, ok := p.values[key]
@@ -124,61 +111,6 @@ func (p *Properties) Int64(key string, def int64) (int64, error) {
 		return 0, fmt.Errorf("config: %s: %w", key, err)
 	}
 	return n, nil
-}
-
-// Float returns key's value parsed as float64, or def.
-func (p *Properties) Float(key string, def float64) (float64, error) {
-	v, ok := p.values[key]
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("config: %s: %w", key, err)
-	}
-	return f, nil
-}
-
-// Bool returns key's value parsed as bool, or def.
-func (p *Properties) Bool(key string, def bool) (bool, error) {
-	v, ok := p.values[key]
-	if !ok {
-		return def, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("config: %s: %w", key, err)
-	}
-	return b, nil
-}
-
-// Duration returns key's value parsed as a Go duration, or def.
-func (p *Properties) Duration(key string, def time.Duration) (time.Duration, error) {
-	v, ok := p.values[key]
-	if !ok {
-		return def, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("config: %s: %w", key, err)
-	}
-	return d, nil
-}
-
-// List returns key's value split on commas (trimmed, empties dropped).
-func (p *Properties) List(key string) []string {
-	v, ok := p.values[key]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(v, ",") {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // Keys returns all keys in insertion order.

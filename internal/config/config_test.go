@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestLoadBasics(t *testing.T) {
@@ -15,7 +14,6 @@ benchmark.run.algorithms = BFS, CONN , CD
 benchmark.run.timeout = 30s
 graphs.root: /data/graphs
 workers = 8
-ratio = 0.5
 verbose = true
 long.value = a\
 b\
@@ -25,23 +23,20 @@ c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.List("benchmark.run.algorithms"); len(got) != 3 || got[0] != "BFS" || got[2] != "CD" {
-		t.Errorf("List = %v", got)
+	if v := p.String("benchmark.run.algorithms", ""); v != "BFS, CONN , CD" {
+		t.Errorf("String = %q", v)
 	}
-	if d, err := p.Duration("benchmark.run.timeout", 0); err != nil || d != 30*time.Second {
-		t.Errorf("Duration = %v, %v", d, err)
+	if v := p.String("benchmark.run.timeout", ""); v != "30s" {
+		t.Errorf("String = %q", v)
 	}
 	if v := p.String("graphs.root", ""); v != "/data/graphs" {
 		t.Errorf("colon separator: %q", v)
 	}
-	if n, err := p.Int("workers", 0); err != nil || n != 8 {
-		t.Errorf("Int = %d, %v", n, err)
+	if n, err := p.Int64("workers", 0); err != nil || n != 8 {
+		t.Errorf("Int64 = %d, %v", n, err)
 	}
-	if f, err := p.Float("ratio", 0); err != nil || f != 0.5 {
-		t.Errorf("Float = %v, %v", f, err)
-	}
-	if b, err := p.Bool("verbose", false); err != nil || !b {
-		t.Errorf("Bool = %v, %v", b, err)
+	if v := p.String("verbose", ""); v != "true" {
+		t.Errorf("String = %q", v)
 	}
 	if v := p.String("long.value", ""); v != "abc" {
 		t.Errorf("continuation: %q", v)
@@ -53,14 +48,8 @@ func TestDefaults(t *testing.T) {
 	if v := p.String("missing", "dflt"); v != "dflt" {
 		t.Errorf("String default: %q", v)
 	}
-	if n, err := p.Int("missing", 42); err != nil || n != 42 {
-		t.Errorf("Int default: %d %v", n, err)
-	}
-	if d, err := p.Duration("missing", time.Minute); err != nil || d != time.Minute {
-		t.Errorf("Duration default: %v %v", d, err)
-	}
-	if p.List("missing") != nil {
-		t.Error("List default should be nil")
+	if n, err := p.Int64("missing", 42); err != nil || n != 42 {
+		t.Errorf("Int64 default: %d %v", n, err)
 	}
 	if p.Has("missing") {
 		t.Error("Has on missing key")
@@ -79,18 +68,9 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 	p := New()
-	p.Set("x", "notanint")
-	if _, err := p.Int("x", 0); err == nil {
-		t.Error("Int on garbage should fail")
-	}
-	if _, err := p.Bool("x", false); err == nil {
-		t.Error("Bool on garbage should fail")
-	}
-	if _, err := p.Float("x", 0); err == nil {
-		t.Error("Float on garbage should fail")
-	}
-	if _, err := p.Duration("x", 0); err == nil {
-		t.Error("Duration on garbage should fail")
+	p.Set("platform.pregel.memory", "notanint")
+	if _, err := p.Int64("platform.pregel.memory", 0); err == nil || !strings.Contains(err.Error(), "platform.pregel.memory") {
+		t.Errorf("Int64 on garbage = %v, want an error naming the key", err)
 	}
 }
 

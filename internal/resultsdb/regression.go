@@ -26,10 +26,11 @@ type RegressionOptions struct {
 	// compared against the mean of up to Window prior points
 	// (default 5).
 	Window int
-	// NoiseSigmas widens the threshold to k·σ_rel of the baseline
-	// window (default 2), so noisy-but-flat series stay quiet.
-	NoiseSigmas float64
 }
+
+// noiseSigmas widens the threshold to k·σ_rel of the baseline window,
+// so noisy-but-flat series stay quiet.
+const noiseSigmas = 2
 
 func (o RegressionOptions) withDefaults() RegressionOptions {
 	if o.Threshold <= 0 {
@@ -38,9 +39,6 @@ func (o RegressionOptions) withDefaults() RegressionOptions {
 	if o.Window <= 0 {
 		o.Window = 5
 	}
-	if o.NoiseSigmas <= 0 {
-		o.NoiseSigmas = 2
-	}
 	return o
 }
 
@@ -48,34 +46,6 @@ func (o RegressionOptions) withDefaults() RegressionOptions {
 type MetricPoint struct {
 	SubmissionID int64   `json:"submission_id"`
 	Value        float64 `json:"value"`
-}
-
-// KTEPSHistory returns the per-submission kTEPS series of one
-// (platform, graph, algorithm), oldest first. Each submission
-// contributes its best successful run (the same selection Compare
-// uses), so repetitions within one report do not read as history.
-func (s *Store) KTEPSHistory(platform, graphName, algorithm string) []MetricPoint {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []MetricPoint
-	for _, sub := range s.subs {
-		best, ok := 0.0, false
-		for _, r := range sub.Report.Results {
-			if r.Platform != platform || r.Graph != graphName || string(r.Algorithm) != algorithm {
-				continue
-			}
-			if r.Status != report.StatusSuccess || r.KTEPS <= 0 {
-				continue
-			}
-			if !ok || r.KTEPS > best {
-				best, ok = r.KTEPS, true
-			}
-		}
-		if ok {
-			out = append(out, MetricPoint{SubmissionID: sub.ID, Value: best})
-		}
-	}
-	return out
 }
 
 // seriesKey identifies one metric history.
@@ -176,7 +146,7 @@ func judge(k seriesKey, pts []MetricPoint, opts RegressionOptions) (report.Regre
 		}
 		relStddev = math.Sqrt(sq/float64(len(window)-1)) / mean
 	}
-	threshold := math.Max(opts.Threshold, opts.NoiseSigmas*relStddev)
+	threshold := math.Max(opts.Threshold, noiseSigmas*relStddev)
 	drop := (mean - latest.Value) / mean
 	if drop <= threshold {
 		return report.Regression{}, false

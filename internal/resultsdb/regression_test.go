@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"graphalytics/internal/algo"
+	"graphalytics/internal/jsonlog"
 	"graphalytics/internal/report"
 	"graphalytics/internal/telemetry"
 )
@@ -130,11 +130,12 @@ func TestRegressionsIngestEVPS(t *testing.T) {
 	}
 }
 
-func TestKTEPSHistoryUsesBestPerSubmission(t *testing.T) {
+// A slower second run of a cell within one submission is not a history
+// point of its own: the submission contributes its best run, so the
+// baseline the next submission is judged against is that best run.
+func TestRegressionsUseBestRunPerSubmission(t *testing.T) {
 	s := NewStore()
 	rep := ktepsReport("pregel", "snb-1000", 700)
-	// A second (slower) rep of the same cell in the same submission must
-	// not create a second history point.
 	rep.Results = append(rep.Results, report.RunResult{
 		Platform: "pregel", Graph: "snb-1000", Algorithm: algo.CONN,
 		Status: report.StatusSuccess, Runtime: 2 * time.Second, KTEPS: 350,
@@ -142,12 +143,13 @@ func TestKTEPSHistoryUsesBestPerSubmission(t *testing.T) {
 	if _, err := s.Submit(Submission{Submitter: "ci", Report: rep}); err != nil {
 		t.Fatal(err)
 	}
-	pts := s.KTEPSHistory("pregel", "snb-1000", "CONN")
-	if len(pts) != 1 || pts[0].Value != 700 {
-		t.Fatalf("history: %+v", pts)
+	submitSeries(t, s, "pregel", 500)
+	regs, checked := s.Regressions(RegressionOptions{})
+	if checked != 1 {
+		t.Fatalf("checked = %d, want 1 (only the CONN series)", checked)
 	}
-	if pts := s.KTEPSHistory("pregel", "snb-1000", "BFS"); len(pts) != 0 {
-		t.Fatalf("BFS history should be empty: %+v", pts)
+	if len(regs) != 1 || regs[0].Baseline != 700 || regs[0].Points != 1 || regs[0].Latest != 500 {
+		t.Fatalf("regressions: %+v", regs)
 	}
 }
 
@@ -221,24 +223,19 @@ func TestRegressionsEndpoint(t *testing.T) {
 	}
 }
 
+// An Append that cannot reach the disk fails the submission with a 500
+// and a counted failure, consumes no ID, and leaves memory unchanged.
 func TestSubmitPersistFailureSurfacesAndCounts(t *testing.T) {
-	s := NewStore()
-	// Point persistence into a missing directory so the atomic write
-	// fails after validation passes.
-	s.path = filepath.Join(t.TempDir(), "missing-dir", "results.json")
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(Submission{Submitter: "ci", Report: ktepsReport("pregel", "g", 100)}); err != nil {
+		t.Fatal(err)
+	}
+	s.log.Close()
 	before := telemetry.Metrics.Counter("resultsdb_persist_failures_total", "").Value()
-
-	_, err := s.Submit(Submission{Submitter: "ci", Report: ktepsReport("pregel", "g", 100)})
-	if err == nil {
-		t.Fatal("persist failure not surfaced")
-	}
-	if len(s.List()) != 0 {
-		t.Fatal("failed submission left in memory")
-	}
-	after := telemetry.Metrics.Counter("resultsdb_persist_failures_total", "").Value()
-	if after != before+1 {
-		t.Fatalf("persist failure counter: %d -> %d", before, after)
-	}
 
 	// The HTTP caller sees a 500, not a silent 201.
 	srv := httptest.NewServer(s.Handler())
@@ -261,5 +258,22 @@ func TestSubmitPersistFailureSurfacesAndCounts(t *testing.T) {
 	if apiErr.Error == "" {
 		t.Fatal("500 body missing the persist error")
 	}
-	_ = os.Remove(s.path)
+	if after := telemetry.Metrics.Counter("resultsdb_persist_failures_total", "").Value(); after != before+1 {
+		t.Fatalf("persist failure counter: %d -> %d", before, after)
+	}
+	if len(s.List()) != 1 {
+		t.Fatal("failed submission left in memory")
+	}
+
+	// Once the log is back, the next submission takes the ID the failed
+	// one did not consume.
+	if s.log, err = jsonlog.Open(path, func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := s.Submit(Submission{Submitter: "ci", Report: ktepsReport("pregel", "g", 100)}); err != nil || id != 2 {
+		t.Fatalf("Submit after recovery = %d, %v; want 2", id, err)
+	}
+	if s2, err := OpenStore(path); err != nil || len(s2.List()) != 2 {
+		t.Fatalf("reopen after recovery: %v", err)
+	}
 }

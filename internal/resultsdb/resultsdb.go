@@ -5,7 +5,9 @@
 // useful results" (§4).
 //
 // The store keeps submissions (a benchmark report plus submitter
-// metadata) in a file-backed JSON log and serves them over HTTP:
+// metadata) in a file-backed JSON log — one submission per line, in ID
+// order, through the same jsonlog file the stamp store uses — and
+// serves them over HTTP:
 //
 //	POST /api/v1/submissions          submit a report (JSON body)
 //	GET  /api/v1/submissions          list submissions (summaries)
@@ -19,17 +21,18 @@
 package resultsdb
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"graphalytics/internal/jsonlog"
 	"graphalytics/internal/report"
 	"graphalytics/internal/telemetry"
 )
@@ -59,89 +62,91 @@ type Store struct {
 	mu     sync.RWMutex
 	nextID int64
 	subs   []*Submission
-	path   string // persistence file ("" = memory only)
+	log    *jsonlog.Log // nil = memory only
 }
 
 // NewStore returns an empty in-memory store.
 func NewStore() *Store { return &Store{nextID: 1} }
 
-// OpenStore loads (or creates) a file-backed store.
+// OpenStore loads (or creates) a file-backed store. Unlike the stamp
+// store it rejects, rather than skips, a malformed line or an ID that
+// does not exceed its predecessor's: a skipped line would be a lost
+// submission, and the regression series rely on ID order. A rejected
+// file is left untouched.
 func OpenStore(path string) (*Store, error) {
 	s := NewStore()
-	s.path = path
-	data, err := os.ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return s, nil
-	case err != nil:
-		return nil, err
-	}
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &s.subs); err != nil {
-			return nil, fmt.Errorf("resultsdb: corrupt store %s: %w", path, err)
+	log, err := jsonlog.Open(path, func(line []byte) error {
+		if bytes.HasPrefix(line, []byte("[")) {
+			return errors.New("store is a JSON array, the format before one submission per line; " +
+				"convert it with: jq -c '.[]' old.json > new.jsonl")
 		}
-	}
-	for _, sub := range s.subs {
-		if sub.ID >= s.nextID {
-			s.nextID = sub.ID + 1
+		var sub Submission
+		if err := json.Unmarshal(line, &sub); err != nil {
+			return err
 		}
-	}
-	return s, nil
-}
-
-// persist writes the store to disk (caller holds the write lock).
-func (s *Store) persist() error {
-	if s.path == "" {
+		if err := validate(&sub); err != nil {
+			return err
+		}
+		if sub.ID < s.nextID {
+			return fmt.Errorf("submission id %d does not follow id %d", sub.ID, s.nextID-1)
+		}
+		s.subs = append(s.subs, &sub)
+		s.nextID = sub.ID + 1
 		return nil
-	}
-	data, err := json.MarshalIndent(s.subs, "", " ")
+	})
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("resultsdb: %w", err)
 	}
-	tmp := s.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.path)
+	s.log = log
+	return s, nil
 }
 
 // ErrInvalidSubmission reports a rejected submission.
 var ErrInvalidSubmission = errors.New("resultsdb: invalid submission")
 
-// Submit validates and stores a submission, returning its assigned ID.
-func (s *Store) Submit(sub Submission) (int64, error) {
+// validate checks what every stored submission must carry, whether it
+// arrives by Submit or from the file.
+func validate(sub *Submission) error {
 	if sub.Report == nil || len(sub.Report.Results) == 0 {
-		return 0, fmt.Errorf("%w: empty report", ErrInvalidSubmission)
+		return fmt.Errorf("%w: empty report", ErrInvalidSubmission)
 	}
 	if sub.Submitter == "" {
-		return 0, fmt.Errorf("%w: submitter required", ErrInvalidSubmission)
+		return fmt.Errorf("%w: submitter required", ErrInvalidSubmission)
 	}
 	for _, r := range sub.Report.Results {
 		if r.Platform == "" || r.Graph == "" || r.Algorithm == "" {
-			return 0, fmt.Errorf("%w: result missing platform/graph/algorithm", ErrInvalidSubmission)
+			return fmt.Errorf("%w: result missing platform/graph/algorithm", ErrInvalidSubmission)
 		}
+	}
+	return nil
+}
+
+// Submit validates and stores a submission, returning its assigned ID.
+// A file-backed store appends it to the log first: memory takes the
+// submission (and the ID is consumed) only once the disk has it.
+func (s *Store) Submit(sub Submission) (int64, error) {
+	if err := validate(&sub); err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sub.ID = s.nextID
-	s.nextID++
 	if sub.SubmittedAt.IsZero() {
 		sub.SubmittedAt = time.Now().UTC()
 	}
-	stored := sub
-	s.subs = append(s.subs, &stored)
-	if err := s.persist(); err != nil {
-		// Roll back so memory never claims a submission the disk lost;
-		// the caller (and its HTTP 500) sees the persist error, and the
-		// counter makes a flaky volume visible on /metrics instead of
-		// one-off response bodies.
-		s.subs = s.subs[:len(s.subs)-1]
-		s.nextID--
-		telemetry.Metrics.Counter("resultsdb_persist_failures_total",
-			"submissions rejected because the store could not be persisted").Inc()
-		return 0, fmt.Errorf("resultsdb: persisting submission: %w", err)
+	if s.log != nil {
+		if err := s.log.Append(&sub); err != nil {
+			// The caller (and its HTTP 500) sees the error; the counter
+			// makes a flaky volume visible on /metrics instead of
+			// one-off response bodies.
+			telemetry.Metrics.Counter("resultsdb_persist_failures_total",
+				"submissions rejected because the store could not be persisted").Inc()
+			return 0, fmt.Errorf("resultsdb: persisting submission: %w", err)
+		}
 	}
-	return stored.ID, nil
+	s.nextID++
+	s.subs = append(s.subs, &sub)
+	return sub.ID, nil
 }
 
 // Get returns the submission with the given ID.

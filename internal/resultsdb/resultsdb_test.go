@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,7 +124,7 @@ func TestCompareLeaderboard(t *testing.T) {
 }
 
 func TestPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.json")
+	path := filepath.Join(t.TempDir(), "results.jsonl")
 	s1, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +152,8 @@ func TestPersistence(t *testing.T) {
 }
 
 func TestOpenStoreCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeFile(path, "{not json"); err != nil {
+	path := filepath.Join(t.TempDir(), "bad.jsonl")
+	if err := writeFile(path, "{not json\n"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenStore(path); err == nil {
@@ -162,6 +163,86 @@ func TestOpenStoreCorrupt(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// record is one store line: submission id by submitter a.
+func record(t *testing.T, id int64) string {
+	t.Helper()
+	data, err := json.Marshal(Submission{ID: id, Submitter: "a", Report: sampleReport("pregel", 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data) + "\n"
+}
+
+// The store file is one submission per line. A torn final line is a
+// crash mid-Submit and is cut; anything else that is not the next
+// submission is an error that leaves the file as it was.
+func TestOpenStoreFileFormat(t *testing.T) {
+	r1, r2, r3 := record(t, 1), record(t, 2), record(t, 3)
+	var legacy bytes.Buffer
+	if err := json.Indent(&legacy, []byte("["+strings.TrimSpace(r1)+","+strings.TrimSpace(r2)+"]"), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		content string
+		keep    int    // submissions loaded (when wantErr is empty)
+		wantErr string // substring of the OpenStore error
+	}{
+		{name: "empty", content: "", keep: 0},
+		{name: "torn tail", content: r1 + r2 + r3[:len(r3)/2], keep: 2},
+		{name: "torn only line", content: r1[:10], keep: 0},
+		{name: "id gap", content: r1 + r3, keep: 2},
+		{name: "malformed line", content: r1 + "{not json\n" + r3, wantErr: "line 2"},
+		{name: "malformed line before torn tail", content: r1 + "{not json\n" + r3[:5], wantErr: "line 2"},
+		{name: "blank line", content: r1 + "\n" + r2, wantErr: "line 2"},
+		{name: "repeated id", content: r1 + r2 + r2, wantErr: "line 3"},
+		{name: "decreasing id", content: r2 + r1, wantErr: "line 2"},
+		{name: "no report", content: `{"id":1,"submitter":"a"}` + "\n", wantErr: "line 1"},
+		{name: "legacy array", content: legacy.String(), wantErr: "jq -c"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "results.jsonl")
+			if err := writeFile(path, tc.content); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenStore(path)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("OpenStore error = %v, want one containing %q", err, tc.wantErr)
+				}
+				if data, _ := os.ReadFile(path); string(data) != tc.content {
+					t.Fatalf("a rejected store was modified:\n%q", data)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			list := s.List()
+			if len(list) != tc.keep {
+				t.Fatalf("loaded %d submissions, want %d", len(list), tc.keep)
+			}
+			var next int64 = 1
+			if len(list) > 0 {
+				next = list[0].ID + 1
+			}
+			id, err := s.Submit(Submission{Submitter: "b", Report: sampleReport("graphdb", 5)})
+			if err != nil || id != next {
+				t.Fatalf("Submit = %d, %v; want %d", id, err, next)
+			}
+			// The new record starts a fresh line and the store reopens whole.
+			s2, err := OpenStore(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s2.List(); len(got) != tc.keep+1 || got[0].ID != id || got[0].Submitter != "b" {
+				t.Fatalf("reopened store: %+v", got)
+			}
+		})
+	}
 }
 
 // ---------------------------------------------------------------------

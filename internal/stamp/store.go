@@ -1,29 +1,25 @@
 package stamp
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"graphalytics/internal/jsonlog"
 )
 
-// Store is the stamped result store: an append-only file of JSON lines
-// mapping fingerprints to finished results. It is the campaign's one
+// Store is the stamped result store: a jsonlog file of entries mapping
+// fingerprints to finished results. It is the campaign's one
 // cell-result store: it answers "has any campaign — an earlier one, or
 // an interrupted run of this one — produced this exact cell" (keyed by
 // content address), which is what makes an interrupted campaign resume
 // and turns a re-run of an unchanged matrix into a no-op that still
-// renders complete reports. A torn final line (crash mid-write) is cut
-// off on reopen, so the next Put starts a fresh line; malformed lines
-// are skipped; a re-recorded fingerprint overrides earlier entries
-// (last write wins).
+// renders complete reports. The log cuts a torn final line (crash
+// mid-write) on reopen; malformed lines are skipped; a re-recorded
+// fingerprint overrides earlier entries (last write wins).
 type Store struct {
 	mu      sync.Mutex
-	path    string
-	f       *os.File
+	log     *jsonlog.Log
 	entries map[Fingerprint]json.RawMessage
 }
 
@@ -34,46 +30,25 @@ type storeEntry struct {
 }
 
 // OpenStore loads the stamped result store at path (creating it and
-// its parent directory if absent), truncates a torn final line, and
-// opens it for appending.
+// its parent directory if absent) and opens it for appending.
 func OpenStore(path string) (*Store, error) {
-	s := &Store{path: path, entries: make(map[Fingerprint]json.RawMessage)}
-	if data, err := os.ReadFile(path); err == nil {
-		if n := len(data); n > 0 && data[n-1] != '\n' {
-			// A crash mid-Put left a line without its newline; appending
-			// onto it would corrupt the next record too.
-			if err := os.Truncate(path, int64(bytes.LastIndexByte(data, '\n')+1)); err != nil {
-				return nil, fmt.Errorf("stamp: truncating torn store line: %w", err)
-			}
+	s := &Store{entries: make(map[Fingerprint]json.RawMessage)}
+	log, err := jsonlog.Open(path, func(line []byte) error {
+		var e storeEntry
+		// Skip malformed lines instead of failing: losing one stamp
+		// only re-runs its cell, which is safe.
+		if err := json.Unmarshal(line, &e); err != nil || e.FP == "" {
+			return nil
 		}
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-		for sc.Scan() {
-			var e storeEntry
-			// Skip malformed lines (torn writes) instead of failing:
-			// losing one stamp only re-runs its cell, which is safe.
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.FP == "" {
-				continue
-			}
-			fp, err := Parse(e.FP)
-			if err != nil {
-				continue
-			}
+		if fp, err := Parse(e.FP); err == nil {
 			s.entries[fp] = e.Value
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("stamp: reading store: %w", err)
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("stamp: creating store directory: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("stamp: opening store: %w", err)
+		return nil, fmt.Errorf("stamp: store: %w", err)
 	}
-	s.f = f
+	s.log = log
 	return s, nil
 }
 
@@ -104,7 +79,9 @@ func (s *Store) Has(fp Fingerprint) bool {
 }
 
 // Put records fp with value and flushes the line to disk before
-// returning, so a kill after Put never loses the stamp.
+// returning, so a kill after Put never loses the stamp. The store lock
+// spans the append, so memory and disk agree on which of two concurrent
+// Puts of one fingerprint won.
 func (s *Store) Put(fp Fingerprint, value any) error {
 	e := storeEntry{FP: fp.String()}
 	if value != nil {
@@ -114,17 +91,10 @@ func (s *Store) Put(fp Fingerprint, value any) error {
 		}
 		e.Value = raw
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
+	if err := s.log.Append(e); err != nil {
 		return fmt.Errorf("stamp: storing %s: %w", fp.Short(), err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("stamp: syncing store: %w", err)
 	}
 	s.entries[fp] = e.Value
 	return nil
@@ -137,9 +107,5 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Close closes the underlying file. The Store must not be used after.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Close()
-}
+// Close closes the underlying log. The Store must not be used after.
+func (s *Store) Close() error { return s.log.Close() }
