@@ -2,12 +2,15 @@ package graphdb
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
+	"graphalytics/internal/algo"
 	"graphalytics/internal/gen/datagen"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
@@ -95,7 +98,7 @@ func TestETLRejectsGarbage(t *testing.T) {
 }
 
 // etlBlob loads g live and returns its ETL blob.
-func etlBlob(t *testing.T, g *graph.Graph) []byte {
+func etlBlob(t testing.TB, g *graph.Graph) []byte {
 	t.Helper()
 	p := New(Options{})
 	live, err := p.LoadGraph(g)
@@ -208,4 +211,69 @@ func TestETLRejectsMismatchedGraph(t *testing.T) {
 	if _, err := p.ReadETL(other, &blob); !errors.Is(err, errETL) {
 		t.Fatalf("blob for a different graph accepted: %v", err)
 	}
+}
+
+// fuzzETLGraphs are the graphs FuzzReadETL reads blobs against: directed,
+// undirected, weighted, and undirected with self-loops.
+func fuzzETLGraphs(tb testing.TB) []*graph.Graph {
+	tb.Helper()
+	edges := [][2]int64{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {4, 1}}
+	build := func(directed bool, add func(b *graph.Builder, i int, src, dst int64)) *graph.Graph {
+		b := graph.NewBuilder(graph.Directed(directed))
+		for i, e := range edges {
+			add(b, i, e[0], e[1])
+		}
+		g, err := b.Build()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return g
+	}
+	plain := func(b *graph.Builder, _ int, src, dst int64) { b.AddEdge(src, dst) }
+	return []*graph.Graph{
+		build(true, plain),
+		build(false, plain),
+		build(true, func(b *graph.Builder, i int, src, dst int64) { b.AddEdgeWeighted(src, dst, float64(i)+0.5) }),
+		build(false, func(b *graph.Builder, _ int, src, dst int64) { b.AddEdge(src, src); b.AddEdge(src, dst) }),
+	}
+}
+
+// FuzzReadETL fuzzes the GDBE reader against fixed graphs: any bytes
+// end in an error or in a store on which BFS and CONN finish.
+func FuzzReadETL(f *testing.F) {
+	gs := fuzzETLGraphs(f)
+	for i, g := range gs {
+		f.Add(uint8(i), etlBlob(f, g))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, blob []byte) {
+		g := gs[int(which)%len(gs)]
+		l, err := New(Options{PageCachePages: 2}).ReadETL(g, bytes.NewReader(blob))
+		if err != nil {
+			if !errors.Is(err, errETL) && !errors.Is(err, platform.ErrOutOfMemory) {
+				t.Fatalf("ReadETL error %v is neither errETL nor ErrOutOfMemory", err)
+			}
+			return
+		}
+		defer l.Close()
+		// A chain walk that never ends would not reach a context check,
+		// so the kernels run under a watchdog rather than a deadline.
+		done := make(chan error, 1)
+		go func() {
+			for _, kind := range []algo.Kind{algo.BFS, algo.CONN} {
+				if _, err := l.Run(context.Background(), kind, algo.Params{}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("kernel on an accepted blob: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("BFS/CONN on an accepted blob did not finish")
+		}
+	})
 }

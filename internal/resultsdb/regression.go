@@ -56,52 +56,16 @@ type seriesKey struct {
 	metric    string // "kteps" or "evps"
 }
 
-// series collects every metric history in the store, oldest first
-// (submissions are stored in ID order). Caller holds at least a read
-// lock.
-func (s *Store) series() map[seriesKey][]MetricPoint {
-	out := map[seriesKey][]MetricPoint{}
-	for _, sub := range s.subs {
-		// Best successful kTEPS per (platform, graph, algorithm).
-		best := map[seriesKey]float64{}
-		for _, r := range sub.Report.Results {
-			if r.Status != report.StatusSuccess || r.KTEPS <= 0 {
-				continue
-			}
-			k := seriesKey{r.Platform, r.Graph, string(r.Algorithm), "kteps"}
-			if r.KTEPS > best[k] {
-				best[k] = r.KTEPS
-			}
-		}
-		// Best ingest EVPS per graph.
-		for _, in := range sub.Report.Ingests {
-			if in.EVPS <= 0 {
-				continue
-			}
-			k := seriesKey{"ingest", in.Graph, "", "evps"}
-			if in.EVPS > best[k] {
-				best[k] = in.EVPS
-			}
-		}
-		for k, v := range best {
-			out[k] = append(out[k], MetricPoint{SubmissionID: sub.ID, Value: v})
-		}
-	}
-	return out
-}
-
-// Regressions scans every metric history and returns the flagged
+// Regressions judges every metric history and returns the flagged
 // series (sorted by drop, worst first) plus the number of series
 // checked. Series with fewer than two points can have no baseline and
 // never flag.
 func (s *Store) Regressions(opts RegressionOptions) ([]report.Regression, int) {
 	opts = opts.withDefaults()
 	s.mu.RLock()
-	all := s.series()
-	s.mu.RUnlock()
-
+	defer s.mu.RUnlock()
 	var regs []report.Regression
-	for k, pts := range all {
+	for k, pts := range s.history {
 		if r, ok := judge(k, pts, opts); ok {
 			regs = append(regs, r)
 		}
@@ -113,7 +77,7 @@ func (s *Store) Regressions(opts RegressionOptions) ([]report.Regression, int) {
 		a, b := regs[i], regs[j]
 		return a.Platform+"|"+a.Graph+"|"+a.Algorithm < b.Platform+"|"+b.Graph+"|"+b.Algorithm
 	})
-	return regs, len(all)
+	return regs, len(s.history)
 }
 
 // judge compares the latest point of one series against its trailing

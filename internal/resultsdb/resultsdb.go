@@ -16,6 +16,13 @@
 //	GET  /api/v1/compare?graph=&algorithm=             per-platform best runtimes
 //	GET  /api/v1/regressions?threshold=&window=        platforms whose kTEPS/EVPS dropped vs their history
 //
+// Reads are served from in-memory views — the submission summaries,
+// the per-(graph, algorithm) leaderboard and the regression series —
+// that one insertion path keeps current as each submission is accepted
+// or replayed from the file. Opening a store therefore costs time in
+// proportion to the file, while a read costs the same however many
+// submissions it holds; only the filtered /results query still scans.
+//
 // Everything is stdlib net/http + encoding/json; the store is safe for
 // concurrent use.
 package resultsdb
@@ -25,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -61,12 +69,82 @@ type Summary struct {
 type Store struct {
 	mu     sync.RWMutex
 	nextID int64
-	subs   []*Submission
-	log    *jsonlog.Log // nil = memory only
+	subs   []*Submission // in ID order
+	log    *jsonlog.Log  // nil = memory only
+
+	// Views of subs, written only by add.
+	summaries []Summary                    // summaries[i] describes subs[i]
+	board     map[cell]map[string]BestCell // (graph, algorithm) → platform → best run
+	history   map[seriesKey][]MetricPoint  // regression series, oldest first
 }
 
+// cell identifies one leaderboard.
+type cell struct{ graph, algorithm string }
+
 // NewStore returns an empty in-memory store.
-func NewStore() *Store { return &Store{nextID: 1} }
+func NewStore() *Store {
+	return &Store{nextID: 1, board: map[cell]map[string]BestCell{}, history: map[seriesKey][]MetricPoint{}}
+}
+
+// add appends a validated submission whose ID exceeds every stored one
+// and brings every view up to date with it. It is the only writer of
+// subs and the views; the caller holds the write lock (or, while
+// OpenStore replays the file, the only reference to the store).
+func (s *Store) add(sub *Submission) {
+	s.subs = append(s.subs, sub)
+	s.nextID = sub.ID + 1
+
+	sm := Summary{
+		ID: sub.ID, Submitter: sub.Submitter, Environment: sub.Environment,
+		SubmittedAt: sub.SubmittedAt, Runs: len(sub.Report.Results),
+	}
+	// A submission has one point per series, its best value; a value
+	// that is not positive is no point.
+	point := func(k seriesKey, v float64) {
+		if !(v > 0) {
+			return
+		}
+		pts := s.history[k]
+		if n := len(pts); n > 0 && pts[n-1].SubmissionID == sub.ID {
+			pts[n-1].Value = max(pts[n-1].Value, v)
+			return
+		}
+		s.history[k] = append(pts, MetricPoint{SubmissionID: sub.ID, Value: v})
+	}
+	seenP, seenG := map[string]bool{}, map[string]bool{}
+	for i := range sub.Report.Results {
+		r := &sub.Report.Results[i]
+		if !seenP[r.Platform] {
+			seenP[r.Platform] = true
+			sm.Platforms = append(sm.Platforms, r.Platform)
+		}
+		if !seenG[r.Graph] {
+			seenG[r.Graph] = true
+			sm.Graphs = append(sm.Graphs, r.Graph)
+		}
+		if r.Status != report.StatusSuccess {
+			continue
+		}
+		// Strictly faster wins, so a tie stays with the earlier run.
+		c := cell{r.Graph, string(r.Algorithm)}
+		row := s.board[c]
+		if row == nil {
+			row = map[string]BestCell{}
+			s.board[c] = row
+		}
+		ms := float64(r.Runtime) / 1e6
+		if cur, ok := row[r.Platform]; !ok || ms < cur.RuntimeMS {
+			row[r.Platform] = BestCell{RuntimeMS: ms, KTEPS: r.KTEPS, SubmissionID: sub.ID, Submitter: sub.Submitter}
+		}
+		point(seriesKey{r.Platform, r.Graph, string(r.Algorithm), "kteps"}, r.KTEPS)
+	}
+	for _, in := range sub.Report.Ingests {
+		point(seriesKey{"ingest", in.Graph, "", "evps"}, in.EVPS)
+	}
+	sort.Strings(sm.Platforms)
+	sort.Strings(sm.Graphs)
+	s.summaries = append(s.summaries, sm)
+}
 
 // OpenStore loads (or creates) a file-backed store. Unlike the stamp
 // store it rejects, rather than skips, a malformed line or an ID that
@@ -90,8 +168,7 @@ func OpenStore(path string) (*Store, error) {
 		if sub.ID < s.nextID {
 			return fmt.Errorf("submission id %d does not follow id %d", sub.ID, s.nextID-1)
 		}
-		s.subs = append(s.subs, &sub)
-		s.nextID = sub.ID + 1
+		s.add(&sub)
 		return nil
 	})
 	if err != nil {
@@ -124,6 +201,10 @@ func validate(sub *Submission) error {
 // Submit validates and stores a submission, returning its assigned ID.
 // A file-backed store appends it to the log first: memory takes the
 // submission (and the ID is consumed) only once the disk has it.
+//
+// The store takes ownership of sub.Report: Get returns it and the read
+// views are derived from it, so the caller must not modify it after
+// the call.
 func (s *Store) Submit(sub Submission) (int64, error) {
 	if err := validate(&sub); err != nil {
 		return 0, err
@@ -144,8 +225,7 @@ func (s *Store) Submit(sub Submission) (int64, error) {
 			return 0, fmt.Errorf("resultsdb: persisting submission: %w", err)
 		}
 	}
-	s.nextID++
-	s.subs = append(s.subs, &sub)
+	s.add(&sub)
 	return sub.ID, nil
 }
 
@@ -153,40 +233,24 @@ func (s *Store) Submit(sub Submission) (int64, error) {
 func (s *Store) Get(id int64) (*Submission, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, sub := range s.subs {
-		if sub.ID == id {
-			return sub, true
-		}
+	// IDs strictly increase along subs.
+	i := sort.Search(len(s.subs), func(i int) bool { return s.subs[i].ID >= id })
+	if i < len(s.subs) && s.subs[i].ID == id {
+		return s.subs[i], true
 	}
 	return nil, false
 }
 
-// List returns submission summaries, newest first.
+// List returns submission summaries, newest first. The slice is the
+// caller's own; the Platforms and Graphs lists in it are shared with
+// the store and must not be modified.
 func (s *Store) List() []Summary {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Summary, 0, len(s.subs))
-	for _, sub := range s.subs {
-		sm := Summary{
-			ID: sub.ID, Submitter: sub.Submitter, Environment: sub.Environment,
-			SubmittedAt: sub.SubmittedAt, Runs: len(sub.Report.Results),
-		}
-		seenP, seenG := map[string]bool{}, map[string]bool{}
-		for _, r := range sub.Report.Results {
-			if !seenP[r.Platform] {
-				seenP[r.Platform] = true
-				sm.Platforms = append(sm.Platforms, r.Platform)
-			}
-			if !seenG[r.Graph] {
-				seenG[r.Graph] = true
-				sm.Graphs = append(sm.Graphs, r.Graph)
-			}
-		}
-		sort.Strings(sm.Platforms)
-		sort.Strings(sm.Graphs)
-		out = append(out, sm)
+	out := make([]Summary, len(s.summaries))
+	for i, sm := range s.summaries {
+		out[len(out)-1-i] = sm
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
 	return out
 }
 
@@ -211,7 +275,8 @@ func (s *Store) Results(f Filter) []ResultRow {
 	defer s.mu.RUnlock()
 	var out []ResultRow
 	for _, sub := range s.subs {
-		for _, r := range sub.Report.Results {
+		for i := range sub.Report.Results {
+			r := &sub.Report.Results[i]
 			if f.Platform != "" && r.Platform != f.Platform {
 				continue
 			}
@@ -221,7 +286,7 @@ func (s *Store) Results(f Filter) []ResultRow {
 			if f.Algorithm != "" && string(r.Algorithm) != f.Algorithm {
 				continue
 			}
-			out = append(out, ResultRow{SubmissionID: sub.ID, Submitter: sub.Submitter, Result: r})
+			out = append(out, ResultRow{SubmissionID: sub.ID, Submitter: sub.Submitter, Result: *r})
 		}
 	}
 	return out
@@ -244,26 +309,17 @@ type BestCell struct {
 	Submitter    string  `json:"submitter"`
 }
 
-// Compare computes the leaderboard for (graph, algorithm).
+// Compare returns the leaderboard for one (graph, algorithm): each
+// platform's fastest successful run, the earliest one on a tie. Both
+// names must match exactly; an unknown pair has an empty Best. The
+// returned map is the caller's own.
 func (s *Store) Compare(graphName, algorithm string) Comparison {
-	rows := s.Results(Filter{Graph: graphName, Algorithm: algorithm})
-	cmp := Comparison{Graph: graphName, Algorithm: algorithm, Best: map[string]BestCell{}}
-	for _, row := range rows {
-		if row.Result.Status != report.StatusSuccess {
-			continue
-		}
-		ms := float64(row.Result.Runtime) / 1e6
-		cur, ok := cmp.Best[row.Result.Platform]
-		if !ok || ms < cur.RuntimeMS {
-			cmp.Best[row.Result.Platform] = BestCell{
-				RuntimeMS:    ms,
-				KTEPS:        row.Result.KTEPS,
-				SubmissionID: row.SubmissionID,
-				Submitter:    row.Submitter,
-			}
-		}
-	}
-	return cmp
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	cur := s.board[cell{graphName, algorithm}]
+	best := make(map[string]BestCell, len(cur))
+	maps.Copy(best, cur)
+	return Comparison{Graph: graphName, Algorithm: algorithm, Best: best}
 }
 
 // ---------------------------------------------------------------------
@@ -346,6 +402,9 @@ func (s *Store) handleResults(w http.ResponseWriter, r *http.Request) {
 		Graph:     q.Get("graph"),
 		Algorithm: q.Get("algorithm"),
 	})
+	if rows == nil {
+		rows = []ResultRow{}
+	}
 	writeJSON(w, http.StatusOK, rows)
 }
 
