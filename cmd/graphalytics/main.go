@@ -82,7 +82,7 @@ func run() error {
 		graphsSpec = flag.String("graphs", "social:5000", "comma-separated graph specs (social:N, rmat:SCALE, amazon|youtube|livejournal|patents|wikipedia, or file:PATH.e)")
 		weighted   = flag.Bool("weighted", false, "generate social/rmat graphs with seeded edge weights (SSSP consumes them)")
 		loadWork   = flag.Int("load-workers", 0, "graph ingest workers: parallel parse, interning, and CSR build (0 = all cores, 1 = sequential loader)")
-		platWork   = flag.Int("platform-workers", 0, "kernel workers per platform: pregel BSP workers, mapreduce slots, dataflow partitions (0 = all cores, 1 = sequential kernels; graphdb is single-threaded by design; per-platform override: platform.<name>.workers)")
+		platWork   = flag.Int("platform-workers", 0, "kernel workers per platform: pregel BSP workers, mapreduce slots, dataflow partitions (0 = all cores of this driver, on remote runners too; 1 = sequential kernels; graphdb is single-threaded by design; per-platform override: platform.<name>.workers)")
 		timeout    = flag.Duration("timeout", 5*time.Minute, "per-run timeout")
 		outDir     = flag.String("out", "graphalytics-report", "report output directory")
 		validate   = flag.Bool("validate", true, "validate outputs against the reference")
@@ -198,7 +198,7 @@ func run() error {
 		stamps = s
 	}
 
-	plats, err := buildPlatforms(platformNames, props, *platWork)
+	specs, plats, err := buildPlatforms(platformNames, props, *platWork)
 	if err != nil {
 		return err
 	}
@@ -242,16 +242,16 @@ func run() error {
 	// cells to graphrunner processes. Everything else — restore, retry,
 	// stamping, collation, /status — is shared.
 	if *serveAddr != "" {
-		specs, err := platformSpecs(platformNames, props, *platWork)
-		if err != nil {
-			return err
+		specsByName := make(map[string]dist.PlatformSpec, len(specs))
+		for _, spec := range specs {
+			specsByName[spec.Name] = spec
 		}
 		graphsByName := make(map[string]*graph.Graph, len(graphs))
 		for _, g := range graphs {
 			graphsByName[g.Name()] = g
 		}
 		mgr, err := dist.NewManager(dist.ManagerOptions{
-			Platforms:    specs,
+			Platforms:    specsByName,
 			Graphs:       graphsByName,
 			Artifacts:    cache,
 			LeaseTimeout: *leaseTO,
@@ -514,53 +514,35 @@ func splitList(s string) []string {
 	return out
 }
 
-func buildPlatforms(names []string, props *config.Properties, workers int) ([]platform.Platform, error) {
-	var out []platform.Platform
+// buildPlatforms resolves each platform's construction recipe from the
+// properties and builds the local engine from it through the
+// constructor remote runners use. A worker budget of 0 is pinned to
+// this process's GOMAXPROCS here, once, so a runner with another core
+// count builds the engine this driver stamped.
+func buildPlatforms(names []string, props *config.Properties, workers int) ([]dist.PlatformSpec, []platform.Platform, error) {
+	var specs []dist.PlatformSpec
+	var plats []platform.Platform
 	for _, name := range names {
 		mem, err := props.Int64("platform."+name+".memory", 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		w64, err := props.Int64("platform."+name+".workers", int64(workers))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		w := int(w64)
-		switch name {
-		case "pregel":
-			out = append(out, graphalytics.NewPregel(graphalytics.PregelOptions{MemoryBudget: mem, Workers: w}))
-		case "mapreduce":
-			out = append(out, graphalytics.NewMapReduce(graphalytics.MapReduceOptions{Workers: w}))
-		case "dataflow":
-			out = append(out, graphalytics.NewDataflow(graphalytics.DataflowOptions{MemoryBudget: mem, Parts: w}))
-		case "graphdb":
-			// Single-threaded by design (record-store fidelity): the
-			// workers knob intentionally does not reach it.
-			out = append(out, graphalytics.NewGraphDB(graphalytics.GraphDBOptions{MemoryBudget: mem}))
-		default:
-			return nil, fmt.Errorf("unknown platform %q", name)
+		spec := dist.PlatformSpec{Name: name, Memory: mem, Workers: int(w64)}
+		if spec.Workers <= 0 {
+			spec.Workers = runtime.GOMAXPROCS(0)
 		}
-	}
-	return out, nil
-}
-
-// platformSpecs derives the lease-borne construction recipes from the
-// same properties buildPlatforms reads, so remote runners build engines
-// identical to the ones a local campaign would have used.
-func platformSpecs(names []string, props *config.Properties, workers int) (map[string]dist.PlatformSpec, error) {
-	specs := make(map[string]dist.PlatformSpec, len(names))
-	for _, name := range names {
-		mem, err := props.Int64("platform."+name+".memory", 0)
+		p, err := dist.BuildPlatform(spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		w64, err := props.Int64("platform."+name+".workers", int64(workers))
-		if err != nil {
-			return nil, err
-		}
-		specs[name] = dist.PlatformSpec{Name: name, Memory: mem, Workers: int(w64)}
+		specs = append(specs, spec)
+		plats = append(plats, p)
 	}
-	return specs, nil
+	return specs, plats, nil
 }
 
 // parseAlgorithms resolves workload names (or LDBC aliases) through the

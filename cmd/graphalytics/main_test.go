@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"graphalytics/internal/artifact"
 	"graphalytics/internal/config"
 	"graphalytics/internal/core"
+	"graphalytics/internal/dist"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/report"
 	"graphalytics/internal/resultsdb"
@@ -63,33 +65,53 @@ func TestBuildPlatforms(t *testing.T) {
 	props := config.New()
 	props.Set("platform.dataflow.memory", "123456")
 	props.Set("platform.pregel.workers", "3")
-	plats, err := buildPlatforms([]string{"pregel", "mapreduce", "dataflow", "graphdb"}, props, 2)
+	specs, plats, err := buildPlatforms([]string{"pregel", "mapreduce", "dataflow", "graphdb"}, props, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plats) != 4 {
-		t.Fatalf("platforms = %d", len(plats))
+	if len(plats) != 4 || len(specs) != 4 {
+		t.Fatalf("platforms = %d, specs = %d", len(plats), len(specs))
 	}
-	names := map[string]bool{}
-	for _, p := range plats {
-		names[p.Name()] = true
-	}
-	for _, want := range []string{"pregel", "mapreduce", "dataflow", "graphdb"} {
-		if !names[want] {
-			t.Errorf("missing platform %s", want)
+	for i, want := range []string{"pregel", "mapreduce", "dataflow", "graphdb"} {
+		if plats[i].Name() != want || specs[i].Name != want {
+			t.Errorf("platform %d = %s (spec %s), want %s", i, plats[i].Name(), specs[i].Name, want)
 		}
 	}
-	if _, err := buildPlatforms([]string{"spark"}, props, 0); err == nil {
+	if specs[0].Workers != 3 || specs[1].Workers != 2 || specs[2].Memory != 123456 {
+		t.Errorf("properties not applied: %+v", specs)
+	}
+	if _, _, err := buildPlatforms([]string{"spark"}, props, 0); err == nil {
 		t.Error("unknown platform should fail")
 	}
 	props.Set("platform.pregel.memory", "notanumber")
-	if _, err := buildPlatforms([]string{"pregel"}, props, 0); err == nil {
+	if _, _, err := buildPlatforms([]string{"pregel"}, props, 0); err == nil {
 		t.Error("bad memory value should fail")
 	}
 	props.Set("platform.pregel.memory", "0")
 	props.Set("platform.pregel.workers", "notanumber")
-	if _, err := buildPlatforms([]string{"pregel"}, props, 0); err == nil {
+	if _, _, err := buildPlatforms([]string{"pregel"}, props, 0); err == nil {
 		t.Error("bad workers value should fail")
+	}
+}
+
+// A runner with fewer cores than the driver must build the engine the
+// driver stamped: with -platform-workers 0 the specs pin the driver's
+// GOMAXPROCS instead of leaving 0 for each process to resolve.
+func TestPlatformSpecsPinWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	specs, plats, err := buildPlatforms([]string{"pregel", "mapreduce", "dataflow", "graphdb"}, config.New(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(1)
+	for i, spec := range specs {
+		p, err := dist.BuildPlatform(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := platform.StampConfigOf(p), platform.StampConfigOf(plats[i]); got != want {
+			t.Errorf("%s: runner stamps %q, driver stamped %q", spec.Name, got, want)
+		}
 	}
 }
 

@@ -93,9 +93,6 @@ type Benchmark struct {
 	// failed cells. Out-of-memory and timeout are terminal states and
 	// never retry.
 	Retries int
-	// RetryBackoff is the wait before the first retry (doubling per
-	// retry; 0 = immediate).
-	RetryBackoff time.Duration
 	// Ingests records the host-graph ingest phase (parse + CSR build)
 	// of each dataset, carried into the report as a first-class phase
 	// alongside the per-cell processing times. Drivers populate it via
@@ -214,7 +211,6 @@ func (b *Benchmark) newCampaign() (*campaign, error) {
 		cells: make([]*report.RunResult, len(b.Platforms)*len(b.Graphs)*len(algs)),
 		retry: sched.RetryPolicy{
 			MaxAttempts: b.Retries + 1,
-			Backoff:     b.RetryBackoff,
 			Retryable:   transient,
 		},
 		refs: map[refKey]*reference{},
@@ -278,19 +274,6 @@ func (c *campaign) run(ctx context.Context) (*report.Report, error) {
 	}
 	rep.Finished = time.Now()
 	return rep, nil
-}
-
-// transient classifies errors the scheduler may retry: everything
-// except the terminal missing-value states (out of memory, timeout)
-// and interruption. platform.ErrInterrupted always wraps the context
-// error, so the two context checks already cover it; the explicit
-// sentinel check keeps a cancelled kernel out of the retry budget even
-// if a platform ever wraps the sentinel without the cause.
-func transient(err error) bool {
-	return !errors.Is(err, platform.ErrOutOfMemory) &&
-		!errors.Is(err, context.DeadlineExceeded) &&
-		!errors.Is(err, context.Canceled) &&
-		!errors.Is(err, platform.ErrInterrupted)
 }
 
 func checkUniqueNames(platforms []platform.Platform, graphs []*graph.Graph) error {
@@ -635,11 +618,9 @@ func (c *campaign) loadJob(pg *pgState, attempt int) error {
 	}
 	sp.End()
 	if err != nil {
+		err = loadError{err}
 		if c.finalAttempt(err, attempt) {
-			status := report.StatusLoadError
-			if errors.Is(err, platform.ErrOutOfMemory) {
-				status = report.StatusOOM
-			}
+			status := statusOf(err)
 			for _, cell := range pg.pendingCells {
 				r := report.RunResult{
 					Platform: pg.p.Name(), Graph: pg.g.Name(), Algorithm: cell.alg,
@@ -667,8 +648,7 @@ func (c *campaign) loadOrRestore(pg *pgState) (platform.Loaded, bool, error) {
 		l, err := pg.p.LoadGraph(pg.g)
 		return l, false, err
 	}
-	fp := stamp.ETL(c.graphFPs[pg.g.Name()], pg.p.Name(),
-		platform.StampConfigOf(pg.p), cl.ETLVersion(), c.binary)
+	fp := ETLFingerprint(cl, c.graphFPs[pg.g.Name()], c.binary)
 	rc, hit, err := c.b.Artifacts.OpenETL(fp)
 	if err != nil {
 		slog.Warn("core: corrupt ETL artifact; re-running ETL",
@@ -698,6 +678,13 @@ func (c *campaign) loadOrRestore(pg *pgState) (platform.Loaded, bool, error) {
 			"platform", pg.p.Name(), "graph", pg.g.Name(), "err", serr)
 	}
 	return l, false, nil
+}
+
+// ETLFingerprint is the content address of cl's ETL artifact for the
+// dataset graphFP under binary: the key a local load restores from and
+// a runner prefetches.
+func ETLFingerprint(cl platform.CachedLoader, graphFP stamp.Fingerprint, binary string) stamp.Fingerprint {
+	return stamp.ETL(graphFP, cl.Name(), platform.StampConfigOf(cl), cl.ETLVersion(), binary)
 }
 
 // runCellJob executes one matrix cell (warm-ups + repetitions) and, on
@@ -819,20 +806,7 @@ func (c *campaign) runCell(ctx context.Context, pg *pgState, cell pendingCell) (
 		if err != nil {
 			stopMonitor()
 			r.Runtime = d
-			r.Err = err.Error()
-			switch {
-			case errors.Is(err, platform.ErrOutOfMemory):
-				r.Status = report.StatusOOM
-			case errors.Is(err, context.DeadlineExceeded):
-				r.Status = report.StatusTimeout
-			case errors.Is(err, context.Canceled):
-				// The platform was interrupted (platform.ErrInterrupted
-				// wraps the context error), not broken: the cell is
-				// cancelled, never a platform failure.
-				r.Status = report.StatusCancelled
-			default:
-				r.Status = report.StatusError
-			}
+			r.Status, r.Err = statusOf(err), err.Error()
 			return r, err
 		}
 		runtimes = append(runtimes, d)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"graphalytics/internal/algo"
@@ -25,38 +24,38 @@ type CellSpec struct {
 	// executor resolves it to a concrete configuration; the distributed
 	// lease pool ships the platform's construction parameters in the
 	// lease so every runner builds an identical engine.
-	Platform string
+	Platform string `json:"platform"`
 	// Graph is the dataset name as it appears in reports.
-	Graph string
+	Graph string `json:"graph"`
 	// Algorithm is the workload to run.
-	Algorithm algo.Kind
+	Algorithm algo.Kind `json:"algorithm"`
 	// Params are the raw campaign parameters (defaults are applied
 	// against the graph's vertex count by whoever executes the cell,
 	// exactly as the local pool does).
-	Params algo.Params
+	Params algo.Params `json:"params"`
 
 	// Timeout, Validate, Reps, Warmup, and MonitorInterval carry the
 	// campaign's per-cell execution protocol.
-	Timeout         time.Duration
-	Validate        bool
-	Reps            int
-	Warmup          int
-	MonitorInterval time.Duration
+	Timeout         time.Duration `json:"timeout_ns,omitempty"`
+	Validate        bool          `json:"validate,omitempty"`
+	Reps            int           `json:"reps,omitempty"`
+	Warmup          int           `json:"warmup,omitempty"`
+	MonitorInterval time.Duration `json:"monitor_ns,omitempty"`
 
 	// GraphFP is the dataset fingerprint (generator identity or content
 	// hash) — the content address under which the graph artifact can be
 	// fetched from a cache or from the campaign manager.
-	GraphFP stamp.Fingerprint
+	GraphFP stamp.Fingerprint `json:"graph_fp"`
 	// CellFP is the cell's own content fingerprint (zero only when
 	// stamping is fully disabled).
-	CellFP stamp.Fingerprint
+	CellFP stamp.Fingerprint `json:"cell_fp"`
 	// Binary is the binary/kernel version folded into fingerprints, so
 	// a remote executor stamps results under the campaign's identity,
 	// not its own.
-	Binary string
+	Binary string `json:"binary,omitempty"`
 	// GraphEdges is |E| of the dataset, used to fill missing-value rows
 	// when the executor fails without producing a result.
-	GraphEdges int64
+	GraphEdges int64 `json:"graph_edges,omitempty"`
 }
 
 // CellExecutor is the execution seam of the campaign engine: the
@@ -68,12 +67,14 @@ type CellSpec struct {
 // Manager implements this interface as a remote lease pool that leases
 // cells to runner processes over the network.
 //
-// ExecuteCell returns the finished cell and the raw execution error
-// (nil for success and for validation failures, mirroring the local
-// pool): the campaign's retry policy classifies the error, and on the
-// final attempt the RunResult — complete either way — is recorded. An
-// executor that cannot produce a result at all returns a zero
-// RunResult; the campaign then synthesizes the missing-value row.
+// ExecuteCell returns the finished cell and, if it has one, the raw
+// execution error. A row returned with a nil error may still record a
+// failure: the campaign derives the error its status stands for
+// (errOf), so a row that crossed a process boundary retries exactly as
+// the local pool would. The retry policy classifies the error, and on
+// the final attempt the RunResult is recorded. An executor that cannot
+// produce a result at all returns a zero RunResult and its error; the
+// campaign then records MissingValue.
 // ExecuteCell must be safe for concurrent use: the scheduler overlaps
 // cells up to the campaign parallelism.
 type CellExecutor interface {
@@ -97,6 +98,27 @@ func (c *campaign) cellSpec(p platform.Platform, g *graph.Graph, a algo.Kind, fp
 		CellFP:          fp,
 		Binary:          c.binary,
 		GraphEdges:      g.NumEdges(),
+	}
+}
+
+// Campaign is the inverse of cellSpec: the 1×1×1 campaign that runs
+// the cell in another process on p and g, the platform and dataset the
+// spec names as that process built and resolved them. The caller adds
+// its own stamp store and artifact cache.
+func (s CellSpec) Campaign(p platform.Platform, g *graph.Graph) *Benchmark {
+	return &Benchmark{
+		Platforms:       []platform.Platform{p},
+		Graphs:          []*graph.Graph{g},
+		Algorithms:      []algo.Kind{s.Algorithm},
+		Params:          s.Params,
+		Timeout:         s.Timeout,
+		Validate:        s.Validate,
+		Reps:            s.Reps,
+		Warmup:          s.Warmup,
+		MonitorInterval: s.MonitorInterval,
+		Parallelism:     1,
+		BinaryVersion:   s.Binary,
+		GraphStamps:     map[string]stamp.Fingerprint{g.Name(): s.GraphFP},
 	}
 }
 
@@ -131,6 +153,9 @@ func (c *campaign) runExecutorCell(ctx context.Context, spec CellSpec, cell pend
 	sp := telemetry.StartSpan("cell", "execute:"+spec.Platform+"/"+spec.Graph+"/"+string(spec.Algorithm))
 	sp.SetAttr("attempt", attempt)
 	r, execErr := c.b.Executor.ExecuteCell(ctx, spec)
+	if execErr == nil && r.Platform != "" {
+		execErr = errOf(r.Status, r.Err)
+	}
 	if execErr != nil {
 		sp.SetAttr("error", execErr.Error())
 	}
@@ -142,34 +167,9 @@ func (c *campaign) runExecutorCell(ctx context.Context, spec CellSpec, cell pend
 		return execErr
 	}
 	if r.Platform == "" {
-		r = missingValue(spec, execErr)
+		r = MissingValue(spec, execErr)
 	}
 	r.Attempts = attempt
 	c.finishCell(cell, r)
 	return execErr
-}
-
-// missingValue synthesizes the report row for a cell whose executor
-// failed without producing a result, classifying terminal states the
-// way the local pool does.
-func missingValue(spec CellSpec, err error) report.RunResult {
-	r := report.RunResult{
-		Platform:   spec.Platform,
-		Graph:      spec.Graph,
-		Algorithm:  spec.Algorithm,
-		Status:     report.StatusError,
-		GraphEdges: spec.GraphEdges,
-	}
-	if err != nil {
-		r.Err = err.Error()
-		switch {
-		case errors.Is(err, platform.ErrOutOfMemory):
-			r.Status = report.StatusOOM
-		case errors.Is(err, context.DeadlineExceeded):
-			r.Status = report.StatusTimeout
-		}
-	} else {
-		r.Err = "executor returned no result"
-	}
-	return r
 }

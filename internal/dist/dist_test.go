@@ -9,6 +9,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,8 +124,9 @@ func FuzzFrameRecv(f *testing.F) {
 	fc := &frameConn{w: &valid}
 	for _, m := range []*Msg{
 		{Type: TypeHello, Runner: "r1", Platforms: []string{"pregel", "graphdb"}, Slots: 2, Binary: "v1", Version: ProtocolVersion},
-		{Type: TypeLease, Lease: &Lease{ID: 1, Platform: PlatformSpec{Name: "pregel", Workers: 2},
-			Graph: GraphRef{Name: "g", FP: "ab12", Edges: 10}, Algorithm: "BFS", Reps: 2}},
+		{Type: TypeLease, Lease: &Lease{ID: 1, KeepaliveNS: 1e9, Platform: PlatformSpec{Name: "pregel", Workers: 2},
+			Cell: core.CellSpec{Platform: "pregel", Graph: "g", Algorithm: algo.BFS, Reps: 2,
+				GraphFP: stamp.Dataset("test", "g"), CellFP: stamp.Dataset("test", "cell"), GraphEdges: 10}}},
 		{Type: TypeResult, LeaseID: 1, Result: &report.RunResult{Platform: "pregel", Graph: "g",
 			Algorithm: algo.BFS, Status: report.StatusSuccess, Runtime: time.Millisecond}},
 	} {
@@ -153,6 +155,36 @@ func FuzzFrameRecv(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A lease round-trips through a frame with its cell recipe intact, and
+// a fingerprint one hex digit short fails frame decoding instead of
+// reaching a runner as some other content address.
+func TestFrameLeaseFingerprints(t *testing.T) {
+	lease := &Lease{ID: 3, Platform: PlatformSpec{Name: "pregel", Workers: 2},
+		Cell: core.CellSpec{Platform: "pregel", Graph: "g", Algorithm: algo.BFS, Timeout: time.Second,
+			GraphFP: stamp.Dataset("test", "g"), CellFP: stamp.Dataset("test", "cell"), Binary: "v2"}}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, &Msg{Type: TypeLease, Lease: lease}); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.String()[4:]
+	m, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Lease == nil || m.Lease.Cell != lease.Cell || m.Lease.Platform != lease.Platform {
+		t.Fatalf("lease round-trip mangled: %+v", m.Lease)
+	}
+
+	fp := lease.Cell.CellFP.String()
+	short := strings.Replace(body, fp, fp[:63], 1)
+	if short == body {
+		t.Fatalf("cell fingerprint %s not found in frame %s", fp, body)
+	}
+	if m, err := readFrame(bytes.NewReader(rawFrame(uint32(len(short)), short))); err == nil {
+		t.Fatalf("63-hex fingerprint decoded: %+v", m.Lease)
+	}
 }
 
 // --- distributed campaign helpers ---
@@ -433,7 +465,7 @@ func TestRunnerDeathReleasesCell(t *testing.T) {
 	}()
 
 	lease := doomed.awaitLease(t)
-	if lease.Graph.Name != "deathsmoke" || lease.Algorithm != string(algo.BFS) {
+	if lease.Cell.Graph != "deathsmoke" || lease.Cell.Algorithm != algo.BFS {
 		t.Fatalf("unexpected lease: %+v", lease)
 	}
 	doomed.fc.Close() // mid-lease death

@@ -14,7 +14,6 @@ import (
 	"graphalytics/internal/artifact"
 	"graphalytics/internal/core"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/platform"
 	"graphalytics/internal/report"
 	"graphalytics/internal/stamp"
 	"graphalytics/internal/telemetry"
@@ -208,10 +207,9 @@ func (m *Manager) Close() error {
 // ExecuteCell implements core.CellExecutor: it queues the cell for the
 // lease pool and blocks until some runner delivers a result, the
 // context is cancelled, or the manager closes. Runner death never
-// surfaces as an error here — the cell is re-leased; only a
-// runner-reported execution failure (or cancellation) propagates, so
-// the campaign's retry policy sees the same error classes as local
-// execution.
+// surfaces as an error here — the cell is re-leased. A delivered row
+// returns with a nil error; the campaign derives the retry error from
+// its status, so it sees the same error classes as local execution.
 func (m *Manager) ExecuteCell(ctx context.Context, spec core.CellSpec) (report.RunResult, error) {
 	t := &task{spec: spec, done: make(chan taskOutcome, 1)}
 	m.mu.Lock()
@@ -426,23 +424,10 @@ func (m *Manager) pickRunnerLocked(spec core.CellSpec) *runnerConn {
 // leaseFor assembles the wire lease for one cell.
 func (m *Manager) leaseFor(id uint64, spec core.CellSpec) *Lease {
 	return &Lease{
-		ID:       id,
-		Platform: m.opts.Platforms[spec.Platform],
-		Graph: GraphRef{
-			Name:  spec.Graph,
-			FP:    spec.GraphFP.String(),
-			Edges: spec.GraphEdges,
-		},
-		Algorithm:   string(spec.Algorithm),
-		Params:      spec.Params,
-		TimeoutNS:   int64(spec.Timeout),
-		Validate:    spec.Validate,
-		Reps:        spec.Reps,
-		Warmup:      spec.Warmup,
-		MonitorNS:   int64(spec.MonitorInterval),
-		Binary:      spec.Binary,
-		CellFP:      spec.CellFP.String(),
+		ID:          id,
 		KeepaliveNS: int64(m.opts.LeaseTimeout / 4),
+		Platform:    m.opts.Platforms[spec.Platform],
+		Cell:        spec,
 	}
 }
 
@@ -489,29 +474,8 @@ func (m *Manager) handleResult(rc *runnerConn, msg *Msg) {
 	r := *msg.Result
 	slog.Debug("dist: cell result", "runner", rc.name, "lease", msg.LeaseID,
 		"cell", r.Platform+"/"+r.Graph+"/"+string(r.Algorithm), "status", string(r.Status))
-	m.complete(t, taskOutcome{r: r, err: execErrOf(r)})
+	m.complete(t, taskOutcome{r: r})
 	m.dispatch()
-}
-
-// execErrOf reconstructs the raw execution error the campaign's retry
-// policy classifies, from the wire result's status — the same mapping
-// the local pool's runCell produces in reverse.
-func execErrOf(r report.RunResult) error {
-	switch r.Status {
-	case report.StatusSuccess, report.StatusInvalid:
-		// Validation failures are recorded, not retried — exactly like
-		// the local pool, whose runCell returns nil for them.
-		return nil
-	case report.StatusOOM:
-		return fmt.Errorf("dist: runner reported %s: %w", r.Err, platform.ErrOutOfMemory)
-	case report.StatusTimeout:
-		return fmt.Errorf("dist: runner reported timeout: %w", context.DeadlineExceeded)
-	default:
-		if r.Err != "" {
-			return errors.New(r.Err)
-		}
-		return fmt.Errorf("dist: runner reported status %s", r.Status)
-	}
 }
 
 // onLeaseTimeout fires when a lease went LeaseTimeout without progress:

@@ -9,14 +9,14 @@ import (
 	"io"
 	"sync"
 
-	"graphalytics/internal/algo"
+	"graphalytics/internal/core"
 	"graphalytics/internal/report"
 )
 
 // ProtocolVersion is the dist wire protocol version. A manager rejects
 // runners speaking a different version during the hello exchange; bump
 // it whenever a message or the framing changes incompatibly.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // maxFrame bounds one JSON frame (not blob payloads, which are bounded
 // separately by maxBlob). Control messages are small; a larger frame is
@@ -97,42 +97,23 @@ type Msg struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Lease is one cell assignment: the complete, self-contained recipe a
-// runner needs to reproduce the cell a local campaign would have run —
-// coordinates, platform construction parameters, dataset content
-// address, the repetition protocol, and the fingerprint identity that
-// keeps manager- and runner-side stamp stores coherent.
+// Lease is one cell assignment: the platform construction recipe plus
+// the cell recipe exactly as the campaign planned it — coordinates,
+// parameters, the repetition protocol, the dataset's content address
+// and the fingerprint identity that keeps manager- and runner-side
+// stamp stores coherent.
 type Lease struct {
 	ID uint64 `json:"id"`
-	// Platform carries the engine construction parameters, so every
-	// runner builds an identical platform.
-	Platform PlatformSpec `json:"platform"`
-	// Graph references the dataset by name and content address. A
-	// runner that does not hold the artifact fetches it from the
-	// manager over this same connection.
-	Graph GraphRef `json:"graph"`
-	// Algorithm is the workload name.
-	Algorithm string `json:"algorithm"`
-	// Params are the raw campaign algorithm parameters (defaults are
-	// applied runner-side against the graph's vertex count, exactly as
-	// a local campaign does).
-	Params algo.Params `json:"params"`
-	// Execution protocol.
-	TimeoutNS int64 `json:"timeout_ns,omitempty"`
-	Validate  bool  `json:"validate,omitempty"`
-	Reps      int   `json:"reps,omitempty"`
-	Warmup    int   `json:"warmup,omitempty"`
-	MonitorNS int64 `json:"monitor_ns,omitempty"`
-	// Binary is the manager's binary/kernel version: the runner folds
-	// it into its fingerprints so stamps recorded remotely match the
-	// manager's content addresses.
-	Binary string `json:"binary,omitempty"`
-	// CellFP is the manager-computed cell fingerprint (diagnostic: a
-	// runner whose own derivation disagrees logs the drift).
-	CellFP string `json:"cell_fp,omitempty"`
 	// KeepaliveNS is how often the runner must send progress to keep
 	// the lease alive (derived from the manager's lease timeout).
 	KeepaliveNS int64 `json:"keepalive_ns,omitempty"`
+	// Platform carries the engine construction parameters, so every
+	// runner builds an identical platform.
+	Platform PlatformSpec `json:"platform"`
+	// Cell is the cell to run. A runner that does not hold the dataset
+	// Cell.GraphFP addresses fetches it from the manager over this same
+	// connection.
+	Cell core.CellSpec `json:"cell"`
 }
 
 // PlatformSpec is the constructor recipe for one platform: everything a
@@ -145,20 +126,11 @@ type PlatformSpec struct {
 	// Memory is the engine memory budget in bytes (0 = unlimited).
 	Memory int64 `json:"memory,omitempty"`
 	// Workers is the kernel worker budget (pregel BSP workers,
-	// mapreduce slots, dataflow partitions; 0 = all cores). graphdb is
-	// single-threaded by design and ignores it.
+	// mapreduce slots, dataflow partitions). 0 means the building
+	// process's GOMAXPROCS, so a driver resolves it before shipping the
+	// spec, or runners with other core counts would build other engines.
+	// graphdb is single-threaded by design and ignores it.
 	Workers int `json:"workers,omitempty"`
-}
-
-// GraphRef addresses one dataset.
-type GraphRef struct {
-	// Name is the dataset name as it appears in reports.
-	Name string `json:"name"`
-	// FP is the dataset fingerprint hex — the content address for
-	// cache lookup and fetch.
-	FP string `json:"fp"`
-	// Edges is |E|, for missing-value rows and sanity checks.
-	Edges int64 `json:"edges,omitempty"`
 }
 
 // frameConn wraps a duplex stream with length-prefixed JSON framing:

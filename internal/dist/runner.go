@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"graphalytics/internal/algo"
 	"graphalytics/internal/artifact"
 	"graphalytics/internal/core"
 	"graphalytics/internal/graph"
@@ -60,8 +59,8 @@ type Runner struct {
 	fc   *frameConn
 
 	mu      sync.Mutex
-	graphs  map[string]*graph.Graph // fingerprint hex → loaded dataset
-	pending map[uint64]chan fetched // ReqID → waiter
+	graphs  map[stamp.Fingerprint]*graph.Graph // loaded datasets
+	pending map[uint64]chan fetched            // ReqID → waiter
 	nextReq uint64
 
 	managerBinary string
@@ -118,7 +117,7 @@ func Connect(addr string, opts RunnerOptions) (*Runner, error) {
 	r := &Runner{
 		opts:          opts,
 		fc:            fc,
-		graphs:        make(map[string]*graph.Graph),
+		graphs:        make(map[stamp.Fingerprint]*graph.Graph),
 		pending:       make(map[uint64]chan fetched),
 		managerBinary: reply.Binary,
 		slots:         make(chan struct{}, opts.Slots),
@@ -210,45 +209,41 @@ func (r *Runner) fetch(ctx context.Context, kind, fpHex string) ([]byte, bool, e
 // getGraph resolves a lease's dataset: in-memory memo, then the local
 // artifact cache, then a fetch from the manager (stored into the cache
 // for the next lease and the next campaign).
-func (r *Runner) getGraph(ctx context.Context, ref GraphRef) (*graph.Graph, stamp.Fingerprint, error) {
-	fp, err := stamp.Parse(ref.FP)
-	if err != nil {
-		return nil, stamp.Fingerprint{}, fmt.Errorf("dist: lease graph fingerprint: %w", err)
-	}
+func (r *Runner) getGraph(ctx context.Context, name string, fp stamp.Fingerprint) (*graph.Graph, error) {
 	r.mu.Lock()
-	g := r.graphs[ref.FP]
+	g := r.graphs[fp]
 	r.mu.Unlock()
 	if g != nil {
-		return g, fp, nil
+		return g, nil
 	}
 
 	g, hit, err := r.opts.Cache.LoadGraph(fp, runtime.NumCPU())
 	if err != nil {
-		slog.Warn("dist: cached graph unreadable; refetching", "fp", ref.FP, "err", err)
+		slog.Warn("dist: cached graph unreadable; refetching", "fp", fp.String(), "err", err)
 	}
 	if !hit || err != nil {
-		payload, found, ferr := r.fetch(ctx, "graph", ref.FP)
+		payload, found, ferr := r.fetch(ctx, "graph", fp.String())
 		if ferr != nil {
-			return nil, fp, ferr
+			return nil, ferr
 		}
 		if !found {
-			return nil, fp, fmt.Errorf("dist: manager has no graph %s (%s)", ref.Name, ref.FP)
+			return nil, fmt.Errorf("dist: manager has no graph %s (%s)", name, fp)
 		}
-		slog.Info("dist: fetched graph from manager", "graph", ref.Name,
+		slog.Info("dist: fetched graph from manager", "graph", name,
 			"bytes", len(payload))
 		g, err = graph.ReadBinary(bytes.NewReader(payload))
 		if err != nil {
-			return nil, fp, fmt.Errorf("dist: decoding fetched graph %s: %w", ref.Name, err)
+			return nil, fmt.Errorf("dist: decoding fetched graph %s: %w", name, err)
 		}
 		if err := r.opts.Cache.StoreGraph(fp, g); err != nil {
-			slog.Warn("dist: caching fetched graph failed", "graph", ref.Name, "err", err)
+			slog.Warn("dist: caching fetched graph failed", "graph", name, "err", err)
 		}
 	}
-	g.SetName(ref.Name)
+	g.SetName(name)
 	r.mu.Lock()
-	r.graphs[ref.FP] = g
+	r.graphs[fp] = g
 	r.mu.Unlock()
-	return g, fp, nil
+	return g, nil
 }
 
 // BuildPlatform constructs the engine a PlatformSpec describes — the
@@ -266,7 +261,7 @@ func BuildPlatform(spec PlatformSpec) (platform.Platform, error) {
 	case "graphdb":
 		return graphdb.New(graphdb.Options{MemoryBudget: spec.Memory}), nil
 	default:
-		return nil, fmt.Errorf("dist: unknown platform %q in lease", spec.Name)
+		return nil, fmt.Errorf("dist: unknown platform %q", spec.Name)
 	}
 }
 
@@ -274,12 +269,12 @@ func BuildPlatform(spec PlatformSpec) (platform.Platform, error) {
 // when the runner does not hold it, so platforms with an expensive
 // transformation (graphdb) skip the local ETL exactly as a local
 // campaign with a warm cache would.
-func (r *Runner) prefetchETL(ctx context.Context, p platform.Platform, graphFP stamp.Fingerprint, binary string) {
+func (r *Runner) prefetchETL(ctx context.Context, p platform.Platform, cell core.CellSpec) {
 	cl, ok := p.(platform.CachedLoader)
 	if !ok {
 		return
 	}
-	fp := stamp.ETL(graphFP, p.Name(), platform.StampConfigOf(p), cl.ETLVersion(), binary)
+	fp := core.ETLFingerprint(cl, cell.GraphFP, cell.Binary)
 	if rc, hit, err := r.opts.Cache.OpenETL(fp); err == nil && hit {
 		rc.Close()
 		return
@@ -306,7 +301,7 @@ func (r *Runner) prefetchETL(ctx context.Context, p platform.Platform, graphFP s
 func (r *Runner) executeLease(ctx context.Context, lease *Lease) {
 	start := time.Now()
 	slog.Info("dist: lease accepted", "lease", lease.ID,
-		"platform", lease.Platform.Name, "graph", lease.Graph.Name, "algorithm", lease.Algorithm)
+		"platform", lease.Platform.Name, "graph", lease.Cell.Graph, "algorithm", string(lease.Cell.Algorithm))
 
 	stopKeepalive := r.startKeepalive(ctx, lease, start)
 	result, err := r.runLease(ctx, lease)
@@ -317,14 +312,8 @@ func (r *Runner) executeLease(ctx context.Context, lease *Lease) {
 	if err != nil {
 		slog.Warn("dist: lease failed before producing a cell",
 			"lease", lease.ID, "err", err)
-		result = &report.RunResult{
-			Platform:   lease.Platform.Name,
-			Graph:      lease.Graph.Name,
-			Algorithm:  algo.Kind(lease.Algorithm),
-			Status:     report.StatusError,
-			Err:        err.Error(),
-			GraphEdges: lease.Graph.Edges,
-		}
+		mv := core.MissingValue(lease.Cell, err)
+		result = &mv
 	}
 	if serr := r.fc.send(&Msg{Type: TypeResult, LeaseID: lease.ID, Result: result}); serr != nil {
 		slog.Warn("dist: sending result failed", "lease", lease.ID, "err", serr)
@@ -374,7 +363,8 @@ func (r *Runner) startKeepalive(ctx context.Context, lease *Lease, start time.Ti
 // executed (a re-lease after a dropped result) restores instead of
 // re-running.
 func (r *Runner) runLease(ctx context.Context, lease *Lease) (*report.RunResult, error) {
-	g, graphFP, err := r.getGraph(ctx, lease.Graph)
+	cell := lease.Cell
+	g, err := r.getGraph(ctx, cell.Graph, cell.GraphFP)
 	if err != nil {
 		return nil, err
 	}
@@ -382,24 +372,11 @@ func (r *Runner) runLease(ctx context.Context, lease *Lease) (*report.RunResult,
 	if err != nil {
 		return nil, err
 	}
-	r.prefetchETL(ctx, p, graphFP, lease.Binary)
+	r.prefetchETL(ctx, p, cell)
 
-	bench := core.Benchmark{
-		Platforms:       []platform.Platform{p},
-		Graphs:          []*graph.Graph{g},
-		Algorithms:      []algo.Kind{algo.Kind(lease.Algorithm)},
-		Params:          lease.Params,
-		Timeout:         time.Duration(lease.TimeoutNS),
-		Validate:        lease.Validate,
-		Reps:            lease.Reps,
-		Warmup:          lease.Warmup,
-		MonitorInterval: time.Duration(lease.MonitorNS),
-		Parallelism:     1,
-		BinaryVersion:   lease.Binary,
-		GraphStamps:     map[string]stamp.Fingerprint{g.Name(): graphFP},
-		Stamps:          r.opts.Stamps,
-		Artifacts:       r.opts.Cache,
-	}
+	bench := cell.Campaign(p, g)
+	bench.Stamps = r.opts.Stamps
+	bench.Artifacts = r.opts.Cache
 	rep, err := bench.Run(ctx)
 	if err != nil {
 		return nil, err
@@ -408,14 +385,12 @@ func (r *Runner) runLease(ctx context.Context, lease *Lease) (*report.RunResult,
 		return nil, fmt.Errorf("dist: lease produced %d results, want 1", len(rep.Results))
 	}
 	result := rep.Results[0]
-	if lease.CellFP != "" && r.opts.Stamps != nil && result.Status == report.StatusSuccess {
-		if fp, perr := stamp.Parse(lease.CellFP); perr == nil && !r.opts.Stamps.Has(fp) {
-			// The cell succeeded but was stamped under a different
-			// fingerprint than the manager computed: configuration drift
-			// between manager and runner.
-			slog.Warn("dist: cell fingerprint drift between manager and runner",
-				"lease", lease.ID, "manager_fp", lease.CellFP)
-		}
+	if r.opts.Stamps != nil && result.Status == report.StatusSuccess && !r.opts.Stamps.Has(cell.CellFP) {
+		// The cell succeeded but was stamped under a different
+		// fingerprint than the manager computed: configuration drift
+		// between manager and runner.
+		slog.Warn("dist: cell fingerprint drift between manager and runner",
+			"lease", lease.ID, "manager_fp", cell.CellFP.String())
 	}
 	return &result, nil
 }

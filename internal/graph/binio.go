@@ -200,6 +200,11 @@ func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 	if n64 > 1<<32 || arcs > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible sizes n=%d arcs=%d", ErrBadFormat, n64, arcs)
 	}
+	if n64 == 0 {
+		// No writer produces one: the Builder and both text loaders
+		// reject the empty graph too.
+		return nil, fmt.Errorf("%w: %w", ErrBadFormat, ErrEmptyGraph)
+	}
 	n := int(n64)
 
 	g := &Graph{

@@ -135,6 +135,7 @@ var hostileGALB = []struct {
 	name string
 	data []byte
 }{
+	{"zero vertices", galbImage(0, 0, 0)},
 	{"n=2^32 without degrees", galbImage(0, 1<<32, 0)},
 	{"arcs=deg=2^34 without edges", galbImage(0, 1, 1<<34, 1<<34)},
 	{"weighted arcs=deg=2^34 without edges", galbImage(8, 1, 1<<34, 1<<34)},
@@ -159,6 +160,15 @@ func TestBinaryRejectsHostileCounts(t *testing.T) {
 				t.Errorf("allocated %d bytes for a %d-byte input", alloc, len(tc.data))
 			}
 		})
+	}
+}
+
+// The 9-byte header of a 0-vertex graph is refused as the empty graph
+// the other loaders refuse, not handed to kernels that divide by |V|.
+func TestBinaryRejectsEmptyGraph(t *testing.T) {
+	_, err := ReadBinary(bytes.NewReader(galbImage(0, 0, 0)))
+	if !errors.Is(err, ErrBadFormat) || !errors.Is(err, ErrEmptyGraph) {
+		t.Fatalf("err = %v, want ErrBadFormat and ErrEmptyGraph", err)
 	}
 }
 

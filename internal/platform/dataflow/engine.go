@@ -14,7 +14,7 @@
 //   - every aggregateMessages materializes a triplet view: the vertex
 //     attributes are mirrored to the edge partitions (arcs × attr-size
 //     bytes), exactly GraphX's vertex-replication cost;
-//   - lineage retention: the last RetainWindow vertex versions stay
+//   - lineage retention: the last retainWindow vertex versions stay
 //     referenced ("cached RDDs awaiting unpersist"), multiplying the
 //     resident footprint;
 //   - an enforced memory budget turns that footprint into the observable
@@ -37,18 +37,19 @@ type Env struct {
 	Parts    int
 	Mem      *platform.MemoryTracker
 	Counters *platform.Counters
-	// RetainWindow is how many dataset versions lineage keeps alive.
-	RetainWindow int
 
 	retained []int64 // byte sizes of retained versions (FIFO)
 }
+
+// retainWindow is how many dataset versions lineage keeps alive.
+const retainWindow = 3
 
 // NewEnv returns an environment over g.
 func NewEnv(g *graph.Graph, parts int, mem *platform.MemoryTracker, counters *platform.Counters) *Env {
 	if parts <= 0 {
 		parts = runtime.GOMAXPROCS(0)
 	}
-	return &Env{G: g, Parts: parts, Mem: mem, Counters: counters, RetainWindow: 3}
+	return &Env{G: g, Parts: parts, Mem: mem, Counters: counters}
 }
 
 // allocRetained accounts a new dataset version and evicts versions
@@ -61,7 +62,7 @@ func (e *Env) allocRetained(bytes int64) error {
 		return err
 	}
 	e.retained = append(e.retained, bytes)
-	for len(e.retained) > e.RetainWindow {
+	for len(e.retained) > retainWindow {
 		e.Mem.Free(e.retained[0])
 		e.retained = e.retained[1:]
 	}

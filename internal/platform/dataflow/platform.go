@@ -18,9 +18,6 @@ type Options struct {
 	// versions + triplet mirrors + messages); 0 = unlimited. GraphX's
 	// Figure 4 failures come from this bound.
 	MemoryBudget int64
-	// RetainWindow is the number of dataset versions lineage keeps
-	// alive (default 3).
-	RetainWindow int
 }
 
 // Platform is the GraphX analogue.
@@ -33,9 +30,6 @@ func New(opts Options) *Platform {
 	if opts.Parts <= 0 {
 		opts.Parts = runtime.GOMAXPROCS(0)
 	}
-	if opts.RetainWindow <= 0 {
-		opts.RetainWindow = 3
-	}
 	return &Platform{opts: opts}
 }
 
@@ -45,7 +39,7 @@ func (p *Platform) Name() string { return "dataflow" }
 // StampConfig implements platform.ConfigStamper.
 func (p *Platform) StampConfig() string {
 	return fmt.Sprintf("dataflow/parts=%d,mem=%d,retain=%d",
-		p.opts.Parts, p.opts.MemoryBudget, p.opts.RetainWindow)
+		p.opts.Parts, p.opts.MemoryBudget, retainWindow)
 }
 
 // ConcurrencyLimit implements platform.ConcurrencyHinter: a
@@ -91,7 +85,6 @@ func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*
 	params = params.WithDefaults(l.g.NumVertices())
 	counters := &platform.Counters{}
 	env := NewEnv(l.g, l.p.opts.Parts, l.mem, counters)
-	env.RetainWindow = l.p.opts.RetainWindow
 	defer env.releaseAll()
 
 	var out any

@@ -46,7 +46,9 @@ func Graphs(tb testing.TB) []*graph.Graph {
 // wrong ("SoK: The Faults in our Graph Benchmarks"): a lone vertex,
 // isolated vertices (the source among them), a hub, many components,
 // self-loops, parallel arcs, and zero or tied weights. The empty graph
-// is absent: the Builder rejects it (graph.ErrEmptyGraph).
+// is absent by decision: no input path admits it (the Builder, both
+// text loaders and the GALB reader reject it with graph.ErrEmptyGraph),
+// so no engine or reference defines a workload on zero vertices.
 func adversarial(tb testing.TB) []*graph.Graph {
 	return []*graph.Graph{
 		build(tb, "single-self-loop", 1, false, func(b *graph.Builder) { b.AddEdgeID(0, 0) }),

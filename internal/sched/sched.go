@@ -44,8 +44,6 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per job (<= 1 disables
 	// retries).
 	MaxAttempts int
-	// Backoff is the wait before the first retry; it doubles per retry.
-	Backoff time.Duration
 	// Retryable classifies errors; nil retries nothing. Terminal states
 	// (out-of-memory, deadline exceeded) should return false.
 	Retryable func(error) bool
@@ -92,9 +90,6 @@ type Options struct {
 	ClassLimits map[string]int
 	// Retry is the re-execution policy for failed jobs.
 	Retry RetryPolicy
-	// OnDone, when non-nil, observes each job outcome as it resolves
-	// (called from the scheduling goroutine, never concurrently).
-	OnDone func(JobResult)
 	// Tracker, when non-nil, observes the live schedule (per-job state,
 	// per-worker occupation, queue wait, crude ETA) and serves progress
 	// snapshots — the campaign "/status" view.
@@ -305,9 +300,6 @@ func (s *state) resolve(i int, r JobResult) {
 	default:
 		slog.Debug("sched: job resolved", "job", r.ID, "status", string(r.Status), "attempts", r.Attempts)
 	}
-	if s.opts.OnDone != nil {
-		s.opts.OnDone(r)
-	}
 	ok := r.Status == Done
 	for _, dep := range s.dag.dependents[i] {
 		if !ok && s.doomed[dep] == nil {
@@ -344,7 +336,6 @@ func statusMetric(s Status) string {
 // runWithRetry executes one job under the retry policy and reports the
 // final error and the number of attempts made.
 func runWithRetry(ctx context.Context, job Job, policy RetryPolicy) (error, int) {
-	backoff := policy.Backoff
 	for attempt := 1; ; attempt++ {
 		err := job.Run(ctx, attempt)
 		if err == nil || ctx.Err() != nil {
@@ -356,13 +347,5 @@ func runWithRetry(ctx context.Context, job Job, policy RetryPolicy) (error, int)
 		telemetry.Metrics.Counter("sched_job_retries_total",
 			"job attempts re-run after a retryable failure").Inc()
 		slog.Debug("sched: retrying job", "job", job.ID, "attempt", attempt, "err", err.Error())
-		if backoff > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return err, attempt
-			}
-			backoff *= 2
-		}
 	}
 }

@@ -272,25 +272,6 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-func TestOnDoneObservesEveryJob(t *testing.T) {
-	var seen []string
-	jobs := []Job{
-		{ID: "a", Run: noop},
-		{ID: "b", Deps: []string{"a"}, Run: func(context.Context, int) error { return errors.New("x") }},
-		{ID: "c", Deps: []string{"b"}, Run: noop},
-	}
-	_, err := Run(context.Background(), jobs, Options{
-		Parallelism: 2,
-		OnDone:      func(r JobResult) { seen = append(seen, r.ID+":"+string(r.Status)) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("OnDone calls = %v", seen)
-	}
-}
-
 // TestManyJobsRace is a stress shape for the -race detector: a wide
 // diamond DAG with shared counters.
 func TestManyJobsRace(t *testing.T) {

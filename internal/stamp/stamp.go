@@ -38,6 +38,18 @@ func Parse(s string) (Fingerprint, error) {
 	return f, nil
 }
 
+// MarshalText encodes f in its full hex form, so fingerprints travel
+// in JSON as strings.
+func (f Fingerprint) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText decodes the full hex form; anything Parse rejects is
+// an error.
+func (f *Fingerprint) UnmarshalText(b []byte) error {
+	fp, err := Parse(string(b))
+	*f = fp
+	return err
+}
+
 // Hasher accumulates labeled fields into a fingerprint. Every field is
 // written length-prefixed so no concatenation of values is ambiguous
 // ("ab"+"c" never hashes like "a"+"bc"), and the domain separates
