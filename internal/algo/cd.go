@@ -1,8 +1,9 @@
 package algo
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"graphalytics/internal/graph"
 )
@@ -45,15 +46,16 @@ func TallyVotes(votes []Vote, preference float64) (label int64, maxScore float64
 	if len(votes) == 0 {
 		return 0, 0, false
 	}
-	sort.Slice(votes, func(i, j int) bool {
-		a, b := votes[i], votes[j]
-		if a.Label != b.Label {
-			return a.Label < b.Label
+	slices.SortFunc(votes, func(a, b Vote) int {
+		switch {
+		case a.Label != b.Label:
+			return cmp.Compare(a.Label, b.Label)
+		case a.Score < b.Score:
+			return -1
+		case a.Score > b.Score:
+			return 1
 		}
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.Degree < b.Degree
+		return cmp.Compare(a.Degree, b.Degree)
 	})
 	bestLabel := votes[0].Label
 	bestWeight := math.Inf(-1)

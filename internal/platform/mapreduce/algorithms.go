@@ -16,6 +16,31 @@ const (
 	tagMsg   byte = 2
 )
 
+// iterate reruns job on its own output until the "updates" counter goes
+// quiet, adding each job's "traversed" counter to the engine counters.
+// A chain still updating after MaxJobs jobs is an error: its state is
+// not the algorithm's output.
+func (l *loaded) iterate(ctx context.Context, c *Cluster, kind algo.Kind, input []Record, job Job) ([]Record, error) {
+	output := input
+	for i := 0; i < l.p.opts.MaxJobs; i++ {
+		res, err := c.Run(ctx, output, job)
+		if err != nil {
+			return nil, err
+		}
+		output = res.Output
+		c.Counters.EdgesTraversed += res.Counters["traversed"]
+		if res.Counters["updates"] == 0 {
+			return output, nil
+		}
+	}
+	return nil, errCapped(kind, l.p.opts.MaxJobs)
+}
+
+// errCapped reports a job chain cut off by MaxJobs before it converged.
+func errCapped(kind algo.Kind, maxJobs int) error {
+	return fmt.Errorf("mapreduce: %s did not converge within MaxJobs=%d jobs", kind, maxJobs)
+}
+
 // ------------------------------ BFS ------------------------------
 
 // BFS state value: [tagState][updated][zigzag depth][out-adjacency].
@@ -29,19 +54,10 @@ func bfsState(updated bool, depth int64, adj []graph.VertexID) []byte {
 	return appendVertexList(buf, adj)
 }
 
-func (l *loaded) runBFS(ctx context.Context, c *Cluster, p algo.Params) (algo.BFSOutput, error) {
-	n := l.g.NumVertices()
-	input := make([]Record, n)
-	for v := 0; v < n; v++ {
-		depth := int64(-1)
-		updated := false
-		if graph.VertexID(v) == p.Source {
-			depth, updated = 0, true
-		}
-		input[v] = Record{Key: int64(v), Value: bfsState(updated, depth, l.g.OutNeighbors(graph.VertexID(v)))}
-	}
-
-	job := Job{
+// bfsJob is one BFS level: every vertex passes its state through, and a
+// vertex reached last round sends depth+1 to its out-neighbors.
+func bfsJob() Job {
+	return Job{
 		Name: "bfs-iter",
 		Map: func(tc *TaskCtx, r Record, emit Emit) {
 			buf := r.Value[2:]
@@ -82,18 +98,27 @@ func (l *loaded) runBFS(ctx context.Context, c *Cluster, p algo.Params) (algo.BF
 			emit(key, bfsState(updated, depth, adj))
 		},
 	}
+}
 
-	output := input
-	for i := 0; i < l.p.opts.MaxJobs; i++ {
-		res, err := c.Run(ctx, output, job)
-		if err != nil {
-			return nil, err
+// bfsInput is the state of every vertex of g before the first level.
+func bfsInput(g *graph.Graph, source graph.VertexID) []Record {
+	input := make([]Record, g.NumVertices())
+	for v := range input {
+		depth := int64(-1)
+		updated := false
+		if graph.VertexID(v) == source {
+			depth, updated = 0, true
 		}
-		output = res.Output
-		c.Counters.EdgesTraversed += res.Counters["traversed"]
-		if res.Counters["updates"] == 0 {
-			break
-		}
+		input[v] = Record{Key: int64(v), Value: bfsState(updated, depth, g.OutNeighbors(graph.VertexID(v)))}
+	}
+	return input
+}
+
+func (l *loaded) runBFS(ctx context.Context, c *Cluster, p algo.Params) (algo.BFSOutput, error) {
+	n := l.g.NumVertices()
+	output, err := l.iterate(ctx, c, algo.BFS, bfsInput(l.g, p.Source), bfsJob())
+	if err != nil {
+		return nil, err
 	}
 
 	depths := make(algo.BFSOutput, n)
@@ -169,17 +194,9 @@ func (l *loaded) runConn(ctx context.Context, c *Cluster, p algo.Params) (algo.C
 		},
 	}
 
-	output := input
-	for i := 0; i < l.p.opts.MaxJobs; i++ {
-		res, err := c.Run(ctx, output, job)
-		if err != nil {
-			return nil, err
-		}
-		output = res.Output
-		c.Counters.EdgesTraversed += res.Counters["traversed"]
-		if res.Counters["updates"] == 0 {
-			break
-		}
+	output, err := l.iterate(ctx, c, algo.CONN, input, job)
+	if err != nil {
+		return nil, err
 	}
 
 	labels := make(algo.ConnOutput, n)
@@ -559,6 +576,10 @@ func (l *loaded) runEvo(ctx context.Context, c *Cluster, p algo.Params) (algo.Ev
 				allowed[v] = append(allowed[v], f)
 			}
 		}
+	}
+
+	if len(allowed) > 0 {
+		return algo.EvoOutput{}, errCapped(algo.EVO, l.p.opts.MaxJobs)
 	}
 
 	evo := algo.EvoOutput{NewVertices: k}

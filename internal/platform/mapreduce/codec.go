@@ -20,14 +20,15 @@ func appendRecord(buf []byte, key int64, value []byte) []byte {
 	return append(buf, value...)
 }
 
-// readRecord parses one framed record and returns the remaining buffer.
-func readRecord(buf []byte) (Record, []byte) {
-	key, n := binary.Varint(buf)
-	buf = buf[n:]
-	l, n := binary.Uvarint(buf)
-	buf = buf[n:]
-	value := buf[:l:l]
-	return Record{Key: key, Value: value}, buf[l:]
+// readEntry parses the record framed at buf[off:], where buf is buffer
+// b of a sort's buffer list, and returns its sort entry and the offset
+// of the next record.
+func readEntry(buf []byte, off, b int) (entry, int) {
+	key, n := binary.Varint(buf[off:])
+	off += n
+	l, n := binary.Uvarint(buf[off:])
+	off += n
+	return entry{key: key, off: off, n: uint32(l), buf: uint32(b)}, off + int(l)
 }
 
 // appendUvarint / appendVarint / appendFloat primitives.

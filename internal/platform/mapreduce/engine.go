@@ -18,12 +18,20 @@
 //     engine processes any graph if given enough time ("MapReduce does
 //     not need to keep graph data in memory during processing and thus
 //     does not crash", §3.3).
+//
+// What is not modelled is harness overhead. A reduce partition is
+// sorted as pointer-free entries that index the spill buffers in place:
+// a stable LSD radix pass over the key, then a bytewise order of the
+// values within each key (the Hadoop sort order, key then value bytes).
+// Spill buffers, sort entries and the reducer's values slice belong to
+// the Cluster and are reused by the next job of the same chain, the way
+// a Hadoop task reuses its buffers and value objects.
 package mapreduce
 
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,17 +50,16 @@ type Record struct {
 // Emit receives output records from mappers and reducers.
 type Emit func(key int64, value []byte)
 
-// TaskCtx gives mappers/reducers access to job counters.
+// TaskCtx gives one map or reduce task access to job counters. Every
+// task owns its TaskCtx, so Inc takes no lock; the engine merges the
+// task counters in task order after each phase.
 type TaskCtx struct {
-	mu       sync.Mutex
 	counters map[string]int64
 }
 
 // Inc adds delta to a named job counter (Hadoop counter analogue).
 func (t *TaskCtx) Inc(name string, delta int64) {
-	t.mu.Lock()
 	t.counters[name] += delta
-	t.mu.Unlock()
 }
 
 // Job is one MapReduce job.
@@ -62,7 +69,11 @@ type Job struct {
 	// Map is invoked once per input record.
 	Map func(tc *TaskCtx, r Record, emit Emit)
 	// Reduce is invoked once per distinct key with all values for it
-	// (sorted bytewise).
+	// (sorted bytewise). values and the bytes it points at are valid
+	// only during the call: the engine reuses the slice for the next
+	// key and the spill buffers for the next job, as Hadoop reuses its
+	// value objects. Emit copies what it is given; anything else Reduce
+	// keeps must be decoded or copied.
 	Reduce func(tc *TaskCtx, key int64, values [][]byte, emit Emit)
 }
 
@@ -72,7 +83,9 @@ type JobResult struct {
 	Counters map[string]int64
 }
 
-// Cluster executes jobs.
+// Cluster executes jobs, one at a time. It keeps each slot's spill
+// buffers and sort scratch from one job to the next, so a job chain on
+// one Cluster allocates them once.
 type Cluster struct {
 	// Workers is the number of map/reduce slots (default GOMAXPROCS).
 	Workers int
@@ -80,6 +93,29 @@ type Cluster struct {
 	RoundOverhead time.Duration
 	// Counters accumulates engine metrics across jobs of one algorithm.
 	Counters *platform.Counters
+
+	slots []slot
+	// Job output sort: every reducer's output buffer and the entries
+	// that index them.
+	outBufs     [][]byte
+	outES, outT []entry
+}
+
+// slot is one map/reduce worker's state. As a mapper it fills one spill
+// buffer per reducer; as a reducer it sorts and reduces the buffers the
+// mappers filled for it and writes a fresh output buffer.
+type slot struct {
+	tc     TaskCtx
+	spill  [][]byte // [reducer] serialized map output, reused across jobs
+	counts []int    // [reducer] records in spill
+	bufs   [][]byte // [mapper] the spill buffers this reducer reads
+	es, t  []entry  // sort entries and radix scratch
+	values [][]byte // one key group, reused across groups
+	busy   time.Duration
+
+	out                        []byte // reducer output, the next job's input
+	outRecs                    int
+	spilled, network, shuffled int64
 }
 
 // Run executes one job over input.
@@ -103,228 +139,225 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 	sp.SetAttr("records_in", len(input))
 	defer sp.End()
 
-	tc := &TaskCtx{counters: map[string]int64{}}
-	errs := make([]error, workers)
-
-	// ------------------------- map phase -------------------------
-	// Each mapper serializes its emissions into per-reducer spill
-	// buffers (the in-memory stand-in for map output files), probing
-	// the context every CheckStride input records.
-	spills := make([][][]byte, workers) // [mapper][reducer] -> buffer
-	splits := splitRecords(input, workers)
-	var wg sync.WaitGroup
-	for m := 0; m < workers; m++ {
-		spills[m] = make([][]byte, workers)
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			start := time.Now()
-			emit := func(key int64, value []byte) {
-				r := int(uint64(key*0x9e3779b9) % uint64(workers))
-				if key < 0 {
-					r = int(uint64(-key) % uint64(workers))
-				}
-				spills[m][r] = appendRecord(spills[m][r], key, value)
-			}
-			for ri, rec := range splits[m] {
-				if ri%platform.CheckStride == 0 && ctx.Err() != nil {
-					errs[m] = platform.CheckContextPhase(ctx, "mapreduce/map")
-					break
-				}
-				job.Map(tc, rec, emit)
-			}
-			busyAdd(c.Counters, m, workers, time.Since(start))
-		}(m)
+	c.reset(workers)
+	counters := map[string]int64{}
+	err := c.mapPhase(ctx, input, job)
+	c.collect(counters)
+	if err == nil {
+		err = parallel(workers, func(r int) error { return c.reduce(ctx, r, job) })
+		c.collect(counters)
 	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	var output []Record
+	if err == nil {
+		output, err = c.output(ctx)
+	}
+	if err != nil {
 		sp.SetAttr("error", err.Error())
 		return nil, err
 	}
-
-	// --------------------- shuffle + sort phase ---------------------
-	// Each reducer fetches its buffer from every mapper (cross-worker
-	// fetches count as network traffic), deserializes, and sorts.
-	type reduceOut struct {
-		buf []byte
+	for i := range c.slots {
+		s := &c.slots[i]
+		c.Counters.Messages += s.shuffled
+		c.Counters.MessageBytes += s.spilled
+		c.Counters.SpilledBytes += s.spilled
+		c.Counters.NetworkBytes += s.network
 	}
-	outs := make([]reduceOut, workers)
-	var spilled, network, shuffled int64
-	var statMu sync.Mutex
-	for r := 0; r < workers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			start := time.Now()
-			var recs []Record
-			var localSpill, localNet, count int64
-			for m := 0; m < workers; m++ {
-				buf := spills[m][r]
-				localSpill += int64(len(buf))
-				if m != r {
-					localNet += int64(len(buf))
-				}
-				for len(buf) > 0 {
-					if count%int64(platform.CheckStride) == 0 && ctx.Err() != nil {
-						errs[r] = platform.CheckContextPhase(ctx, "mapreduce/shuffle")
-						return
-					}
-					var rec Record
-					rec, buf = readRecord(buf)
-					recs = append(recs, rec)
-					count++
-				}
-			}
-			sortRecords(recs)
-
-			// Group by key and reduce, serializing output (HDFS write).
-			var out []byte
-			emit := func(key int64, value []byte) {
-				out = appendRecord(out, key, value)
-			}
-			groups := 0
-			for i := 0; i < len(recs); {
-				if groups%platform.CheckStride == 0 && ctx.Err() != nil {
-					errs[r] = platform.CheckContextPhase(ctx, "mapreduce/reduce")
-					return
-				}
-				groups++
-				j := i
-				for j < len(recs) && recs[j].Key == recs[i].Key {
-					j++
-				}
-				values := make([][]byte, 0, j-i)
-				for k := i; k < j; k++ {
-					values = append(values, recs[k].Value)
-				}
-				job.Reduce(tc, recs[i].Key, values, emit)
-				i = j
-			}
-			outs[r] = reduceOut{buf: out}
-			statMu.Lock()
-			spilled += localSpill + int64(len(out))
-			network += localNet
-			shuffled += count
-			statMu.Unlock()
-			busyAdd(c.Counters, r, workers, time.Since(start))
-		}(r)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		sp.SetAttr("error", err.Error())
-		return nil, err
-	}
-	c.Counters.Messages += shuffled
-	c.Counters.MessageBytes += spilled
-	c.Counters.SpilledBytes += spilled
-	c.Counters.NetworkBytes += network
-
-	// Deserialize job output (HDFS read of the next job), one decoder
-	// per reducer output in parallel, concatenated in reducer order.
-	decoded := make([][]Record, workers)
-	for r := 0; r < workers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			buf := outs[r].buf
-			var recs []Record
-			for len(buf) > 0 {
-				if len(recs)%platform.CheckStride == 0 && ctx.Err() != nil {
-					errs[r] = platform.CheckContextPhase(ctx, "mapreduce/output")
-					return
-				}
-				var rec Record
-				rec, buf = readRecord(buf)
-				recs = append(recs, rec)
-			}
-			decoded[r] = recs
-		}(r)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
-		sp.SetAttr("error", err.Error())
-		return nil, err
-	}
-	total := 0
-	for _, recs := range decoded {
-		total += len(recs)
-	}
-	output := make([]Record, 0, total)
-	for _, recs := range decoded {
-		output = append(output, recs...)
-	}
-	sortRecords(output) // deterministic chaining independent of workers
 	sp.SetAttr("records_out", len(output))
-	return &JobResult{Output: output, Counters: tc.counters}, nil
+	return &JobResult{Output: output, Counters: counters}, nil
 }
 
-// firstError returns the lowest-indexed non-nil error from a per-worker
-// error slice (deterministic pick under concurrent interruption).
-func firstError(errs []error) error {
+// reset readies the slots for a job: it empties the spill buffers of the
+// previous job, whose reducers have copied out everything they emitted.
+func (c *Cluster) reset(workers int) {
+	if len(c.slots) != workers {
+		c.slots = make([]slot, workers)
+		for i := range c.slots {
+			c.slots[i] = slot{
+				tc:     TaskCtx{counters: map[string]int64{}},
+				spill:  make([][]byte, workers),
+				counts: make([]int, workers),
+				bufs:   make([][]byte, workers),
+			}
+		}
+		c.outBufs = make([][]byte, workers)
+	}
+	for i := range c.slots {
+		s := &c.slots[i]
+		for r := range s.spill {
+			s.spill[r] = s.spill[r][:0]
+		}
+		clear(s.counts)
+		clear(s.tc.counters)
+		s.spilled, s.network, s.shuffled = 0, 0, 0
+	}
+}
+
+// collect merges the task counters of the phase just run into counters
+// and the slots' busy time into the engine counters, in slot order.
+func (c *Cluster) collect(counters map[string]int64) {
+	if len(c.Counters.WorkerBusy) < len(c.slots) {
+		grown := make([]time.Duration, len(c.slots))
+		copy(grown, c.Counters.WorkerBusy)
+		c.Counters.WorkerBusy = grown
+	}
+	for i := range c.slots {
+		s := &c.slots[i]
+		for k, v := range s.tc.counters {
+			counters[k] += v
+		}
+		clear(s.tc.counters)
+		c.Counters.WorkerBusy[i] += s.busy
+		s.busy = 0
+	}
+}
+
+// mapPhase runs one mapper per slot over a contiguous split of input.
+// Each mapper serializes its emissions into per-reducer spill buffers
+// (the in-memory stand-in for map output files), probing the context
+// every CheckStride input records.
+func (c *Cluster) mapPhase(ctx context.Context, input []Record, job Job) error {
+	workers := len(c.slots)
+	chunk := (len(input) + workers - 1) / workers
+	return parallel(workers, func(m int) error {
+		s := &c.slots[m]
+		start := time.Now()
+		defer func() { s.busy += time.Since(start) }()
+		emit := func(key int64, value []byte) {
+			r := partition(key, workers)
+			s.spill[r] = appendRecord(s.spill[r], key, value)
+			s.counts[r]++
+		}
+		for i, rec := range input[min(m*chunk, len(input)):min((m+1)*chunk, len(input))] {
+			if i%platform.CheckStride == 0 && ctx.Err() != nil {
+				return platform.CheckContextPhase(ctx, "mapreduce/map")
+			}
+			job.Map(&s.tc, rec, emit)
+		}
+		return nil
+	})
+}
+
+// partition picks the reducer of key.
+func partition(key int64, workers int) int {
+	if key < 0 {
+		return int(uint64(-key) % uint64(workers))
+	}
+	return int(uint64(key*0x9e3779b9) % uint64(workers))
+}
+
+// reduce is reducer r's task: fetch its spill buffer from every mapper
+// (cross-worker fetches count as network traffic), decode and sort the
+// records, and reduce each key group into a fresh output buffer (the
+// HDFS write the next job reads).
+func (c *Cluster) reduce(ctx context.Context, r int, job Job) error {
+	s := &c.slots[r]
+	start := time.Now()
+	defer func() { s.busy += time.Since(start) }()
+
+	n := 0
+	for m := range c.slots {
+		s.bufs[m] = c.slots[m].spill[r]
+		n += c.slots[m].counts[r]
+	}
+	es := slices.Grow(s.es[:0], n)
+	for m, buf := range s.bufs {
+		s.spilled += int64(len(buf))
+		if m != r {
+			s.network += int64(len(buf))
+		}
+		for off := 0; off < len(buf); {
+			if len(es)%platform.CheckStride == 0 && ctx.Err() != nil {
+				return platform.CheckContextPhase(ctx, "mapreduce/shuffle")
+			}
+			var e entry
+			e, off = readEntry(buf, off, m)
+			es = append(es, e)
+		}
+	}
+	s.t = slices.Grow(s.t[:0], n)
+	s.es = es
+	es = sortEntries(es, s.t, s.bufs)
+
+	var out []byte
+	s.outRecs = 0
+	emit := func(key int64, value []byte) {
+		out = appendRecord(out, key, value)
+		s.outRecs++
+	}
+	values := s.values
+	for i, groups := 0, 0; i < len(es); groups++ {
+		if groups%platform.CheckStride == 0 && ctx.Err() != nil {
+			return platform.CheckContextPhase(ctx, "mapreduce/reduce")
+		}
+		key := es[i].key
+		values = values[:0]
+		for ; i < len(es) && es[i].key == key; i++ {
+			values = append(values, es[i].value(s.bufs))
+		}
+		job.Reduce(&s.tc, key, values, emit)
+	}
+	s.values = values
+	s.out = out
+	s.spilled += int64(len(out))
+	s.shuffled = int64(len(es))
+	return nil
+}
+
+// output deserializes the job output (the HDFS read of the next job),
+// one decoder per reducer output in parallel, and sorts it with the
+// partition sort so that chaining is independent of the worker count.
+func (c *Cluster) output(ctx context.Context) ([]Record, error) {
+	total := 0
+	for r := range c.slots {
+		c.outBufs[r] = c.slots[r].out
+		total += c.slots[r].outRecs
+	}
+	es := slices.Grow(c.outES[:0], total)[:total]
+	c.outES = es
+	err := parallel(len(c.slots), func(r int) error {
+		lo := 0
+		for i := range r {
+			lo += c.slots[i].outRecs
+		}
+		part := es[lo : lo+c.slots[r].outRecs]
+		for i, off := 0, 0; i < len(part); i++ {
+			if i%platform.CheckStride == 0 && ctx.Err() != nil {
+				return platform.CheckContextPhase(ctx, "mapreduce/output")
+			}
+			part[i], off = readEntry(c.outBufs[r], off, r)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.outT = slices.Grow(c.outT[:0], total)
+	es = sortEntries(es, c.outT, c.outBufs)
+	output := make([]Record, len(es))
+	for i, e := range es {
+		output[i] = Record{Key: e.key, Value: e.value(c.outBufs)}
+	}
+	return output, nil
+}
+
+// parallel runs task for every worker index concurrently and returns
+// the lowest-indexed error (deterministic pick under concurrent
+// interruption).
+func parallel(workers int, task func(w int) error) error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = task(w)
+		}()
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-var busyMu sync.Mutex
-
-func busyAdd(c *platform.Counters, w, workers int, d time.Duration) {
-	busyMu.Lock()
-	defer busyMu.Unlock()
-	if len(c.WorkerBusy) < workers {
-		grown := make([]time.Duration, workers)
-		copy(grown, c.WorkerBusy)
-		c.WorkerBusy = grown
-	}
-	c.WorkerBusy[w] += d
-}
-
-func splitRecords(input []Record, parts int) [][]Record {
-	out := make([][]Record, parts)
-	chunk := (len(input) + parts - 1) / parts
-	for p := 0; p < parts; p++ {
-		lo, hi := p*chunk, (p+1)*chunk
-		if lo > len(input) {
-			lo = len(input)
-		}
-		if hi > len(input) {
-			hi = len(input)
-		}
-		out[p] = input[lo:hi]
-	}
-	return out
-}
-
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		return compareBytes(recs[i].Value, recs[j].Value) < 0
-	})
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

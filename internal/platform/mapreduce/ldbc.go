@@ -170,17 +170,9 @@ func (l *loaded) runSSSP(ctx context.Context, c *Cluster, p algo.Params) (algo.S
 		},
 	}
 
-	output := input
-	for i := 0; i < l.p.opts.MaxJobs; i++ {
-		res, err := c.Run(ctx, output, job)
-		if err != nil {
-			return nil, err
-		}
-		output = res.Output
-		c.Counters.EdgesTraversed += res.Counters["traversed"]
-		if res.Counters["updates"] == 0 {
-			break
-		}
+	output, err := l.iterate(ctx, c, algo.SSSP, input, job)
+	if err != nil {
+		return nil, err
 	}
 
 	dists := make(algo.SSSPOutput, n)

@@ -39,20 +39,21 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	buf = appendRecord(buf, 42, []byte("hello"))
 	buf = appendRecord(buf, -7, nil)
 	buf = appendRecord(buf, 0, []byte{1, 2, 3})
-	r1, rest := readRecord(buf)
-	r2, rest := readRecord(rest)
-	r3, rest := readRecord(rest)
-	if len(rest) != 0 {
-		t.Fatalf("trailing bytes: %d", len(rest))
+	bufs := [][]byte{buf}
+	e1, off := readEntry(buf, 0, 0)
+	e2, off := readEntry(buf, off, 0)
+	e3, off := readEntry(buf, off, 0)
+	if off != len(buf) {
+		t.Fatalf("trailing bytes: %d", len(buf)-off)
 	}
-	if r1.Key != 42 || string(r1.Value) != "hello" {
-		t.Errorf("r1 = %+v", r1)
+	if e1.key != 42 || string(e1.value(bufs)) != "hello" {
+		t.Errorf("e1 = %+v", e1)
 	}
-	if r2.Key != -7 || len(r2.Value) != 0 {
-		t.Errorf("r2 = %+v", r2)
+	if e2.key != -7 || len(e2.value(bufs)) != 0 {
+		t.Errorf("e2 = %+v", e2)
 	}
-	if r3.Key != 0 || len(r3.Value) != 3 {
-		t.Errorf("r3 = %+v", r3)
+	if e3.key != 0 || len(e3.value(bufs)) != 3 {
+		t.Errorf("e3 = %+v", e3)
 	}
 }
 

@@ -18,7 +18,8 @@ type Options struct {
 	// RoundOverhead is the per-job scheduling cost (default 250ms; the
 	// YARN analogue). Set negative for zero.
 	RoundOverhead time.Duration
-	// MaxJobs bounds iterative job chains (safety; default 10000).
+	// MaxJobs bounds iterative job chains (safety; default 10000). A
+	// chain that has not converged within it fails with an error.
 	MaxJobs int
 }
 
