@@ -1,8 +1,9 @@
 package dataflow
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"graphalytics/internal/algo"
@@ -49,7 +50,7 @@ func (l *loaded) runBFS(ctx context.Context, env *Env, p algo.Params) (algo.BFSO
 		if err != nil {
 			return nil, err
 		}
-		if len(msgs) == 0 {
+		if msgs.Len() == 0 {
 			break
 		}
 		nextActive := make([]bool, n)
@@ -104,7 +105,7 @@ func (l *loaded) runConn(ctx context.Context, env *Env, p algo.Params) (algo.Con
 		if err != nil {
 			return nil, err
 		}
-		if len(msgs) == 0 {
+		if msgs.Len() == 0 {
 			break
 		}
 		nextActive := make([]bool, n)
@@ -159,17 +160,17 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 			return nil, err
 		}
 		env.Counters.Supersteps++
-		// Votes travel once per unordered neighbor pair (canonical arcs),
-		// merged by list concatenation; TallyVotes canonicalizes order.
-		msgs, err := AggregateMessages(ctx, env, verts, 20, 20,
-			func(c *Ctx[[]algo.Vote], u, v graph.VertexID, du, dv cdVD) {
+		// Votes travel once per unordered neighbor pair (canonical arcs)
+		// and are collected into one list per vertex; TallyVotes
+		// canonicalizes their order.
+		msgs, err := CollectMessages(ctx, env, verts, 20, 20,
+			func(c *Ctx[algo.Vote], u, v graph.VertexID, du, dv cdVD) {
 				if !c.Canonical(u, v) {
 					return
 				}
-				c.SendToDst(v, []algo.Vote{{Label: du.label, Score: du.score, Degree: du.degree}})
-				c.SendToSrc(u, []algo.Vote{{Label: dv.label, Score: dv.score, Degree: dv.degree}})
-			},
-			func(a, b []algo.Vote) []algo.Vote { return append(a, b...) })
+				c.SendToDst(v, algo.Vote{Label: du.label, Score: du.score, Degree: du.degree})
+				c.SendToSrc(u, algo.Vote{Label: dv.label, Score: dv.score, Degree: dv.degree})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -233,23 +234,15 @@ func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoO
 
 	burnedCount := make([]int, k)
 	dead := make([]bool, k)
-	allowed := make(map[graph.VertexID][]uint32)
+	allowed := newMsgs[[]uint32](n)
 	for f := 0; f < k; f++ {
 		a := graph.VertexID(xrand.Mix3(p.Seed, uint64(n+f), 0) % uint64(n))
-		allowed[a] = append(allowed[a], uint32(f))
+		allowed.set(a, append(allowed.Get(a), uint32(f)))
 		burnedCount[f] = 1
 	}
+	slices.Sort(allowed.keys)
 
-	has := func(list []uint32, f uint32) bool {
-		for _, x := range list {
-			if x == f {
-				return true
-			}
-		}
-		return false
-	}
-
-	for level := 0; level < p.MaxIterations && len(allowed) > 0; level++ {
+	for level := 0; level < p.MaxIterations && allowed.Len() > 0; level++ {
 		if err := platform.CheckContext(ctx); err != nil {
 			return algo.EvoOutput{}, err
 		}
@@ -258,8 +251,7 @@ func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoO
 		// Burn the approved vertices (new dataset version) and compute
 		// the driver-side spread targets for this level.
 		spread := make(map[graph.VertexID][]uint32) // target -> requesting fires
-		levelAllowed := allowed
-		verts, err = JoinVertices(ctx, env, verts, 32, levelAllowed, func(v graph.VertexID, d evoVD, fires []uint32) evoVD {
+		verts, err = JoinVertices(ctx, env, verts, 32, allowed, func(v graph.VertexID, d evoVD, fires []uint32) evoVD {
 			nb := append(append([]uint32(nil), d.burned...), fires...)
 			return evoVD{burned: nb}
 		})
@@ -268,21 +260,16 @@ func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoO
 		}
 		// Deterministic spread: iterate burning vertices in ascending ID
 		// order, fires ascending.
-		burnVs := make([]graph.VertexID, 0, len(levelAllowed))
-		for v := range levelAllowed {
-			burnVs = append(burnVs, v)
-		}
-		sort.Slice(burnVs, func(i, j int) bool { return burnVs[i] < burnVs[j] })
-		for _, v := range burnVs {
-			fires := append([]uint32(nil), levelAllowed[v]...)
-			sort.Slice(fires, func(i, j int) bool { return fires[i] < fires[j] })
+		for _, v := range allowed.keys {
+			fires := slices.Clone(allowed.Get(v))
+			slices.Sort(fires)
 			for _, f := range fires {
 				picks := algo.FirePicks(l.g, graph.VertexID(n+int(f)), v, p)
 				env.Counters.Messages += int64(len(picks))
 				env.Counters.MessageBytes += int64(len(picks)) * 4
 				env.Counters.EdgesTraversed += int64(len(picks))
 				for _, w := range picks {
-					if !has(spread[w], f) {
+					if !slices.Contains(spread[w], f) {
 						spread[w] = append(spread[w], f)
 					}
 				}
@@ -294,25 +281,24 @@ func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoO
 		cands := make(map[uint32][]graph.VertexID)
 		for w, fires := range spread {
 			for _, f := range fires {
-				if has(verts[w].burned, f) {
+				if slices.Contains(verts[w].burned, f) {
 					continue
 				}
 				cands[f] = append(cands[f], w)
 			}
 		}
-		allowed = make(map[graph.VertexID][]uint32)
-		fireIDs := make([]int, 0, len(cands))
+		allowed = newMsgs[[]uint32](n)
+		fireIDs := make([]uint32, 0, len(cands))
 		for f := range cands {
-			fireIDs = append(fireIDs, int(f))
+			fireIDs = append(fireIDs, f)
 		}
-		sort.Ints(fireIDs)
-		for _, fi := range fireIDs {
-			f := uint32(fi)
+		slices.Sort(fireIDs)
+		for _, f := range fireIDs {
 			if dead[f] {
 				continue
 			}
 			vs := cands[f]
-			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+			slices.Sort(vs)
 			room := p.EvoMaxBurn - burnedCount[f]
 			if len(vs) >= room {
 				vs = vs[:room]
@@ -320,9 +306,10 @@ func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoO
 			}
 			burnedCount[f] += len(vs)
 			for _, v := range vs {
-				allowed[v] = append(allowed[v], f)
+				allowed.set(v, append(allowed.Get(v), f))
 			}
 		}
+		slices.Sort(allowed.keys)
 	}
 
 	out := algo.EvoOutput{NewVertices: k}
@@ -331,11 +318,11 @@ func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoO
 			out.Edges = append(out.Edges, [2]graph.VertexID{graph.VertexID(n + int(f)), graph.VertexID(v)})
 		}
 	}
-	sort.Slice(out.Edges, func(i, j int) bool {
-		if out.Edges[i][0] != out.Edges[j][0] {
-			return out.Edges[i][0] < out.Edges[j][0]
+	slices.SortFunc(out.Edges, func(a, b [2]graph.VertexID) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return out.Edges[i][1] < out.Edges[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	return out, nil
 }

@@ -122,7 +122,7 @@ func canonicalPairs(t *testing.T, g *graph.Graph) map[graph.VertexID]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return asMap(got)
 }
 
 func TestCanonicalArc(t *testing.T) {

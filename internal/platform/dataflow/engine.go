@@ -18,12 +18,30 @@
 //     referenced ("cached RDDs awaiting unpersist"), multiplying the
 //     resident footprint;
 //   - an enforced memory budget turns that footprint into the observable
-//     OOM failures that appear as missing values in Figure 4.
+//     OOM failures that appear as missing values in Figure 4;
+//   - messages are counted per arc (Messages, MessageBytes) and charged
+//     to the network unless the destination hashes to the sending
+//     partition, like GraphX's routing of messages to vertex partitions;
+//     the merged message dataset is charged at (msgSize+8) bytes per
+//     receiver.
+//
+// What is not modelled is the harness's own bookkeeping, which stays
+// off the hash-map path: like GraphX's edge-partition scan, each
+// partition aggregates into a dense array over the vertex ids plus a
+// received flag per vertex, and the shuffle folds the partitions'
+// arrays per vertex in ascending partition order, so float merges are
+// bit-identical for a given Parts. List-valued messages (CollectMessages,
+// GraphX's collectNeighbors) are appended to per-partition pair buffers
+// kept for the whole run and cut into per-vertex lists by a counting
+// sort. The accumulators cost Parts × |V| × (sizeof(M)+1) bytes of real
+// memory per AggregateMessages call; the memory budget does not see
+// them, as it does not see the Go maps they replaced.
 package dataflow
 
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,6 +57,9 @@ type Env struct {
 	Counters *platform.Counters
 
 	retained []int64 // byte sizes of retained versions (FIFO)
+	// collect holds the []*Ctx[M] of the last CollectMessages call, whose
+	// pair buffers the next call of the same M reuses.
+	collect any
 }
 
 // retainWindow is how many dataset versions lineage keeps alive.
@@ -81,27 +102,39 @@ func (e *Env) releaseAll() {
 	e.retained = nil
 }
 
-// Ctx is the per-arc message context handed to send functions.
+// Ctx is the per-arc message context handed to send functions. An
+// aggregating scan merges each message into the partition's dense
+// accumulator (acc, has); a collecting scan (merge == nil) appends it to
+// the partition's pair buffer (dsts, msgs).
 type Ctx[M any] struct {
 	env     *Env
 	part    int
-	acc     map[graph.VertexID]M
+	acc     []M
+	has     []bool
 	merge   func(M, M) M
+	dsts    []graph.VertexID
+	msgs    []M
 	msgSize int64
 	sent    int64
 	sentB   int64
 	netB    int64
 	edges   int64
+	busy    time.Duration
 	// repeat is set while the scanned arc repeats its predecessor in the
 	// source's sorted adjacency: a parallel arc of a multigraph.
 	repeat bool
 }
 
 func (c *Ctx[M]) deliver(dst graph.VertexID, m M) {
-	if old, ok := c.acc[dst]; ok {
-		c.acc[dst] = c.merge(old, m)
-	} else {
+	switch {
+	case c.merge == nil:
+		c.dsts = append(c.dsts, dst)
+		c.msgs = append(c.msgs, m)
+	case c.has[dst]:
+		c.acc[dst] = c.merge(c.acc[dst], m)
+	default:
 		c.acc[dst] = m
+		c.has[dst] = true
 	}
 	c.sent++
 	c.sentB += c.msgSize
@@ -126,58 +159,192 @@ type SendFunc[VD, M any] func(c *Ctx[M], u, v graph.VertexID, du, dv VD)
 // graph, used by the weighted workloads (SSSP).
 type SendFuncW[VD, M any] func(c *Ctx[M], u, v graph.VertexID, w float64, du, dv VD)
 
+// Msgs is a message dataset with at most one message per vertex, the
+// result of AggregateMessages and CollectMessages and the input of
+// JoinVertices. It is held densely over the vertex ids, like GraphX's
+// aggregate array plus bitset; a vertex that received nothing reads as
+// M's zero value.
+type Msgs[M any] struct {
+	vals []M
+	has  []bool
+	keys []graph.VertexID // the receivers, ascending
+}
+
+func newMsgs[M any](n int) Msgs[M] {
+	return Msgs[M]{vals: make([]M, n), has: make([]bool, n)}
+}
+
+// Len returns the number of vertices that received a message.
+func (m Msgs[M]) Len() int { return len(m.keys) }
+
+// Get returns v's message, or the zero M if v received none.
+func (m Msgs[M]) Get(v graph.VertexID) M { return m.vals[v] }
+
+// set stores x as v's message. A caller that sets receivers out of
+// ascending order sorts keys afterwards.
+func (m *Msgs[M]) set(v graph.VertexID, x M) {
+	m.vals[v] = x
+	if !m.has[v] {
+		m.has[v] = true
+		m.keys = append(m.keys, v)
+	}
+}
+
 // AggregateMessages scans all arcs (triplet view) and returns the merged
 // message per vertex. verts is the current vertex attribute dataset;
 // vdSize and msgSize are the per-element sizes used for memory and
 // network accounting. merge must be commutative and associative (or the
-// caller must canonicalize afterwards, as the CD vote-list merge does).
-func AggregateMessages[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize, msgSize int64, send SendFunc[VD, M], merge func(M, M) M) (map[graph.VertexID]M, error) {
+// caller must canonicalize afterwards).
+func AggregateMessages[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize, msgSize int64, send SendFunc[VD, M], merge func(M, M) M) (Msgs[M], error) {
 	return AggregateMessagesW(ctx, env, verts, vdSize, msgSize,
 		func(c *Ctx[M], u, v graph.VertexID, _ float64, du, dv VD) { send(c, u, v, du, dv) }, merge)
 }
 
 // AggregateMessagesW is AggregateMessages with edge weights exposed to
-// the send function. The triplet scan is chunked across env.Parts
-// workers, each probing ctx every CheckStride source vertices, so even
-// one scan over a huge arc set stays interruptible.
-func AggregateMessagesW[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize, msgSize int64, send SendFuncW[VD, M], merge func(M, M) M) (map[graph.VertexID]M, error) {
+// the send function. Each partition merges its messages into a dense
+// accumulator over all vertices, in scan order; the shuffle then folds
+// partitions 1…Parts-1 into partition 0's accumulator, per vertex in
+// ascending partition order, chunked by vertex range across env.Parts
+// workers. That fixed association makes float merges bit-identical for
+// a given Parts.
+func AggregateMessagesW[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize, msgSize int64, send SendFuncW[VD, M], merge func(M, M) M) (Msgs[M], error) {
 	n := env.G.NumVertices()
-	arcs := env.G.NumArcs()
+	ctxs := make([]*Ctx[M], env.Parts)
+	for p := range ctxs {
+		ctxs[p] = &Ctx[M]{env: env, part: p, acc: make([]M, n), has: make([]bool, n), merge: merge, msgSize: msgSize}
+	}
+	release, err := chargeMirrors(env, vdSize)
+	if err != nil {
+		return Msgs[M]{}, err
+	}
+	defer release()
+	if err := scan(ctx, env, verts, ctxs, send); err != nil {
+		return Msgs[M]{}, err
+	}
 
-	// Triplet view: vertex attributes are mirrored into edge partitions.
-	// The mirrors live for the duration of the scan.
-	mirrorBytes := arcs * vdSize
-	if env.Mem != nil {
-		if err := env.Mem.Alloc(mirrorBytes); err != nil {
-			env.Mem.Free(mirrorBytes)
-			return nil, err
+	out := Msgs[M]{vals: ctxs[0].acc, has: ctxs[0].has}
+	keys := make([][]graph.VertexID, env.Parts)
+	if err := forChunks(env.Parts, n, func(part, lo, hi int) error {
+		var ks []graph.VertexID
+		for v := lo; v < hi; v++ {
+			if (v-lo)%platform.CheckStride == 0 && ctx.Err() != nil {
+				return platform.CheckContextPhase(ctx, "dataflow/shuffle")
+			}
+			for _, c := range ctxs[1:] {
+				switch {
+				case !c.has[v]:
+				case out.has[v]:
+					out.vals[v] = merge(out.vals[v], c.acc[v])
+				default:
+					out.vals[v], out.has[v] = c.acc[v], true
+				}
+			}
+			if out.has[v] {
+				ks = append(ks, graph.VertexID(v))
+			}
+		}
+		keys[part] = ks
+		return nil
+	}); err != nil {
+		return Msgs[M]{}, err
+	}
+	out.keys = slices.Concat(keys...)
+	if err := chargeMerged(env, out.Len(), msgSize); err != nil {
+		return Msgs[M]{}, err
+	}
+	return out, nil
+}
+
+// CollectMessages scans all arcs like AggregateMessages but keeps every
+// message: each vertex receives the list of its messages, concatenated
+// in (partition, scan) order — GraphX's collectNeighbors. msgSize is
+// the accounted size of one message. Each partition appends
+// (destination, message) pairs to a buffer the Env keeps for the whole
+// run; a counting sort over destinations then cuts every vertex's list
+// from one arena. Each list is capped at its own length, so appending
+// to it reallocates instead of writing into the next vertex's list.
+func CollectMessages[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize, msgSize int64, send SendFunc[VD, M]) (Msgs[[]M], error) {
+	ctxs, ok := env.collect.([]*Ctx[M])
+	if !ok {
+		ctxs = make([]*Ctx[M], env.Parts)
+		for p := range ctxs {
+			ctxs[p] = &Ctx[M]{}
+		}
+		env.collect = ctxs
+	}
+	for p, c := range ctxs {
+		*c = Ctx[M]{env: env, part: p, dsts: c.dsts[:0], msgs: c.msgs[:0], msgSize: msgSize}
+	}
+	release, err := chargeMirrors(env, vdSize)
+	if err != nil {
+		return Msgs[[]M]{}, err
+	}
+	defer release()
+	if err := scan(ctx, env, verts, ctxs,
+		func(c *Ctx[M], u, v graph.VertexID, _ float64, du, dv VD) { send(c, u, v, du, dv) }); err != nil {
+		return Msgs[[]M]{}, err
+	}
+
+	n := env.G.NumVertices()
+	out := newMsgs[[]M](n)
+	counts := make([]int, n)
+	total := 0
+	for _, c := range ctxs {
+		for i, d := range c.dsts {
+			if i%platform.CheckStride == 0 && ctx.Err() != nil {
+				return Msgs[[]M]{}, platform.CheckContextPhase(ctx, "dataflow/shuffle")
+			}
+			counts[d]++
+		}
+		total += len(c.dsts)
+	}
+	arena := make([]M, total)
+	off := 0
+	for v, k := range counts {
+		if v%platform.CheckStride == 0 && ctx.Err() != nil {
+			return Msgs[[]M]{}, platform.CheckContextPhase(ctx, "dataflow/shuffle")
+		}
+		if k > 0 {
+			out.vals[v] = arena[off : off : off+k]
+			out.has[v] = true
+			out.keys = append(out.keys, graph.VertexID(v))
+			off += k
 		}
 	}
-	defer func() {
-		if env.Mem != nil {
-			env.Mem.Free(mirrorBytes)
+	for _, c := range ctxs {
+		for i, d := range c.dsts {
+			if i%platform.CheckStride == 0 && ctx.Err() != nil {
+				return Msgs[[]M]{}, platform.CheckContextPhase(ctx, "dataflow/shuffle")
+			}
+			out.vals[d] = append(out.vals[d], c.msgs[i])
 		}
-	}()
+	}
+	if err := chargeMerged(env, out.Len(), msgSize); err != nil {
+		return Msgs[[]M]{}, err
+	}
+	return out, nil
+}
 
-	parts := env.Parts
-	ctxs := make([]*Ctx[M], parts)
-	errs := make([]error, parts)
+// scan is the triplet scan shared by AggregateMessagesW and
+// CollectMessages: send runs on every arc, the sources chunked across
+// env.Parts partitions with partition p delivering through ctxs[p]. Each
+// partition probes ctx every CheckStride source vertices, so even one
+// scan over a huge arc set stays interruptible. The partitions' counters
+// are added to env.Counters.
+func scan[VD, M any](ctx context.Context, env *Env, verts []VD, ctxs []*Ctx[M], send SendFuncW[VD, M]) error {
+	n := env.G.NumVertices()
+	errs := make([]error, len(ctxs))
 	var wg sync.WaitGroup
-	chunk := (n + parts - 1) / parts
-	for p := 0; p < parts; p++ {
-		lo, hi := p*chunk, (p+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		ctxs[p] = &Ctx[M]{env: env, part: p, acc: make(map[graph.VertexID]M), merge: merge, msgSize: msgSize}
+	chunk := (n + len(ctxs) - 1) / len(ctxs)
+	for p, c := range ctxs {
+		lo, hi := p*chunk, min((p+1)*chunk, n)
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go func(p, lo, hi int) {
+		go func(p, lo, hi int, c *Ctx[M]) {
 			defer wg.Done()
 			t0 := time.Now()
-			c := ctxs[p]
 			for u := lo; u < hi; u++ {
 				if (u-lo)%platform.CheckStride == 0 && ctx.Err() != nil {
 					errs[p] = platform.CheckContextPhase(ctx, "dataflow/aggregate")
@@ -191,122 +358,53 @@ func AggregateMessagesW[VD, M any](ctx context.Context, env *Env, verts []VD, vd
 					c.edges++
 				}
 			}
-			busyAdd(env.Counters, p, parts, time.Since(t0))
-		}(p, lo, hi)
+			c.busy = time.Since(t0)
+		}(p, lo, hi, c)
 	}
 	wg.Wait()
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return err
 	}
-	var msgBytes int64
-	for _, c := range ctxs {
+	if len(env.Counters.WorkerBusy) < len(ctxs) {
+		grown := make([]time.Duration, len(ctxs))
+		copy(grown, env.Counters.WorkerBusy)
+		env.Counters.WorkerBusy = grown
+	}
+	for p, c := range ctxs {
 		env.Counters.Messages += c.sent
 		env.Counters.MessageBytes += c.sentB
 		env.Counters.NetworkBytes += c.netB
 		env.Counters.EdgesTraversed += c.edges
-		msgBytes += c.sentB
+		env.Counters.WorkerBusy[p] += c.busy
 	}
-
-	out, err := shuffleMerge(ctx, env, ctxs, merge)
-	if err != nil {
-		return nil, err
-	}
-	// Merged message dataset is retained until joined.
-	if env.Mem != nil {
-		if err := env.Mem.Alloc(int64(len(out)) * (msgSize + 8)); err != nil {
-			env.Mem.Free(int64(len(out)) * (msgSize + 8))
-			return nil, err
-		}
-		env.Mem.Free(int64(len(out)) * (msgSize + 8))
-	}
-	return out, nil
+	return nil
 }
 
-// shuffleMerge combines the per-partition accumulators into one message
-// dataset. Each source partition buckets its accumulator by destination
-// shard (parallel), then each shard merges its buckets in ascending
-// partition order (parallel) — per key that is the exact merge order the
-// old sequential loop used, so the result is unchanged for any Parts.
-func shuffleMerge[M any](ctx context.Context, env *Env, ctxs []*Ctx[M], merge func(M, M) M) (map[graph.VertexID]M, error) {
-	parts := env.Parts
-	if parts == 1 {
-		// Single partition: its accumulator already is the merged dataset.
-		return ctxs[0].acc, nil
+// chargeMirrors accounts the triplet view: the vertex attributes
+// mirrored into the edge partitions, held until the returned release
+// is called once the scan's messages are merged.
+func chargeMirrors(env *Env, vdSize int64) (release func(), err error) {
+	if env.Mem == nil {
+		return func() {}, nil
 	}
-	type kv struct {
-		v graph.VertexID
-		m M
-	}
-	shardOf := func(v graph.VertexID) int {
-		return int(uint64(v)*0x9e3779b97f4a7c15>>32) % parts
-	}
-	buckets := make([][][]kv, parts) // [src partition][dst shard]
-	errs := make([]error, parts)
-	var bwg sync.WaitGroup
-	for p := 0; p < parts; p++ {
-		bwg.Add(1)
-		go func(p int) {
-			defer bwg.Done()
-			b := make([][]kv, parts)
-			cnt := 0
-			for v, m := range ctxs[p].acc {
-				if cnt%platform.CheckStride == 0 && ctx.Err() != nil {
-					errs[p] = platform.CheckContextPhase(ctx, "dataflow/shuffle")
-					return
-				}
-				cnt++
-				s := shardOf(v)
-				b[s] = append(b[s], kv{v, m})
-			}
-			buckets[p] = b
-		}(p)
-	}
-	bwg.Wait()
-	if err := firstError(errs); err != nil {
+	bytes := env.G.NumArcs() * vdSize
+	if err := env.Mem.Alloc(bytes); err != nil {
+		env.Mem.Free(bytes)
 		return nil, err
 	}
+	return func() { env.Mem.Free(bytes) }, nil
+}
 
-	shards := make([]map[graph.VertexID]M, parts)
-	var mwg sync.WaitGroup
-	for s := 0; s < parts; s++ {
-		mwg.Add(1)
-		go func(s int) {
-			defer mwg.Done()
-			shard := make(map[graph.VertexID]M)
-			cnt := 0
-			for p := 0; p < parts; p++ {
-				for _, e := range buckets[p][s] {
-					if cnt%platform.CheckStride == 0 && ctx.Err() != nil {
-						errs[s] = platform.CheckContextPhase(ctx, "dataflow/shuffle")
-						return
-					}
-					cnt++
-					if old, ok := shard[e.v]; ok {
-						shard[e.v] = merge(old, e.m)
-					} else {
-						shard[e.v] = e.m
-					}
-				}
-			}
-			shards[s] = shard
-		}(s)
+// chargeMerged accounts the merged message dataset of receivers
+// vertices, retained until it is joined.
+func chargeMerged(env *Env, receivers int, msgSize int64) error {
+	if env.Mem == nil {
+		return nil
 	}
-	mwg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	total := 0
-	for _, shard := range shards {
-		total += len(shard)
-	}
-	out := make(map[graph.VertexID]M, total)
-	for _, shard := range shards {
-		for v, m := range shard {
-			out[v] = m
-		}
-	}
-	return out, nil
+	bytes := int64(receivers) * (msgSize + 8)
+	err := env.Mem.Alloc(bytes)
+	env.Mem.Free(bytes)
+	return err
 }
 
 // JoinVertices materializes the next immutable vertex dataset: a full
@@ -314,7 +412,7 @@ func shuffleMerge[M any](ctx context.Context, env *Env, ctxs []*Ctx[M], merge fu
 // copy and the per-message joins are chunked across env.Parts workers;
 // f may be called concurrently and must not mutate state shared across
 // calls (per-vertex writes to distinct slice elements are fine).
-func JoinVertices[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize int64, msgs map[graph.VertexID]M, f func(v graph.VertexID, d VD, m M) VD) ([]VD, error) {
+func JoinVertices[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize int64, msgs Msgs[M], f func(v graph.VertexID, d VD, m M) VD) ([]VD, error) {
 	if err := env.allocRetained(int64(len(verts)) * vdSize); err != nil {
 		return nil, err
 	}
@@ -328,17 +426,12 @@ func JoinVertices[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize i
 	}); err != nil {
 		return nil, err
 	}
-	keys := make([]graph.VertexID, 0, len(msgs))
-	for v := range msgs {
-		keys = append(keys, v)
-	}
-	if err := forChunks(env.Parts, len(keys), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if (i-lo)%platform.CheckStride == 0 && ctx.Err() != nil {
+	if err := forChunks(env.Parts, msgs.Len(), func(_, lo, hi int) error {
+		for i, v := range msgs.keys[lo:hi] {
+			if i%platform.CheckStride == 0 && ctx.Err() != nil {
 				return platform.CheckContextPhase(ctx, "dataflow/join")
 			}
-			v := keys[i]
-			next[v] = f(v, verts[v], msgs[v])
+			next[v] = f(v, verts[v], msgs.vals[v])
 		}
 		return nil
 	}); err != nil {
@@ -416,20 +509,4 @@ func firstError(errs []error) error {
 // pair (CD votes, STATS counts) send only along canonical arcs.
 func (c *Ctx[M]) Canonical(u, v graph.VertexID) bool {
 	return !c.repeat && (u < v || !c.env.G.HasArc(v, u))
-}
-
-var busyMu sync.Mutex
-
-func busyAdd(c *platform.Counters, w, workers int, d time.Duration) {
-	if c == nil {
-		return
-	}
-	busyMu.Lock()
-	defer busyMu.Unlock()
-	if len(c.WorkerBusy) < workers {
-		grown := make([]time.Duration, workers)
-		copy(grown, c.WorkerBusy)
-		c.WorkerBusy = grown
-	}
-	c.WorkerBusy[w] += d
 }

@@ -10,7 +10,7 @@ package dataflow
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"graphalytics/internal/algo"
@@ -57,7 +57,7 @@ func (l *loaded) runPageRank(ctx context.Context, env *Env, p algo.Params) (algo
 		}
 		base := (1-d)*inv + d*dangling*inv
 		ranks, err = MapVertices(ctx, env, n, 8, func(v graph.VertexID) float64 {
-			return base + d*contribs[v]
+			return base + d*contribs.Get(v)
 		})
 		if err != nil {
 			return nil, err
@@ -103,7 +103,7 @@ func (l *loaded) runSSSP(ctx context.Context, env *Env, p algo.Params) (algo.SSS
 		if err != nil {
 			return nil, err
 		}
-		if len(msgs) == 0 {
+		if msgs.Len() == 0 {
 			break
 		}
 		nextActive := make([]bool, n)
@@ -141,17 +141,16 @@ func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCO
 		return nil, err
 	}
 	env.Counters.Supersteps++
-	collected, err := AggregateMessages(ctx, env, empty, 24, 24,
-		func(c *Ctx[[]graph.VertexID], u, v graph.VertexID, _, _ []graph.VertexID) {
-			c.SendToDst(v, []graph.VertexID{u})
-			c.SendToSrc(u, []graph.VertexID{v})
-		},
-		func(a, b []graph.VertexID) []graph.VertexID { return append(a, b...) })
+	collected, err := CollectMessages(ctx, env, empty, 24, 24,
+		func(c *Ctx[graph.VertexID], u, v graph.VertexID, _, _ []graph.VertexID) {
+			c.SendToDst(v, u)
+			c.SendToSrc(u, v)
+		})
 	if err != nil {
 		return nil, err
 	}
 	nbh, err := JoinVertices(ctx, env, empty, 24, collected, func(v graph.VertexID, _ []graph.VertexID, ids []graph.VertexID) []graph.VertexID {
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		out := ids[:0]
 		var last graph.VertexID
 		for i, x := range ids {
@@ -201,7 +200,7 @@ func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCO
 	for v := 0; v < n; v++ {
 		d := float64(len(nbh[v]))
 		if d >= 2 {
-			lcc[v] = float64(counts[graph.VertexID(v)]) / (d * (d - 1))
+			lcc[v] = float64(counts.Get(graph.VertexID(v))) / (d * (d - 1))
 		}
 	}
 	return lcc, nil

@@ -73,6 +73,33 @@ func (s *Store) InNeighborsTest(v graph.VertexID) []graph.VertexID {
 	return s.InNeighbors(v, nil)
 }
 
+// TestNeighborGathersKeepPrefix checks the "appended to buf" contract:
+// the gathers sort and dedup only what they append.
+func TestNeighborGathersKeepPrefix(t *testing.T) {
+	b := graph.NewBuilder(graph.Directed(true), graph.WithReverse())
+	for _, e := range [][2]graph.VertexID{{0, 1}, {2, 1}, {1, 3}, {3, 1}} {
+		b.AddEdgeID(e[0], e[1])
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := BuildStore(g, 0)
+	for _, c := range []struct {
+		name   string
+		gather func(graph.VertexID, []graph.VertexID) []graph.VertexID
+		want   []graph.VertexID
+	}{
+		{"OutNeighbors", s.OutNeighbors, []graph.VertexID{9, 2, 3}},
+		{"InNeighbors", s.InNeighbors, []graph.VertexID{9, 2, 0, 2, 3}},
+		{"Neighborhood", s.Neighborhood, []graph.VertexID{9, 2, 0, 2, 3}},
+	} {
+		if got := c.gather(1, []graph.VertexID{9, 2}); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s(1, [9 2]) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestPageCacheCounters(t *testing.T) {
 	g, err := datagen.Generate(datagen.Config{Persons: 2000, Seed: 2})
 	if err != nil {

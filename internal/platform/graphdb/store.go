@@ -18,7 +18,7 @@
 package graphdb
 
 import (
-	"sort"
+	"slices"
 
 	"graphalytics/internal/graph"
 )
@@ -170,45 +170,39 @@ func (s *Store) relWeight(i int32) float64 {
 // OutNeighbors gathers v's out-neighbors (all neighbors for undirected
 // stores), sorted ascending, appended to buf.
 func (s *Store) OutNeighbors(v graph.VertexID, buf []graph.VertexID) []graph.VertexID {
+	start := len(buf)
 	s.Expand(v, func(other graph.VertexID, outgoing bool) {
 		if outgoing {
 			buf = append(buf, other)
 		}
 	})
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf[start:])
 	return buf
 }
 
 // InNeighbors gathers v's in-neighbors sorted ascending, appended to buf.
 func (s *Store) InNeighbors(v graph.VertexID, buf []graph.VertexID) []graph.VertexID {
+	start := len(buf)
 	s.Expand(v, func(other graph.VertexID, outgoing bool) {
 		if !outgoing || !s.directed {
 			buf = append(buf, other)
 		}
 	})
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	slices.Sort(buf[start:])
 	return buf
 }
 
 // Neighborhood gathers N(v) = out ∪ in, self excluded, sorted and
 // deduplicated, appended to buf.
 func (s *Store) Neighborhood(v graph.VertexID, buf []graph.VertexID) []graph.VertexID {
+	start := len(buf)
 	s.Expand(v, func(other graph.VertexID, _ bool) {
 		if other != v {
 			buf = append(buf, other)
 		}
 	})
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	out := buf[:0]
-	var last graph.VertexID
-	for i, x := range buf {
-		if i > 0 && x == last {
-			continue
-		}
-		out = append(out, x)
-		last = x
-	}
-	return out
+	slices.Sort(buf[start:])
+	return buf[:start+len(slices.Compact(buf[start:]))]
 }
 
 // CacheStats returns page-cache hits and misses so far.
