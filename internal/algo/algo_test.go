@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -241,7 +242,7 @@ func TestQuickConnInvariants(t *testing.T) {
 // ------------------------- CD -------------------------
 
 func TestTallyVotesBasics(t *testing.T) {
-	if _, _, ok := TallyVotes(nil, 0.1); ok {
+	if _, _, ok := TallyVotes(nil, NewCDWeights(0.1, nil)); ok {
 		t.Error("empty votes should report !ok")
 	}
 	votes := []Vote{
@@ -250,7 +251,7 @@ func TestTallyVotesBasics(t *testing.T) {
 		{Label: 3, Score: 0.6, Degree: 2},
 	}
 	// Weights (m=0): label 5 -> 1.0, label 3 -> 1.1. Winner 3, max score 0.6.
-	l, s, ok := TallyVotes(votes, 0)
+	l, s, ok := TallyVotes(votes, NewCDWeights(0, nil))
 	if !ok || l != 3 || math.Abs(s-0.6) > 1e-12 {
 		t.Fatalf("TallyVotes = %d/%v/%v", l, s, ok)
 	}
@@ -261,7 +262,7 @@ func TestTallyVotesTieBreak(t *testing.T) {
 		{Label: 9, Score: 1, Degree: 1},
 		{Label: 2, Score: 1, Degree: 1},
 	}
-	l, _, _ := TallyVotes(votes, 0)
+	l, _, _ := TallyVotes(votes, NewCDWeights(0, nil))
 	if l != 2 {
 		t.Fatalf("tie must break to smallest label, got %d", l)
 	}
@@ -278,10 +279,37 @@ func TestTallyVotesOrderInvariant(t *testing.T) {
 	for i, v := range votes {
 		rev[len(votes)-1-i] = v
 	}
-	l1, s1, _ := TallyVotes(votes, 0.1)
-	l2, s2, _ := TallyVotes(rev, 0.1)
+	l1, s1, _ := TallyVotes(votes, NewCDWeights(0.1, nil))
+	l2, s2, _ := TallyVotes(rev, NewCDWeights(0.1, nil))
 	if l1 != l2 || s1 != s2 {
 		t.Fatal("TallyVotes must be input-order invariant")
+	}
+}
+
+// TestSortVotesHeapFallback runs the heapsort that quickVotes falls
+// back to past its depth limit, which no ordinary input reaches, and
+// checks it sorts like the standard library under voteLess.
+func TestSortVotesHeapFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 17, 100, 1000} {
+		got := make([]Vote, n)
+		for i := range got {
+			got[i] = Vote{Label: int64(r.Intn(5)), Score: float64(r.Intn(3)) / 2, Degree: int32(r.Intn(4))}
+		}
+		want := slices.Clone(got)
+		slices.SortFunc(want, func(a, b Vote) int {
+			if voteLess(&a, &b) {
+				return -1
+			}
+			if voteLess(&b, &a) {
+				return 1
+			}
+			return 0
+		})
+		quickVotes(got, 0)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: heapsort order differs from slices.SortFunc", n)
+		}
 	}
 }
 

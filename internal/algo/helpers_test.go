@@ -23,15 +23,30 @@ func TestLocalCCPerVertex(t *testing.T) {
 func TestCountClosedPairs(t *testing.T) {
 	out := []graph.VertexID{1, 3, 5, 7}
 	nbh := []graph.VertexID{3, 5, 9}
-	if got := CountClosedPairs(out, nbh, 99); got != 2 {
+	cp := NewClosedPairs(10)
+	cp.Mark(nbh)
+	if got := cp.Count(out, 99); got != 2 {
 		t.Errorf("count = %d, want 2", got)
 	}
 	// The skip vertex is excluded from matches.
-	if got := CountClosedPairs(out, nbh, 3); got != 1 {
+	if got := cp.Count(out, 3); got != 1 {
 		t.Errorf("count with skip = %d, want 1", got)
 	}
-	if got := CountClosedPairs(nil, nbh, 0); got != 0 {
+	if got := cp.Count(nil, 0); got != 0 {
 		t.Errorf("empty out = %d", got)
+	}
+	// A repeated probe ID (a parallel arc) counts once.
+	if got := cp.Count([]graph.VertexID{3, 3, 5, 5, 5}, 99); got != 2 {
+		t.Errorf("count with repeats = %d, want 2", got)
+	}
+	// Marking replaces the previous list.
+	cp.Mark(out)
+	if got := cp.Count(nbh, 99); got != 2 {
+		t.Errorf("count after re-mark = %d, want 2", got)
+	}
+	cp.Mark(nil)
+	if got := cp.Count(out, 99); got != 0 {
+		t.Errorf("count after empty mark = %d, want 0", got)
 	}
 }
 

@@ -58,9 +58,10 @@ func parallelLCCSums(g *graph.Graph) []float64 {
 		go func(lo, hi int) {
 			defer wg.Done()
 			var nbuf []graph.VertexID
+			cp := NewClosedPairs(n)
 			for v := lo; v < hi; v++ {
 				nbuf = g.Neighborhood(graph.VertexID(v), nbuf[:0])
-				lcc[v] = lccOf(g, graph.VertexID(v), nbuf)
+				lcc[v] = lccOf(g, cp, nbuf)
 			}
 		}(lo, hi)
 	}
@@ -68,45 +69,72 @@ func parallelLCCSums(g *graph.Graph) []float64 {
 	return lcc
 }
 
-// lccOf computes the LCC of v given its sorted neighborhood.
-func lccOf(g *graph.Graph, v graph.VertexID, nbh []graph.VertexID) float64 {
+// lccOf computes the LCC of a vertex given its sorted neighborhood nbh,
+// counting closed pairs with cp.
+func lccOf(g *graph.Graph, cp *ClosedPairs, nbh []graph.VertexID) float64 {
 	d := len(nbh)
 	if d < 2 {
 		return 0
 	}
+	cp.Mark(nbh)
 	var links int64
 	for _, u := range nbh {
-		links += sortedIntersectExcluding(g.OutNeighbors(u), nbh, u)
+		links += cp.Count(g.OutNeighbors(u), u)
 	}
 	return float64(links) / (float64(d) * float64(d-1))
 }
 
-// CountClosedPairs counts, given the sorted out-adjacency of a vertex u
-// and the sorted neighborhood of another vertex, the elements common to
-// both excluding u itself. It is the STATS arithmetic kernel shared by
-// every platform implementation so numerators are identical everywhere.
-func CountClosedPairs(outU, neighborhood []graph.VertexID, u graph.VertexID) int64 {
-	return sortedIntersectExcluding(outU, neighborhood, u)
+// ClosedPairs is the STATS/LCC arithmetic kernel shared by every
+// platform implementation, so numerators are identical everywhere. It
+// counts the IDs that a probe list shares with a marked list, against
+// a bitset over the vertex IDs: a caller that intersects one list with
+// many others marks it once and probes each of the others, in time
+// linear in the probe.
+//
+// Contract:
+//   - the marked side is any list of IDs below n; repeats are harmless;
+//   - the probe is sorted, so a repeated ID (a parallel arc of a
+//     multigraph in an out-adjacency) is adjacent and counts once;
+//   - Count returns the number of distinct IDs in both lists, minus one
+//     when skip is in both (no self-pairs).
+//
+// N(·) is always a set, so with out(u) and N(v) on either side this is
+// the count a sorted merge of the two lists gives.
+// A ClosedPairs is not safe for concurrent use; parallel callers keep
+// one per worker. It holds n/8 bytes of bitset plus a copy of the
+// marked list.
+type ClosedPairs struct {
+	bits   []uint64
+	marked []graph.VertexID
 }
 
-// sortedIntersectExcluding counts elements common to the two sorted
-// lists, excluding the value skip (no self-pairs).
-func sortedIntersectExcluding(a, b []graph.VertexID, skip graph.VertexID) int64 {
-	var c int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			if a[i] != skip {
-				c++
-			}
-			i++
-			j++
-		}
+// NewClosedPairs returns a counter for vertex IDs below n.
+func NewClosedPairs(n int) *ClosedPairs {
+	return &ClosedPairs{bits: make([]uint64, (n+63)/64)}
+}
+
+// Mark makes list the marked side, replacing the previous one. It
+// copies list, so the caller may reuse its buffer.
+func (c *ClosedPairs) Mark(list []graph.VertexID) {
+	for _, x := range c.marked {
+		c.bits[x>>6] = 0
 	}
-	return c
+	c.marked = append(c.marked[:0], list...)
+	for _, x := range list {
+		c.bits[x>>6] |= 1 << (x & 63)
+	}
+}
+
+// Count returns the number of distinct IDs of the sorted probe that
+// are marked, skip excluded.
+func (c *ClosedPairs) Count(probe []graph.VertexID, skip graph.VertexID) int64 {
+	var cnt int64
+	prev := graph.NoVertex
+	for _, x := range probe {
+		if x != prev && x != skip {
+			cnt += int64(c.bits[x>>6] >> (x & 63) & 1)
+		}
+		prev = x
+	}
+	return cnt
 }

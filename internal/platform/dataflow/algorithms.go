@@ -148,6 +148,7 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 		buf = l.g.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
 	}
+	w := algo.NewCDWeights(p.CDPreference, degs)
 	verts, err := MapVertices(ctx, env, n, 20, func(v graph.VertexID) cdVD {
 		return cdVD{label: int64(v), score: 1, degree: degs[v]}
 	})
@@ -175,7 +176,7 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 			return nil, err
 		}
 		verts, err = JoinVertices(ctx, env, verts, 20, msgs, func(v graph.VertexID, d cdVD, votes []algo.Vote) cdVD {
-			win, maxScore, ok := algo.TallyVotes(votes, p.CDPreference)
+			win, maxScore, ok := algo.TallyVotes(votes, w)
 			if !ok {
 				return d
 			}

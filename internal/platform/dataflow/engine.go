@@ -35,7 +35,9 @@
 // kept for the whole run and cut into per-vertex lists by a counting
 // sort. The accumulators cost Parts × |V| × (sizeof(M)+1) bytes of real
 // memory per AggregateMessages call; the memory budget does not see
-// them, as it does not see the Go maps they replaced.
+// them, as it does not see the Go maps they replaced. Likewise unseen:
+// LCC's closed-pair counting keeps two algo.ClosedPairs bitsets of n/8
+// bytes per partition (indexed by Ctx.Part).
 package dataflow
 
 import (
@@ -144,6 +146,10 @@ func (c *Ctx[M]) deliver(dst graph.VertexID, m M) {
 		c.netB += c.msgSize
 	}
 }
+
+// Part returns the index of the edge partition running this context,
+// in [0, Parts): send functions index per-partition scratch with it.
+func (c *Ctx[M]) Part() int { return c.part }
 
 // SendToSrc delivers a message to the arc's source vertex.
 func (c *Ctx[M]) SendToSrc(u graph.VertexID, m M) { c.deliver(u, m) }

@@ -179,17 +179,34 @@ func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCO
 	}
 
 	// Round 2: per canonical neighbor pair, exchange closed-pair counts.
+	// A partition scans each source's arcs in a row, so its two
+	// counters hold out(u) and N(u) for the current source u and are
+	// re-marked only when u changes.
+	type sourceCounters struct {
+		u        graph.VertexID
+		out, nbh *algo.ClosedPairs
+	}
+	parts := make([]sourceCounters, env.Parts)
+	for i := range parts {
+		parts[i] = sourceCounters{u: graph.NoVertex, out: algo.NewClosedPairs(n), nbh: algo.NewClosedPairs(n)}
+	}
 	env.Counters.Supersteps++
 	counts, err := AggregateMessages(ctx, env, nbh, 24, 8,
 		func(c *Ctx[int64], u, v graph.VertexID, nu, nv []graph.VertexID) {
 			if !c.Canonical(u, v) {
 				return
 			}
+			sc := &parts[c.Part()]
+			if sc.u != u {
+				sc.u = u
+				sc.out.Mark(l.g.OutNeighbors(u))
+				sc.nbh.Mark(nu)
+			}
 			if len(nv) >= 2 {
-				c.SendToDst(v, algo.CountClosedPairs(l.g.OutNeighbors(u), nv, u))
+				c.SendToDst(v, sc.out.Count(nv, u))
 			}
 			if len(nu) >= 2 {
-				c.SendToSrc(u, algo.CountClosedPairs(l.g.OutNeighbors(v), nu, v))
+				c.SendToSrc(u, sc.nbh.Count(l.g.OutNeighbors(v), v))
 			}
 		},
 		func(a, b int64) int64 { return a + b })

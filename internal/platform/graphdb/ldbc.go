@@ -119,6 +119,7 @@ func (l *loaded) runLCC(ctx context.Context) (algo.LCCOutput, error) {
 	n := l.store.NumNodes()
 	lcc := make(algo.LCCOutput, n)
 	var nbh, out []graph.VertexID
+	cp := algo.NewClosedPairs(n)
 	for v := 0; v < n; v++ {
 		if v%platform.CheckStride == 0 {
 			if err := platform.CheckContextPhase(ctx, "graphdb/lcc"); err != nil {
@@ -130,10 +131,11 @@ func (l *loaded) runLCC(ctx context.Context) (algo.LCCOutput, error) {
 		if d < 2 {
 			continue
 		}
+		cp.Mark(nbh)
 		var links int64
 		for _, u := range nbh {
 			out = l.store.OutNeighbors(u, out[:0])
-			links += algo.CountClosedPairs(out, nbh, u)
+			links += cp.Count(out, u)
 		}
 		lcc[v] = float64(links) / (float64(d) * float64(d-1))
 	}

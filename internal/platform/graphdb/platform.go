@@ -203,6 +203,7 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error
 		buf = l.store.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
 	}
+	w := algo.NewCDWeights(p.CDPreference, degs)
 	newLabels := make([]int64, n)
 	newScores := make([]float64, n)
 	votes := make([]algo.Vote, 0, 64)
@@ -218,7 +219,7 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error
 			for _, u := range buf {
 				votes = append(votes, algo.Vote{Label: labels[u], Score: scores[u], Degree: degs[u]})
 			}
-			win, maxScore, ok := algo.TallyVotes(votes, p.CDPreference)
+			win, maxScore, ok := algo.TallyVotes(votes, w)
 			if !ok {
 				newLabels[v] = labels[v]
 				newScores[v] = scores[v]
@@ -245,6 +246,7 @@ func (l *loaded) runStats(ctx context.Context) (algo.StatsOutput, error) {
 	n := l.store.NumNodes()
 	var sum float64
 	var nbh, out []graph.VertexID
+	cp := algo.NewClosedPairs(n)
 	for v := 0; v < n; v++ {
 		if v%platform.CheckStride == 0 {
 			if err := platform.CheckContextPhase(ctx, "graphdb/stats"); err != nil {
@@ -256,10 +258,11 @@ func (l *loaded) runStats(ctx context.Context) (algo.StatsOutput, error) {
 		if d < 2 {
 			continue
 		}
+		cp.Mark(nbh)
 		var links int64
 		for _, u := range nbh {
 			out = l.store.OutNeighbors(u, out[:0])
-			links += algo.CountClosedPairs(out, nbh, u)
+			links += cp.Count(out, u)
 		}
 		sum += float64(links) / (float64(d) * float64(d-1))
 	}

@@ -15,6 +15,11 @@
 //     than the memory of a single machine", §3.2);
 //   - execution is single-threaded, so it is competitive on small
 //     graphs and falls behind the distributed engines as graphs grow.
+//
+// What is not modelled: STATS and LCC count closed pairs against an
+// algo.ClosedPairs bitset, n/8 bytes of real memory per run that the
+// memory budget does not see; every store access they make still goes
+// through the page cache.
 package graphdb
 
 import (

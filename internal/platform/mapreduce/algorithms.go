@@ -223,9 +223,12 @@ func (l *loaded) runCD(ctx context.Context, c *Cluster, p algo.Params) (algo.CDO
 	n := l.g.NumVertices()
 	nbh := l.neighborhoods()
 	input := make([]Record, n)
+	degs := make([]int32, n)
 	for v := 0; v < n; v++ {
 		input[v] = Record{Key: int64(v), Value: cdState(int64(v), 1, len(nbh[v]), nbh[v])}
+		degs[v] = int32(len(nbh[v]))
 	}
+	w := algo.NewCDWeights(p.CDPreference, degs)
 
 	job := Job{
 		Name: "cd-iter",
@@ -270,7 +273,7 @@ func (l *loaded) runCD(ctx context.Context, c *Cluster, p algo.Params) (algo.CDO
 					votes = append(votes, algo.Vote{Label: vl, Score: vs, Degree: int32(vd)})
 				}
 			}
-			if win, maxScore, ok := algo.TallyVotes(votes, p.CDPreference); ok {
+			if win, maxScore, ok := algo.TallyVotes(votes, w); ok {
 				s := maxScore
 				if win != label {
 					s -= p.CDDelta
@@ -304,6 +307,24 @@ func (l *loaded) runCD(ctx context.Context, c *Cluster, p algo.Params) (algo.CDO
 
 // ------------------------------ STATS ------------------------------
 
+// slotPairs holds one closed-pair counter per slot of a Cluster,
+// indexed by TaskCtx.Slot and built on the slot's first use.
+type slotPairs struct {
+	n  int
+	cp []*algo.ClosedPairs
+}
+
+func newSlotPairs(c *Cluster, n int) *slotPairs {
+	return &slotPairs{n: n, cp: make([]*algo.ClosedPairs, c.workers())}
+}
+
+func (s *slotPairs) of(tc *TaskCtx) *algo.ClosedPairs {
+	if s.cp[tc.Slot()] == nil {
+		s.cp[tc.Slot()] = algo.NewClosedPairs(s.n)
+	}
+	return s.cp[tc.Slot()]
+}
+
 // STATS job 1 state: [tagState][out-adjacency][neighborhood].
 // Neighborhood msg: [tagMsg][varint from][vertex list].
 // Job 1 output count msg: [tagMsg][varint count].
@@ -318,6 +339,7 @@ func (l *loaded) runStats(ctx context.Context, c *Cluster, p algo.Params) (algo.
 		buf = appendVertexList(buf, nbh[v])
 		input[v] = Record{Key: int64(v), Value: buf}
 	}
+	pairs := newSlotPairs(c, n)
 
 	job1 := Job{
 		Name: "stats-exchange",
@@ -361,9 +383,11 @@ func (l *loaded) runStats(ctx context.Context, c *Cluster, p algo.Params) (algo.
 			st = appendVertexList(st, nil) // out-adjacency no longer needed
 			st = appendVertexList(st, adjN)
 			emit(key, st)
+			// out(v) is marked once and each received N(w) probes it.
+			cp := pairs.of(tc)
+			cp.Mark(out)
 			for _, a := range asks {
-				cnt := algo.CountClosedPairs(out, a.nbh, graph.VertexID(key))
-				emit(a.from, appendVarint([]byte{tagMsg}, cnt))
+				emit(a.from, appendVarint([]byte{tagMsg}, cp.Count(a.nbh, graph.VertexID(key))))
 			}
 		},
 	}

@@ -25,7 +25,10 @@
 // values within each key (the Hadoop sort order, key then value bytes).
 // Spill buffers, sort entries and the reducer's values slice belong to
 // the Cluster and are reused by the next job of the same chain, the way
-// a Hadoop task reuses its buffers and value objects.
+// a Hadoop task reuses its buffers and value objects. STATS and LCC
+// reducers count closed pairs against one algo.ClosedPairs bitset per
+// slot (indexed by TaskCtx.Slot), n/8 bytes of real memory each that
+// no counter models.
 package mapreduce
 
 import (
@@ -55,7 +58,12 @@ type Emit func(key int64, value []byte)
 // task counters in task order after each phase.
 type TaskCtx struct {
 	counters map[string]int64
+	slot     int
 }
+
+// Slot returns the index of the map/reduce slot running the task, in
+// [0, Workers): tasks index per-slot scratch with it.
+func (t *TaskCtx) Slot() int { return t.slot }
 
 // Inc adds delta to a named job counter (Hadoop counter analogue).
 func (t *TaskCtx) Inc(name string, delta int64) {
@@ -118,15 +126,20 @@ type slot struct {
 	spilled, network, shuffled int64
 }
 
+// workers returns the number of slots a job runs on.
+func (c *Cluster) workers() int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
 // Run executes one job over input.
 func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult, error) {
 	if err := platform.CheckContextPhase(ctx, "mapreduce/submit"); err != nil {
 		return nil, err
 	}
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := c.workers()
 	if c.Counters == nil {
 		c.Counters = &platform.Counters{}
 	}
@@ -173,7 +186,7 @@ func (c *Cluster) reset(workers int) {
 		c.slots = make([]slot, workers)
 		for i := range c.slots {
 			c.slots[i] = slot{
-				tc:     TaskCtx{counters: map[string]int64{}},
+				tc:     TaskCtx{counters: map[string]int64{}, slot: i},
 				spill:  make([][]byte, workers),
 				counts: make([]int, workers),
 				bufs:   make([][]byte, workers),

@@ -202,6 +202,7 @@ func (l *loaded) runLCC(ctx context.Context, c *Cluster, p algo.Params) (algo.LC
 		buf = appendVertexList(buf, nbh[v])
 		input[v] = Record{Key: int64(v), Value: buf}
 	}
+	pairs := newSlotPairs(c, n)
 
 	job1 := Job{
 		Name: "lcc-exchange",
@@ -245,9 +246,11 @@ func (l *loaded) runLCC(ctx context.Context, c *Cluster, p algo.Params) (algo.LC
 			st = appendVertexList(st, nil) // out-adjacency no longer needed
 			st = appendVertexList(st, adjN)
 			emit(key, st)
+			// out(v) is marked once and each received N(w) probes it.
+			cp := pairs.of(tc)
+			cp.Mark(out)
 			for _, a := range asks {
-				cnt := algo.CountClosedPairs(out, a.nbh, graph.VertexID(key))
-				emit(a.from, appendVarint([]byte{tagMsg}, cnt))
+				emit(a.from, appendVarint([]byte{tagMsg}, cp.Count(a.nbh, graph.VertexID(key))))
 			}
 		},
 	}

@@ -117,6 +117,7 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (*platform.Result, er
 		buf = l.g.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
 	}
+	w := algo.NewCDWeights(p.CDPreference, degs)
 
 	e := newEngine[algo.Vote](l, counters, func(algo.Vote) int64 { return 20 }, nil)
 	compute := func(c *VCtx[algo.Vote], v graph.VertexID, msgs []algo.Vote) {
@@ -129,7 +130,7 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (*platform.Result, er
 			c.SendToAllNeighbors(v, algo.Vote{Label: labels[v], Score: scores[v], Degree: degs[v]})
 			return
 		}
-		win, maxScore, ok := algo.TallyVotes(msgs, p.CDPreference)
+		win, maxScore, ok := algo.TallyVotes(msgs, w)
 		if ok {
 			s := maxScore
 			if win != labels[v] {
@@ -176,6 +177,43 @@ func statsMsgBytes(m statsMsg) int64 {
 	return 16 + 4*int64(len(m.nbh))
 }
 
+// statsScratch is the per-worker scratch of the STATS/LCC vertex
+// programs, indexed by VCtx.Worker: a closed-pair counter, built on the
+// worker's first use, and a neighbourhood buffer.
+type statsScratch struct {
+	g   *graph.Graph
+	cp  []*algo.ClosedPairs
+	buf [][]graph.VertexID
+}
+
+func newStatsScratch(g *graph.Graph, workers int) *statsScratch {
+	return &statsScratch{g: g, cp: make([]*algo.ClosedPairs, workers), buf: make([][]graph.VertexID, workers)}
+}
+
+// answer replies to each neighbourhood announcement in msgs with the
+// number of closed pairs through v: out(v) is marked once and each
+// received N(w) probes it.
+func (s *statsScratch) answer(c *VCtx[statsMsg], v graph.VertexID, msgs []statsMsg) {
+	if len(msgs) == 0 {
+		return
+	}
+	w := c.Worker()
+	if s.cp[w] == nil {
+		s.cp[w] = algo.NewClosedPairs(s.g.NumVertices())
+	}
+	s.cp[w].Mark(s.g.OutNeighbors(v))
+	for _, m := range msgs {
+		c.Send(m.from, statsMsg{from: v, count: s.cp[w].Count(m.nbh, v), reply: true})
+	}
+}
+
+// degree returns |N(v)| in the worker's buffer instead of a fresh slice.
+func (s *statsScratch) degree(c *VCtx[statsMsg], v graph.VertexID) int {
+	w := c.Worker()
+	s.buf[w] = s.g.Neighborhood(v, s.buf[w][:0])
+	return len(s.buf[w])
+}
+
 func (l *loaded) runStats(ctx context.Context, p algo.Params) (*platform.Result, error) {
 	n := l.g.NumVertices()
 	counters := &platform.Counters{}
@@ -187,6 +225,7 @@ func (l *loaded) runStats(ctx context.Context, p algo.Params) (*platform.Result,
 
 	var meanLCC float64
 	e := newEngine[statsMsg](l, counters, statsMsgBytes, nil)
+	scratch := newStatsScratch(l.g, e.Workers)
 	e.AggMerge = map[string]func(a, b any) any{
 		"lccSum": func(a, b any) any { return a.(float64) + b.(float64) },
 	}
@@ -201,11 +240,7 @@ func (l *loaded) runStats(ctx context.Context, p algo.Params) (*platform.Result,
 				c.CountEdges(int64(len(nbh)))
 			}
 		case 1:
-			out := l.g.OutNeighbors(v)
-			for _, m := range msgs {
-				cnt := algo.CountClosedPairs(out, m.nbh, v)
-				c.Send(m.from, statsMsg{from: v, count: cnt, reply: true})
-			}
+			scratch.answer(c, v, msgs)
 			c.VoteToHalt(v)
 		case 2:
 			var sum int64
@@ -213,7 +248,7 @@ func (l *loaded) runStats(ctx context.Context, p algo.Params) (*platform.Result,
 				sum += m.count
 			}
 			links[v] = sum
-			d := float64(len(l.g.Neighborhood(v, nil)))
+			d := float64(scratch.degree(c, v))
 			if d >= 2 {
 				c.Aggregate("lccSum", float64(sum)/(d*(d-1)))
 			}

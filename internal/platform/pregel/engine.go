@@ -21,12 +21,16 @@
 //   - all message effects are order-insensitive or internally sorted, so
 //     results are identical to the sequential reference regardless of
 //     scheduling.
+//
+// What is not modelled: STATS and LCC count closed pairs against one
+// algo.ClosedPairs bitset per worker (indexed by VCtx.Worker), n/8
+// bytes of real memory each that the memory budget does not see.
 package pregel
 
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,6 +124,10 @@ func (b *combineBuf[M]) reset() {
 
 // Superstep returns the current superstep number (0-based).
 func (c *VCtx[M]) Superstep() int { return c.e.step }
+
+// Worker returns the index of the worker running this context, in
+// [0, Workers): vertex programs index per-worker scratch with it.
+func (c *VCtx[M]) Worker() int { return c.worker }
 
 // Graph returns the graph being processed.
 func (c *VCtx[M]) Graph() *graph.Graph { return c.e.G }
@@ -383,7 +391,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 						if len(buf.touched) == 0 {
 							continue
 						}
-						sort.Slice(buf.touched, func(i, j int) bool { return buf.touched[i] < buf.touched[j] })
+						slices.Sort(buf.touched)
 						verts := e.byPart[dw]
 						for i, li := range buf.touched {
 							if i%platform.CheckStride == 0 && ctx.Err() != nil {

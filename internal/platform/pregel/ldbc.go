@@ -135,8 +135,8 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (*platform.Result, 
 // runLCC is the per-vertex variant of runStats: the same two-superstep
 // neighborhood exchange (announce N(v), reply with closed-pair counts),
 // but every vertex keeps its own coefficient instead of folding into a
-// mean aggregator. It shares statsMsg and the CountClosedPairs kernel,
-// so numerators match the reference bit-for-bit.
+// mean aggregator. It shares statsMsg and the ClosedPairs kernel, so
+// numerators match the reference bit-for-bit.
 func (l *loaded) runLCC(ctx context.Context, p algo.Params) (*platform.Result, error) {
 	n := l.g.NumVertices()
 	counters := &platform.Counters{}
@@ -147,6 +147,7 @@ func (l *loaded) runLCC(ctx context.Context, p algo.Params) (*platform.Result, e
 	defer l.mem.Free(int64(n) * 8)
 
 	e := newEngine[statsMsg](l, counters, statsMsgBytes, nil)
+	scratch := newStatsScratch(l.g, e.Workers)
 	compute := func(c *VCtx[statsMsg], v graph.VertexID, msgs []statsMsg) {
 		switch c.Superstep() {
 		case 0:
@@ -158,18 +159,14 @@ func (l *loaded) runLCC(ctx context.Context, p algo.Params) (*platform.Result, e
 				c.CountEdges(int64(len(nbh)))
 			}
 		case 1:
-			out := l.g.OutNeighbors(v)
-			for _, m := range msgs {
-				cnt := algo.CountClosedPairs(out, m.nbh, v)
-				c.Send(m.from, statsMsg{from: v, count: cnt, reply: true})
-			}
+			scratch.answer(c, v, msgs)
 			c.VoteToHalt(v)
 		case 2:
 			var sum int64
 			for _, m := range msgs {
 				sum += m.count
 			}
-			d := float64(len(l.g.Neighborhood(v, nil)))
+			d := float64(scratch.degree(c, v))
 			if d >= 2 {
 				lcc[v] = float64(sum) / (d * (d - 1))
 			}
