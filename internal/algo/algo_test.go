@@ -129,6 +129,18 @@ func TestStatsEmptyNeighborhoods(t *testing.T) {
 	}
 }
 
+// TestStatsFromLCCSumsInVertexOrder pins the summation order that makes
+// every engine's STATS the reference's bits: each 1e-16 is below half
+// an ulp of 1, so added after vertex 0 it is lost and the mean is
+// exactly 1/5, while any other order keeps some of it.
+func TestStatsFromLCCSumsInVertexOrder(t *testing.T) {
+	g := directed(t, 5, [][2]int{{0, 1}})
+	s := StatsFromLCC(g, LCCOutput{1, 1e-16, 1e-16, 1e-16, 1e-16})
+	if want := (StatsOutput{Vertices: 5, Edges: 1, MeanLCC: 1.0 / 5}); s != want {
+		t.Errorf("StatsFromLCC = %+v, want %+v", s, want)
+	}
+}
+
 // ------------------------- BFS -------------------------
 
 func TestBFSPath(t *testing.T) {

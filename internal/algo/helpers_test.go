@@ -11,7 +11,7 @@ import (
 func TestLocalCCPerVertex(t *testing.T) {
 	// Kite: triangle 0-1-2 plus pendant 2-3.
 	g := undirected(t, [][2]int64{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
-	lcc := LocalCC(g)
+	lcc := RunLCC(g)
 	want := []float64{1, 1, 1.0 / 3.0, 0}
 	for v := range want {
 		if math.Abs(lcc[v]-want[v]) > 1e-12 {

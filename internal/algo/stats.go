@@ -1,11 +1,6 @@
 package algo
 
-import (
-	"runtime"
-	"sync"
-
-	"graphalytics/internal/graph"
-)
+import "graphalytics/internal/graph"
 
 // RunStats computes the STATS workload: |V|, |E| and the mean local
 // clustering coefficient.
@@ -17,71 +12,20 @@ import (
 // symmetrized undirected graph this equals the classic undirected LCC.
 // MeanLCC averages over every vertex.
 func RunStats(g *graph.Graph) StatsOutput {
-	n := g.NumVertices()
-	out := StatsOutput{Vertices: n, Edges: g.NumEdges()}
-	if n == 0 {
-		return out
-	}
-	sums := parallelLCCSums(g)
+	return StatsFromLCC(g, RunLCC(g))
+}
+
+// StatsFromLCC folds per-vertex coefficients into the STATS output,
+// summing in vertex order so every platform that derives STATS from its
+// LCC output reports the reference's bits. The graph is never empty:
+// every input path refuses one with graph.ErrEmptyGraph.
+func StatsFromLCC(g *graph.Graph, lcc LCCOutput) StatsOutput {
 	var total float64
-	for _, s := range sums {
-		total += s
+	for _, c := range lcc {
+		total += c
 	}
-	out.MeanLCC = total / float64(n)
-	return out
-}
-
-// LocalCC returns the per-vertex local clustering coefficients under the
-// STATS specification.
-func LocalCC(g *graph.Graph) []float64 {
-	return parallelLCCSums(g)
-}
-
-func parallelLCCSums(g *graph.Graph) []float64 {
 	n := g.NumVertices()
-	lcc := make([]float64, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var nbuf []graph.VertexID
-			cp := NewClosedPairs(n)
-			for v := lo; v < hi; v++ {
-				nbuf = g.Neighborhood(graph.VertexID(v), nbuf[:0])
-				lcc[v] = lccOf(g, cp, nbuf)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return lcc
-}
-
-// lccOf computes the LCC of a vertex given its sorted neighborhood nbh,
-// counting closed pairs with cp.
-func lccOf(g *graph.Graph, cp *ClosedPairs, nbh []graph.VertexID) float64 {
-	d := len(nbh)
-	if d < 2 {
-		return 0
-	}
-	cp.Mark(nbh)
-	var links int64
-	for _, u := range nbh {
-		links += cp.Count(g.OutNeighbors(u), u)
-	}
-	return float64(links) / (float64(d) * float64(d-1))
+	return StatsOutput{Vertices: n, Edges: g.NumEdges(), MeanLCC: total / float64(n)}
 }
 
 // ClosedPairs is the STATS/LCC arithmetic kernel shared by every

@@ -200,23 +200,6 @@ func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOut
 	return out, nil
 }
 
-// ------------------------------ STATS ------------------------------
-
-// runStats is the mean of runLCC's per-vertex coefficients, summed in
-// vertex order as the reference does.
-func (l *loaded) runStats(ctx context.Context, env *Env, p algo.Params) (algo.StatsOutput, error) {
-	lcc, err := l.runLCC(ctx, env, p)
-	if err != nil {
-		return algo.StatsOutput{}, err
-	}
-	var sum float64
-	for _, c := range lcc {
-		sum += c
-	}
-	n := l.g.NumVertices()
-	return algo.StatsOutput{Vertices: n, Edges: l.g.NumEdges(), MeanLCC: sum / float64(n)}, nil
-}
-
 // ------------------------------ EVO ------------------------------
 
 // evoVD is the EVO vertex attribute: the fires that burned the vertex.

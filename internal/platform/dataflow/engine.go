@@ -368,7 +368,7 @@ func scan[VD, M any](ctx context.Context, env *Env, verts []VD, ctxs []*Ctx[M], 
 		}(p, lo, hi, c)
 	}
 	wg.Wait()
-	if err := firstError(errs); err != nil {
+	if err := platform.FirstError(errs); err != nil {
 		return err
 	}
 	if len(env.Counters.WorkerBusy) < len(ctxs) {
@@ -495,18 +495,7 @@ func forChunks(parts, n int, body func(part, lo, hi int) error) error {
 		}(p, lo, hi)
 	}
 	wg.Wait()
-	return firstError(errs)
-}
-
-// firstError returns the lowest-indexed non-nil error from a per-worker
-// error slice (deterministic pick under concurrent interruption).
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return platform.FirstError(errs)
 }
 
 // Canonical reports whether the scanned arc (u, v) is the canonical arc

@@ -131,8 +131,8 @@ func (l *loaded) runSSSP(ctx context.Context, env *Env, p algo.Params) (algo.SSS
 
 // runLCC computes the local clustering coefficients in two rounds:
 // every vertex collects its neighborhood, then each canonical arc
-// carries closed-pair counts to both endpoints. runStats averages the
-// result.
+// carries closed-pair counts to both endpoints. It serves STATS too,
+// whose mean Run folds with algo.StatsFromLCC.
 func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCOutput, error) {
 	n := l.g.NumVertices()
 	// Round 1: collect neighbor IDs (both directions), dedup + sort.

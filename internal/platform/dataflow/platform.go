@@ -97,7 +97,10 @@ func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*
 	case algo.CD:
 		out, err = l.runCD(ctx, env, params)
 	case algo.STATS:
-		out, err = l.runStats(ctx, env, params)
+		var lcc algo.LCCOutput
+		if lcc, err = l.runLCC(ctx, env, params); err == nil {
+			out = algo.StatsFromLCC(l.g, lcc)
+		}
 	case algo.EVO:
 		out, err = l.runEvo(ctx, env, params)
 	case algo.PR:

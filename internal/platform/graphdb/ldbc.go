@@ -113,8 +113,8 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, e
 	return dist, nil
 }
 
-// runLCC: per-vertex neighborhood intersections through the store — the
-// per-vertex variant of runStats.
+// runLCC: per-vertex neighborhood intersections through the store. It
+// serves STATS too, whose mean Run folds with algo.StatsFromLCC.
 func (l *loaded) runLCC(ctx context.Context) (algo.LCCOutput, error) {
 	n := l.store.NumNodes()
 	lcc := make(algo.LCCOutput, n)

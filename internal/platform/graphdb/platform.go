@@ -93,7 +93,10 @@ func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*
 	case algo.CD:
 		out, err = l.runCD(ctx, params)
 	case algo.STATS:
-		out, err = l.runStats(ctx)
+		var lcc algo.LCCOutput
+		if lcc, err = l.runLCC(ctx); err == nil {
+			out = algo.StatsFromLCC(l.g, lcc)
+		}
 	case algo.EVO:
 		out, err = l.runEvo(ctx, params)
 	case algo.PR:
@@ -239,34 +242,6 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error
 		scores, newScores = newScores, scores
 	}
 	return algo.CDOutput(labels), nil
-}
-
-// runStats: neighborhood intersections through the store.
-func (l *loaded) runStats(ctx context.Context) (algo.StatsOutput, error) {
-	n := l.store.NumNodes()
-	var sum float64
-	var nbh, out []graph.VertexID
-	cp := algo.NewClosedPairs(n)
-	for v := 0; v < n; v++ {
-		if v%platform.CheckStride == 0 {
-			if err := platform.CheckContextPhase(ctx, "graphdb/stats"); err != nil {
-				return algo.StatsOutput{}, err
-			}
-		}
-		nbh = l.store.Neighborhood(graph.VertexID(v), nbh[:0])
-		d := len(nbh)
-		if d < 2 {
-			continue
-		}
-		cp.Mark(nbh)
-		var links int64
-		for _, u := range nbh {
-			out = l.store.OutNeighbors(u, out[:0])
-			links += cp.Count(out, u)
-		}
-		sum += float64(links) / (float64(d) * float64(d-1))
-	}
-	return algo.StatsOutput{Vertices: n, Edges: l.g.NumEdges(), MeanLCC: sum / float64(n)}, nil
 }
 
 // runEvo: the reference fire spec executed with store-gathered adjacency.

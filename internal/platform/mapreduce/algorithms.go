@@ -305,137 +305,6 @@ func (l *loaded) runCD(ctx context.Context, c *Cluster, p algo.Params) (algo.CDO
 	return labels, nil
 }
 
-// ------------------------------ STATS ------------------------------
-
-// slotPairs holds one closed-pair counter per slot of a Cluster,
-// indexed by TaskCtx.Slot and built on the slot's first use.
-type slotPairs struct {
-	n  int
-	cp []*algo.ClosedPairs
-}
-
-func newSlotPairs(c *Cluster, n int) *slotPairs {
-	return &slotPairs{n: n, cp: make([]*algo.ClosedPairs, c.workers())}
-}
-
-func (s *slotPairs) of(tc *TaskCtx) *algo.ClosedPairs {
-	if s.cp[tc.Slot()] == nil {
-		s.cp[tc.Slot()] = algo.NewClosedPairs(s.n)
-	}
-	return s.cp[tc.Slot()]
-}
-
-// STATS job 1 state: [tagState][out-adjacency][neighborhood].
-// Neighborhood msg: [tagMsg][varint from][vertex list].
-// Job 1 output count msg: [tagMsg][varint count].
-// Job 2 reduce emits (-1, float lcc_v); the driver sums.
-func (l *loaded) runStats(ctx context.Context, c *Cluster, p algo.Params) (algo.StatsOutput, error) {
-	n := l.g.NumVertices()
-	nbh := l.neighborhoods()
-	input := make([]Record, n)
-	for v := 0; v < n; v++ {
-		buf := []byte{tagState}
-		buf = appendVertexList(buf, l.g.OutNeighbors(graph.VertexID(v)))
-		buf = appendVertexList(buf, nbh[v])
-		input[v] = Record{Key: int64(v), Value: buf}
-	}
-	pairs := newSlotPairs(c, n)
-
-	job1 := Job{
-		Name: "stats-exchange",
-		Map: func(tc *TaskCtx, r Record, emit Emit) {
-			buf := r.Value[1:]
-			_, buf = readVertexList(buf) // out-adjacency (unused by mapper)
-			adjN, _ := readVertexList(buf)
-			emit(r.Key, r.Value)
-			if len(adjN) < 2 {
-				return
-			}
-			msg := appendVarint([]byte{tagMsg}, r.Key)
-			msg = appendVertexList(msg, adjN)
-			for _, u := range adjN {
-				emit(int64(u), msg)
-			}
-			tc.Inc("traversed", int64(len(adjN)))
-		},
-		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-			var out, adjN []graph.VertexID
-			type ask struct {
-				from int64
-				nbh  []graph.VertexID
-			}
-			var asks []ask
-			for _, v := range values {
-				switch v[0] {
-				case tagState:
-					buf := v[1:]
-					out, buf = readVertexList(buf)
-					adjN, _ = readVertexList(buf)
-				case tagMsg:
-					buf := v[1:]
-					from, buf := readVarint(buf)
-					nb, _ := readVertexList(buf)
-					asks = append(asks, ask{from: from, nbh: nb})
-				}
-			}
-			// Pass the state through so job 2 still has |N(v)|.
-			st := []byte{tagState}
-			st = appendVertexList(st, nil) // out-adjacency no longer needed
-			st = appendVertexList(st, adjN)
-			emit(key, st)
-			// out(v) is marked once and each received N(w) probes it.
-			cp := pairs.of(tc)
-			cp.Mark(out)
-			for _, a := range asks {
-				emit(a.from, appendVarint([]byte{tagMsg}, cp.Count(a.nbh, graph.VertexID(key))))
-			}
-		},
-	}
-	res1, err := c.Run(ctx, input, job1)
-	if err != nil {
-		return algo.StatsOutput{}, err
-	}
-	c.Counters.EdgesTraversed += res1.Counters["traversed"]
-
-	job2 := Job{
-		Name: "stats-lcc",
-		Map: func(tc *TaskCtx, r Record, emit Emit) {
-			emit(r.Key, r.Value)
-		},
-		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-			var adjN []graph.VertexID
-			var links int64
-			for _, v := range values {
-				switch v[0] {
-				case tagState:
-					buf := v[1:]
-					_, buf = readVertexList(buf)
-					adjN, _ = readVertexList(buf)
-				case tagMsg:
-					cnt, _ := readVarint(v[1:])
-					links += cnt
-				}
-			}
-			d := float64(len(adjN))
-			if d >= 2 {
-				emit(-1, appendFloat(nil, float64(links)/(d*(d-1))))
-			}
-		},
-	}
-	res2, err := c.Run(ctx, res1.Output, job2)
-	if err != nil {
-		return algo.StatsOutput{}, err
-	}
-	var sum float64
-	for _, r := range res2.Output {
-		if r.Key == -1 {
-			f, _ := readFloat(r.Value)
-			sum += f
-		}
-	}
-	return algo.StatsOutput{Vertices: n, Edges: l.g.NumEdges(), MeanLCC: sum / float64(n)}, nil
-}
-
 // ------------------------------ EVO ------------------------------
 
 // EVO state: [tagState][out-adjacency][in-adjacency][burned fires list].

@@ -188,10 +188,31 @@ func (l *loaded) runSSSP(ctx context.Context, c *Cluster, p algo.Params) (algo.S
 
 // ------------------------------ LCC ------------------------------
 
-// runLCC reuses the STATS job shapes (see runStats) but keeps the final
-// division per vertex: job 1 exchanges neighborhoods and closed-pair
-// counts, job 2 emits each vertex's own coefficient instead of folding
-// into a global sum.
+// slotPairs holds one closed-pair counter per slot of a Cluster,
+// indexed by TaskCtx.Slot and built on the slot's first use.
+type slotPairs struct {
+	n  int
+	cp []*algo.ClosedPairs
+}
+
+func newSlotPairs(c *Cluster, n int) *slotPairs {
+	return &slotPairs{n: n, cp: make([]*algo.ClosedPairs, c.workers())}
+}
+
+func (s *slotPairs) of(tc *TaskCtx) *algo.ClosedPairs {
+	if s.cp[tc.Slot()] == nil {
+		s.cp[tc.Slot()] = algo.NewClosedPairs(s.n)
+	}
+	return s.cp[tc.Slot()]
+}
+
+// runLCC serves both LCC and STATS, whose mean Run folds with
+// algo.StatsFromLCC. Job 1 exchanges neighborhoods and closed-pair
+// counts, job 2 emits each vertex's own coefficient.
+// Job 1 state: [tagState][out-adjacency][neighborhood].
+// Neighborhood msg: [tagMsg][varint from][vertex list].
+// Job 1 output count msg: [tagMsg][varint count].
+// Job 2 output: [tagMsg][float lcc_v].
 func (l *loaded) runLCC(ctx context.Context, c *Cluster, p algo.Params) (algo.LCCOutput, error) {
 	n := l.g.NumVertices()
 	nbh := l.neighborhoods()

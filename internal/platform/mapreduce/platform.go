@@ -91,7 +91,10 @@ func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*
 	case algo.CD:
 		out, err = l.runCD(ctx, cluster, params)
 	case algo.STATS:
-		out, err = l.runStats(ctx, cluster, params)
+		var lcc algo.LCCOutput
+		if lcc, err = l.runLCC(ctx, cluster, params); err == nil {
+			out = algo.StatsFromLCC(l.g, lcc)
+		}
 	case algo.EVO:
 		out, err = l.runEvo(ctx, cluster, params)
 	case algo.PR:

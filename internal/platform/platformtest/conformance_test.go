@@ -1,6 +1,8 @@
 package platformtest
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"graphalytics/internal/algo"
@@ -36,27 +38,74 @@ func TestRegistryConformanceMatrix(t *testing.T) {
 	}
 }
 
+// engineFactory builds an engine at a worker count.
+type engineFactory struct {
+	name    string
+	factory func(workers int) platform.Platform
+}
+
+// parallelEngines are the engines with a worker knob (pregel BSP
+// workers, mapreduce slots, dataflow partitions).
+var parallelEngines = []engineFactory{
+	{"pregel", func(w int) platform.Platform { return pregel.New(pregel.Options{Workers: w}) }},
+	{"mapreduce", func(w int) platform.Platform {
+		return mapreduce.New(mapreduce.Options{Workers: w, RoundOverhead: -1})
+	}},
+	{"dataflow", func(w int) platform.Platform { return dataflow.New(dataflow.Options{Parts: w}) }},
+}
+
 // TestWorkersSweepAcrossEngines sweeps the worker knob of every
-// parallel engine (pregel BSP workers, mapreduce slots, dataflow
-// partitions) and checks the parallel outputs against the
-// single-worker run under each workload's validation policy. graphdb
-// is absent by design: the record store is single-threaded.
+// parallel engine and checks the parallel outputs against the
+// single-worker run. graphdb is absent by design: the record store is
+// single-threaded.
 func TestWorkersSweepAcrossEngines(t *testing.T) {
-	cases := []struct {
-		name    string
-		factory func(workers int) platform.Platform
-	}{
-		{"pregel", func(w int) platform.Platform { return pregel.New(pregel.Options{Workers: w}) }},
-		{"mapreduce", func(w int) platform.Platform {
-			return mapreduce.New(mapreduce.Options{Workers: w, RoundOverhead: -1})
-		}},
-		{"dataflow", func(w int) platform.Platform { return dataflow.New(dataflow.Options{Parts: w}) }},
-	}
-	for _, c := range cases {
+	for _, c := range parallelEngines {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			WorkersSweep(t, c.factory)
+		})
+	}
+}
+
+// TestStatsIsReferenceBitsOnEveryEngine pins STATS to the mean of LCC:
+// on every engine and at every worker count, Run(STATS) must equal
+// algo.RunStats bit for bit and the engine's own LCC output folded by
+// algo.StatsFromLCC. graphdb has no worker knob, so its factory ignores
+// the count.
+func TestStatsIsReferenceBitsOnEveryEngine(t *testing.T) {
+	cases := append(parallelEngines[:len(parallelEngines):len(parallelEngines)],
+		engineFactory{"graphdb", func(int) platform.Platform { return graphdb.New(graphdb.Options{}) }})
+	gs := Graphs(t)
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			for _, g := range gs {
+				want := algo.RunStats(g)
+				params := suiteParams(g)
+				for _, w := range []int{1, 2, 3, 8} {
+					loaded, err := c.factory(w).LoadGraph(g)
+					if err != nil {
+						t.Fatalf("%s workers=%d LoadGraph: %v", g.Name(), w, err)
+					}
+					stats, err := loaded.Run(context.Background(), algo.STATS, params)
+					if err != nil {
+						t.Fatalf("%s workers=%d STATS: %v", g.Name(), w, err)
+					}
+					lcc, err := loaded.Run(context.Background(), algo.LCC, params)
+					if err != nil {
+						t.Fatalf("%s workers=%d LCC: %v", g.Name(), w, err)
+					}
+					loaded.Close()
+					if !reflect.DeepEqual(stats.Output, want) {
+						t.Errorf("%s workers=%d: STATS %+v, reference %+v", g.Name(), w, stats.Output, want)
+					}
+					if folded := algo.StatsFromLCC(g, lcc.Output.(algo.LCCOutput)); !reflect.DeepEqual(stats.Output, folded) {
+						t.Errorf("%s workers=%d: STATS %+v, folded LCC %+v", g.Name(), w, stats.Output, folded)
+					}
+				}
+			}
 		})
 	}
 }

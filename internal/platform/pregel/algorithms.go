@@ -157,122 +157,6 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (*platform.Result, er
 	return &platform.Result{Output: algo.CDOutput(labels), Counters: *counters}, nil
 }
 
-// ------------------------------ STATS ------------------------------
-
-// statsMsg carries either a neighborhood announcement (reply=false) or a
-// closed-pair count back to the asking vertex (reply=true). Neighborhood
-// exchange is what makes STATS the most network-hungry workload on BSP
-// platforms, exactly as Figure 4 shows for Giraph.
-type statsMsg struct {
-	from  graph.VertexID
-	nbh   []graph.VertexID
-	count int64
-	reply bool
-}
-
-func statsMsgBytes(m statsMsg) int64 {
-	if m.reply {
-		return 16
-	}
-	return 16 + 4*int64(len(m.nbh))
-}
-
-// statsScratch is the per-worker scratch of the STATS/LCC vertex
-// programs, indexed by VCtx.Worker: a closed-pair counter, built on the
-// worker's first use, and a neighbourhood buffer.
-type statsScratch struct {
-	g   *graph.Graph
-	cp  []*algo.ClosedPairs
-	buf [][]graph.VertexID
-}
-
-func newStatsScratch(g *graph.Graph, workers int) *statsScratch {
-	return &statsScratch{g: g, cp: make([]*algo.ClosedPairs, workers), buf: make([][]graph.VertexID, workers)}
-}
-
-// answer replies to each neighbourhood announcement in msgs with the
-// number of closed pairs through v: out(v) is marked once and each
-// received N(w) probes it.
-func (s *statsScratch) answer(c *VCtx[statsMsg], v graph.VertexID, msgs []statsMsg) {
-	if len(msgs) == 0 {
-		return
-	}
-	w := c.Worker()
-	if s.cp[w] == nil {
-		s.cp[w] = algo.NewClosedPairs(s.g.NumVertices())
-	}
-	s.cp[w].Mark(s.g.OutNeighbors(v))
-	for _, m := range msgs {
-		c.Send(m.from, statsMsg{from: v, count: s.cp[w].Count(m.nbh, v), reply: true})
-	}
-}
-
-// degree returns |N(v)| in the worker's buffer instead of a fresh slice.
-func (s *statsScratch) degree(c *VCtx[statsMsg], v graph.VertexID) int {
-	w := c.Worker()
-	s.buf[w] = s.g.Neighborhood(v, s.buf[w][:0])
-	return len(s.buf[w])
-}
-
-func (l *loaded) runStats(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
-	counters := &platform.Counters{}
-	links := make([]int64, n)
-	if err := l.mem.Alloc(int64(n) * 8); err != nil {
-		return nil, err
-	}
-	defer l.mem.Free(int64(n) * 8)
-
-	var meanLCC float64
-	e := newEngine[statsMsg](l, counters, statsMsgBytes, nil)
-	scratch := newStatsScratch(l.g, e.Workers)
-	e.AggMerge = map[string]func(a, b any) any{
-		"lccSum": func(a, b any) any { return a.(float64) + b.(float64) },
-	}
-	compute := func(c *VCtx[statsMsg], v graph.VertexID, msgs []statsMsg) {
-		switch c.Superstep() {
-		case 0:
-			nbh := l.g.Neighborhood(v, nil)
-			if len(nbh) >= 2 {
-				for _, u := range nbh {
-					c.Send(u, statsMsg{from: v, nbh: nbh})
-				}
-				c.CountEdges(int64(len(nbh)))
-			}
-		case 1:
-			scratch.answer(c, v, msgs)
-			c.VoteToHalt(v)
-		case 2:
-			var sum int64
-			for _, m := range msgs {
-				sum += m.count
-			}
-			links[v] = sum
-			d := float64(scratch.degree(c, v))
-			if d >= 2 {
-				c.Aggregate("lccSum", float64(sum)/(d*(d-1)))
-			}
-			c.VoteToHalt(v)
-		default:
-			c.VoteToHalt(v)
-		}
-	}
-	master := func(step int, agg map[string]any) (map[string]any, bool) {
-		if step == 2 {
-			if s, ok := agg["lccSum"].(float64); ok {
-				meanLCC = s / float64(n)
-			}
-			return nil, true
-		}
-		return nil, false
-	}
-	if err := e.Run(ctx, compute, master); err != nil {
-		return nil, err
-	}
-	out := algo.StatsOutput{Vertices: n, Edges: l.g.NumEdges(), MeanLCC: meanLCC}
-	return &platform.Result{Output: out, Counters: *counters}, nil
-}
-
 // ------------------------------ EVO ------------------------------
 
 // evoMsg is a burn request for one fire.

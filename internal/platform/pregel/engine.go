@@ -327,7 +327,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 			}(w, c)
 		}
 		wg.Wait()
-		if err := firstError(werr); err != nil {
+		if err := platform.FirstError(werr); err != nil {
 			ssp.SetAttr("error", err.Error())
 			ssp.End()
 			return err
@@ -415,7 +415,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 			}(dw)
 		}
 		dwg.Wait()
-		if err := firstError(derr); err != nil {
+		if err := platform.FirstError(derr); err != nil {
 			ssp.SetAttr("error", err.Error())
 			ssp.End()
 			return err
@@ -441,17 +441,6 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 }
 
 func (e *Engine[M]) workerOf(v graph.VertexID) int { return int(e.partOf[v]) }
-
-// firstError returns the lowest-indexed non-nil error from a per-worker
-// error slice (deterministic pick under concurrent interruption).
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func (e *Engine[M]) countActive() int64 {
 	var active int64

@@ -132,11 +132,67 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (*platform.Result, 
 
 // ------------------------------ LCC ------------------------------
 
-// runLCC is the per-vertex variant of runStats: the same two-superstep
-// neighborhood exchange (announce N(v), reply with closed-pair counts),
-// but every vertex keeps its own coefficient instead of folding into a
-// mean aggregator. It shares statsMsg and the ClosedPairs kernel, so
-// numerators match the reference bit-for-bit.
+// statsMsg is the message of the LCC program, which serves both STATS
+// and LCC: either a neighborhood announcement (reply=false) or a
+// closed-pair count back to the asking vertex (reply=true). Neighborhood
+// exchange is what makes STATS the most network-hungry workload on BSP
+// platforms, exactly as Figure 4 shows for Giraph.
+type statsMsg struct {
+	from  graph.VertexID
+	nbh   []graph.VertexID
+	count int64
+	reply bool
+}
+
+func statsMsgBytes(m statsMsg) int64 {
+	if m.reply {
+		return 16
+	}
+	return 16 + 4*int64(len(m.nbh))
+}
+
+// statsScratch is the per-worker scratch of the LCC vertex program,
+// indexed by VCtx.Worker: a closed-pair counter, built on the
+// worker's first use, and a neighbourhood buffer.
+type statsScratch struct {
+	g   *graph.Graph
+	cp  []*algo.ClosedPairs
+	buf [][]graph.VertexID
+}
+
+func newStatsScratch(g *graph.Graph, workers int) *statsScratch {
+	return &statsScratch{g: g, cp: make([]*algo.ClosedPairs, workers), buf: make([][]graph.VertexID, workers)}
+}
+
+// answer replies to each neighbourhood announcement in msgs with the
+// number of closed pairs through v: out(v) is marked once and each
+// received N(w) probes it.
+func (s *statsScratch) answer(c *VCtx[statsMsg], v graph.VertexID, msgs []statsMsg) {
+	if len(msgs) == 0 {
+		return
+	}
+	w := c.Worker()
+	if s.cp[w] == nil {
+		s.cp[w] = algo.NewClosedPairs(s.g.NumVertices())
+	}
+	s.cp[w].Mark(s.g.OutNeighbors(v))
+	for _, m := range msgs {
+		c.Send(m.from, statsMsg{from: v, count: s.cp[w].Count(m.nbh, v), reply: true})
+	}
+}
+
+// degree returns |N(v)| in the worker's buffer instead of a fresh slice.
+func (s *statsScratch) degree(c *VCtx[statsMsg], v graph.VertexID) int {
+	w := c.Worker()
+	s.buf[w] = s.g.Neighborhood(v, s.buf[w][:0])
+	return len(s.buf[w])
+}
+
+// runLCC is a two-superstep neighborhood exchange (announce N(v), reply
+// with closed-pair counts) after which every vertex keeps its own
+// coefficient. It serves STATS too, whose mean Run folds with
+// algo.StatsFromLCC. The ClosedPairs kernel makes numerators match the
+// reference bit-for-bit.
 func (l *loaded) runLCC(ctx context.Context, p algo.Params) (*platform.Result, error) {
 	n := l.g.NumVertices()
 	counters := &platform.Counters{}

@@ -101,7 +101,9 @@ func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*
 	case algo.CD:
 		res, err = l.runCD(ctx, params)
 	case algo.STATS:
-		res, err = l.runStats(ctx, params)
+		if res, err = l.runLCC(ctx, params); err == nil {
+			res.Output = algo.StatsFromLCC(l.g, res.Output.(algo.LCCOutput))
+		}
 	case algo.EVO:
 		res, err = l.runEvo(ctx, params)
 	case algo.PR:

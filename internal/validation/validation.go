@@ -18,7 +18,10 @@
 //     platforms);
 //   - epsilon: float vectors must match within a per-element tolerance
 //     (PR, LCC, STATS MeanLCC — platforms sum floats in different
-//     orders);
+//     orders). The bundled engines report STATS with the reference's
+//     bits, since each folds its LCC output with algo.StatsFromLCC in
+//     vertex order; the epsilon stays for platforms that sum in
+//     another order;
 //   - rank-tolerant: the ordering induced by a float vector must match
 //     up to ties within a tolerance (a looser PR acceptance criterion,
 //     checked in addition to epsilon).
