@@ -16,6 +16,10 @@
 //     partition boundary are counted as network traffic (choke point
 //     §2.1 "excessive network utilization");
 //   - optional sender-side combiners reduce message volume (ablation);
+//   - each worker's outboxes and each destination worker's inbox arena
+//     are real memory allocated once per run and reused every
+//     superstep; the memory budget still charges every superstep's
+//     messages as they are sent;
 //   - per-worker busy times and per-superstep active-vertex counts are
 //     recorded (choke point §2.1 "skewed execution intensity");
 //   - all message effects are order-insensitive or internally sorted, so
@@ -40,7 +44,12 @@ import (
 )
 
 // ComputeFunc is the vertex program executed each superstep. msgs holds
-// the messages delivered to v this superstep (nil in superstep 0).
+// the messages delivered to v this superstep, in (source worker, send)
+// order; it is empty in superstep 0 and whenever nothing arrived. msgs
+// is valid only during the call: the engine reuses its storage for the
+// next superstep's delivery, so a program copies what it keeps. A
+// program may reorder msgs in place, as algo.TallyVotes does; appending
+// to it reallocates instead of writing into another vertex's messages.
 type ComputeFunc[M any] func(c *VCtx[M], v graph.VertexID, msgs []M)
 
 // Engine is a BSP execution engine for message type M.
@@ -69,9 +78,10 @@ type Engine[M any] struct {
 
 	partOf   []int32
 	byPart   [][]graph.VertexID
-	localIdx []int32 // vertex -> index within its partition's vertex list
-	inbox    [][]M
-	next     [][]M
+	localIdx []int32   // vertex -> index within its partition's vertex list
+	inbox    [][]M     // this superstep's messages, cut from arena
+	counts   [][]int32 // per destination worker: messages per local vertex
+	arena    [][]M     // per destination worker: backing of its inboxes
 	halted   []bool
 	aggPrev  map[string]any
 	aggCur   map[string]any
@@ -88,6 +98,7 @@ type VCtx[M any] struct {
 	combuf  []*combineBuf[M] // per destination worker, when combining
 	lagg    map[string]any   // worker-local aggregations
 	haltReq []graph.VertexID // vertices voting to halt this superstep
+	nbh     []graph.VertexID // SendToAllNeighbors scratch
 	sent    int64
 	sentB   int64
 	netB    int64
@@ -156,7 +167,14 @@ func (c *VCtx[M]) Send(dst graph.VertexID, m M) {
 	if w != c.worker {
 		c.netB += size
 	}
-	c.outbox[w] = append(c.outbox[w], targeted[M]{dst: dst, msg: m})
+	out := c.outbox[w]
+	if len(out) == cap(out) {
+		// Double, where append grows a large slice by 1.25×: an outbox
+		// grows only until the run's busiest superstep, and doubling
+		// allocates about twice its final size on the way, not five times.
+		out = slices.Grow(out, len(out))
+	}
+	c.outbox[w] = append(out, targeted[M]{dst: dst, msg: m})
 	c.sent++
 	c.sentB += size
 }
@@ -176,12 +194,11 @@ func (c *VCtx[M]) SendToAllNeighbors(v graph.VertexID, m M) {
 		c.SendToOutNeighbors(v, m)
 		return
 	}
-	var buf []graph.VertexID
-	buf = c.e.G.Neighborhood(v, buf)
-	for _, u := range buf {
+	c.nbh = c.e.G.Neighborhood(v, c.nbh[:0])
+	for _, u := range c.nbh {
 		c.Send(u, m)
 	}
-	c.edges += int64(len(buf))
+	c.edges += int64(len(c.nbh))
 }
 
 // VoteToHalt deactivates v until a message wakes it.
@@ -241,7 +258,11 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 		e.byPart[p] = append(e.byPart[p], graph.VertexID(v))
 	}
 	e.inbox = make([][]M, n)
-	e.next = make([][]M, n)
+	e.counts = make([][]int32, e.Workers)
+	e.arena = make([][]M, e.Workers)
+	for w := range e.counts {
+		e.counts[w] = make([]int32, len(e.byPart[w]))
+	}
 	e.halted = make([]bool, n)
 	e.aggPrev = map[string]any{}
 	e.aggCur = map[string]any{}
@@ -265,7 +286,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 
 	ctxs := make([]*VCtx[M], e.Workers)
 	for w := 0; w < e.Workers; w++ {
-		ctxs[w] = &VCtx[M]{e: e, worker: w}
+		ctxs[w] = &VCtx[M]{e: e, worker: w, outbox: make([][]targeted[M], e.Workers), lagg: map[string]any{}}
 		if e.Combiner != nil {
 			ctxs[w].combuf = make([]*combineBuf[M], e.Workers)
 			for dw := 0; dw < e.Workers; dw++ {
@@ -304,8 +325,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 		werr := make([]error, e.Workers)
 		for w := 0; w < e.Workers; w++ {
 			c := ctxs[w]
-			c.outbox = make([][]targeted[M], e.Workers)
-			c.lagg = map[string]any{}
+			clear(c.lagg)
 			c.haltReq = c.haltReq[:0]
 			wg.Add(1)
 			go func(w int, c *VCtx[M]) {
@@ -333,7 +353,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 			return err
 		}
 
-		// Apply halt votes and clear consumed inboxes.
+		// Apply halt votes and release the consumed messages.
 		for _, c := range ctxs {
 			for _, v := range c.haltReq {
 				e.halted[v] = true
@@ -342,9 +362,6 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 		if e.Mem != nil {
 			e.Mem.Free(e.liveMsgBytes)
 			e.liveMsgBytes = 0
-		}
-		for v := range e.inbox {
-			e.inbox[v] = nil
 		}
 
 		// Aggregator merge in worker order (deterministic).
@@ -358,8 +375,8 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 			}
 		}
 
-		// Deliver phase: per destination worker, drain source workers in
-		// fixed order so per-vertex message order is deterministic.
+		// Deliver phase: each destination worker cuts its vertices'
+		// inboxes for the next superstep.
 		var totalSent, totalB, netB, edges int64
 		for _, c := range ctxs {
 			totalSent += c.sent
@@ -384,34 +401,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 			dwg.Add(1)
 			go func(dw int) {
 				defer dwg.Done()
-				for _, c := range ctxs {
-					if c.combuf != nil {
-						// Deterministic order: sorted local indices.
-						buf := c.combuf[dw]
-						if len(buf.touched) == 0 {
-							continue
-						}
-						slices.Sort(buf.touched)
-						verts := e.byPart[dw]
-						for i, li := range buf.touched {
-							if i%platform.CheckStride == 0 && ctx.Err() != nil {
-								derr[dw] = platform.CheckContextPhase(ctx, "pregel/deliver")
-								return
-							}
-							v := verts[li]
-							e.next[v] = append(e.next[v], buf.vals[li])
-						}
-						buf.reset()
-						continue
-					}
-					for i, t := range c.outbox[dw] {
-						if i%platform.CheckStride == 0 && ctx.Err() != nil {
-							derr[dw] = platform.CheckContextPhase(ctx, "pregel/deliver")
-							return
-						}
-						e.next[t.dst] = append(e.next[t.dst], t.msg)
-					}
-				}
+				derr[dw] = e.deliver(ctx, dw, ctxs)
 			}(dw)
 		}
 		dwg.Wait()
@@ -420,7 +410,6 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 			ssp.End()
 			return err
 		}
-		e.inbox, e.next = e.next, e.inbox
 		ssp.SetAttr("messages", totalSent)
 		ssp.End()
 
@@ -436,6 +425,82 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 				break
 			}
 		}
+	}
+	return nil
+}
+
+// deliver cuts the inboxes of destination worker dw's vertices from
+// one arena by a counting sort over the messages addressed to dw:
+// count them per local vertex, give each vertex a slice of the arena
+// capped at its count (nil when nothing arrived), then copy the
+// messages in. Source workers are walked in worker order and each
+// one's messages in send order, so every vertex receives its messages
+// in (source worker, send) order. The consumed outboxes and combining
+// stores are emptied for the next superstep. Delivery starts after the
+// compute barrier, so the arena's previous contents are dead.
+func (e *Engine[M]) deliver(ctx context.Context, dw int, ctxs []*VCtx[M]) error {
+	verts := e.byPart[dw]
+	counts := e.counts[dw]
+	clear(counts)
+	total := 0
+	for _, c := range ctxs {
+		if c.combuf != nil {
+			touched := c.combuf[dw].touched
+			for _, li := range touched {
+				counts[li]++
+			}
+			total += len(touched)
+			continue
+		}
+		for _, t := range c.outbox[dw] {
+			counts[e.localIdx[t.dst]]++
+		}
+		total += len(c.outbox[dw])
+	}
+
+	arena := e.arena[dw]
+	if total < len(arena) {
+		clear(arena[total:]) // drop stale messages' references
+	}
+	if cap(arena) < total {
+		arena = make([]M, 0, total+total/4)
+	}
+	arena = arena[:total]
+	e.arena[dw] = arena
+	off := 0
+	for li, k := range counts {
+		v := verts[li]
+		if k == 0 {
+			e.inbox[v] = nil
+			continue
+		}
+		end := off + int(k)
+		e.inbox[v] = arena[off:off:end]
+		off = end
+	}
+
+	for _, c := range ctxs {
+		if c.combuf != nil {
+			buf := c.combuf[dw]
+			for i, li := range buf.touched {
+				if i%platform.CheckStride == 0 && ctx.Err() != nil {
+					return platform.CheckContextPhase(ctx, "pregel/deliver")
+				}
+				v := verts[li]
+				e.inbox[v] = append(e.inbox[v], buf.vals[li])
+			}
+			buf.reset()
+			continue
+		}
+		out := c.outbox[dw]
+		for i, t := range out {
+			if i%platform.CheckStride == 0 && ctx.Err() != nil {
+				return platform.CheckContextPhase(ctx, "pregel/deliver")
+			}
+			e.inbox[t.dst] = append(e.inbox[t.dst], t.msg)
+		}
+		clear(out) // drop the messages' references before reuse
+		c.outbox[dw] = out[:0]
 	}
 	return nil
 }

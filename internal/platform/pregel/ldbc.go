@@ -136,11 +136,13 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (*platform.Result, 
 // and LCC: either a neighborhood announcement (reply=false) or a
 // closed-pair count back to the asking vertex (reply=true). Neighborhood
 // exchange is what makes STATS the most network-hungry workload on BSP
-// platforms, exactly as Figure 4 shows for Giraph.
+// platforms, exactly as Figure 4 shows for Giraph. The fields are
+// ordered widest first, so the struct packs into 40 bytes (48 in an
+// outbox entry) instead of 48 (56).
 type statsMsg struct {
-	from  graph.VertexID
 	nbh   []graph.VertexID
 	count int64
+	from  graph.VertexID
 	reply bool
 }
 
