@@ -2,6 +2,7 @@ package codequality
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -78,6 +79,23 @@ func TestRepoDocsLinks(t *testing.T) {
 	}
 	for _, i := range issues {
 		t.Errorf("broken doc link: %s", i)
+	}
+}
+
+// TestBenchmarkModuleBuilds vets the repository benchmark, a nested
+// module that `go test ./...` at the root never compiles: a change that
+// breaks an identifier the benchmark uses fails here instead of in the
+// benchmark's own build.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH, so the benchmark module cannot be vetted")
+	}
+	cmd := exec.Command(goBin, "vet", "-C", filepath.Join(moduleRoot(t), "benchmark"), "./...")
+	// As benchmark/run.sh builds it: no module download, no toolchain switch.
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOTOOLCHAIN=local", "GOPROXY=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet -C benchmark ./...: %v\n%s", err, out)
 	}
 }
 

@@ -209,7 +209,13 @@ func (l *loaded) runLCC(ctx context.Context, p algo.Params) (*platform.Result, e
 	compute := func(c *VCtx[statsMsg], v graph.VertexID, msgs []statsMsg) {
 		switch c.Superstep() {
 		case 0:
-			nbh := l.g.Neighborhood(v, nil)
+			// The neighbourhood travels in the messages, so each vertex
+			// needs its own; sized to its bound, it is one allocation.
+			bound := l.g.OutDegree(v)
+			if l.g.Directed() && l.g.HasReverse() {
+				bound += l.g.InDegree(v)
+			}
+			nbh := l.g.Neighborhood(v, make([]graph.VertexID, 0, bound))
 			if len(nbh) >= 2 {
 				for _, u := range nbh {
 					c.Send(u, statsMsg{from: v, nbh: nbh})

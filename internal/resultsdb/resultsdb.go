@@ -21,7 +21,10 @@
 // that one insertion path keeps current as each submission is accepted
 // or replayed from the file. Opening a store therefore costs time in
 // proportion to the file, while a read costs the same however many
-// submissions it holds; only the filtered /results query still scans.
+// submissions it holds. /results and the submission list read one more
+// view, an index of result rows by (platform, graph, algorithm) and the
+// encoded summaries; the reads bring it up to date with the submissions
+// stored since the last read, so a write does not pay for it.
 //
 // Everything is stdlib net/http + encoding/json; the store is safe for
 // concurrent use.
@@ -29,11 +32,14 @@ package resultsdb
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,14 +82,34 @@ type Store struct {
 	summaries []Summary                    // summaries[i] describes subs[i]
 	board     map[cell]map[string]BestCell // (graph, algorithm) → platform → best run
 	history   map[seriesKey][]MetricPoint  // regression series, oldest first
+
+	// The read index of subs[:indexed], written only by catchUp.
+	rows        map[rowKey][]rowRef // result rows, in (submission, result) order
+	summaryJSON [][]byte            // summaryJSON[i] encodes summaries[i]
+	indexed     int
 }
 
 // cell identifies one leaderboard.
 type cell struct{ graph, algorithm string }
 
+// rowKey is the (platform, graph, algorithm) of a result row.
+type rowKey struct{ platform, graph, algorithm string }
+
+// rowRef locates a result row: subs[sub].Report.Results[res].
+type rowRef struct{ sub, res int32 }
+
+// row is the ResultRow that ref locates in subs.
+func (ref rowRef) row(subs []*Submission) ResultRow {
+	sub := subs[ref.sub]
+	return ResultRow{SubmissionID: sub.ID, Submitter: sub.Submitter, Result: sub.Report.Results[ref.res]}
+}
+
 // NewStore returns an empty in-memory store.
 func NewStore() *Store {
-	return &Store{nextID: 1, board: map[cell]map[string]BestCell{}, history: map[seriesKey][]MetricPoint{}}
+	return &Store{
+		nextID: 1, board: map[cell]map[string]BestCell{}, history: map[seriesKey][]MetricPoint{},
+		rows: map[rowKey][]rowRef{},
+	}
 }
 
 // add appends a validated submission whose ID exceeds every stored one
@@ -194,9 +220,28 @@ func validate(sub *Submission) error {
 		if r.Platform == "" || r.Graph == "" || r.Algorithm == "" {
 			return fmt.Errorf("%w: result missing platform/graph/algorithm", ErrInvalidSubmission)
 		}
+		if !finite(r.KTEPS) || r.Resources != nil && !finite(r.Resources.CPUMeanPercent) {
+			return fmt.Errorf("%w: result %s/%s/%s has a NaN or infinite value",
+				ErrInvalidSubmission, r.Platform, r.Graph, r.Algorithm)
+		}
+	}
+	for _, in := range sub.Report.Ingests {
+		if !finite(in.EVPS) {
+			return fmt.Errorf("%w: ingest of %s has a NaN or infinite EVPS", ErrInvalidSubmission, in.Graph)
+		}
+	}
+	// JSON has no NaN or infinity and RFC 3339 no year past 9999: a
+	// value either refused would fail to encode, so every read (and the
+	// file) could not serve the submission.
+	for _, t := range []time.Time{sub.SubmittedAt, sub.Report.Started, sub.Report.Finished} {
+		if _, err := t.MarshalText(); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidSubmission, err)
+		}
 	}
 	return nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Submit validates and stores a submission, returning its assigned ID.
 // A file-backed store appends it to the log first: memory takes the
@@ -269,27 +314,86 @@ type ResultRow struct {
 	Result       report.RunResult `json:"result"`
 }
 
-// Results returns all result rows matching f.
+// Results returns all result rows matching f, nil if none does.
 func (s *Store) Results(f Filter) []ResultRow {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []ResultRow
-	for _, sub := range s.subs {
-		for i := range sub.Report.Results {
-			r := &sub.Report.Results[i]
-			if f.Platform != "" && r.Platform != f.Platform {
-				continue
-			}
-			if f.Graph != "" && r.Graph != f.Graph {
-				continue
-			}
-			if f.Algorithm != "" && string(r.Algorithm) != f.Algorithm {
-				continue
-			}
-			out = append(out, ResultRow{SubmissionID: sub.ID, Submitter: sub.Submitter, Result: *r})
-		}
+	subs, refs := s.selectRows(f)
+	if len(refs) == 0 {
+		return nil
+	}
+	out := make([]ResultRow, len(refs))
+	for i, ref := range refs {
+		out[i] = ref.row(subs)
 	}
 	return out
+}
+
+// rlockIndexed takes the read lock with the read index covering every
+// submission stored before the call. A submission stored between the
+// catch-up and the read lock may be missing from the index, so its
+// readers stop at s.indexed, not at len(s.subs).
+func (s *Store) rlockIndexed() {
+	s.mu.RLock()
+	if s.indexed == len(s.subs) {
+		return
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	s.catchUp()
+	s.mu.Unlock()
+	s.mu.RLock()
+}
+
+// catchUp adds subs[indexed:] to the read index. The caller holds the
+// write lock.
+func (s *Store) catchUp() {
+	for i := s.indexed; i < len(s.subs); i++ {
+		for j := range s.subs[i].Report.Results {
+			r := &s.subs[i].Report.Results[j]
+			k := rowKey{r.Platform, r.Graph, string(r.Algorithm)}
+			s.rows[k] = append(s.rows[k], rowRef{int32(i), int32(j)})
+		}
+		// validate admits only what encodes.
+		b, _ := json.Marshal(&s.summaries[i])
+		s.summaryJSON = append(s.summaryJSON, b)
+	}
+	s.indexed = len(s.subs)
+}
+
+// selectRows locates the rows that match f among the submissions stored
+// before the call: it returns their positions, in (submission, result)
+// order, and the submissions those point into. Neither slice may be
+// modified.
+func (s *Store) selectRows(f Filter) ([]*Submission, []rowRef) {
+	s.rlockIndexed()
+	defer s.mu.RUnlock()
+	subs := s.subs[:s.indexed]
+	if f.Platform != "" && f.Graph != "" && f.Algorithm != "" {
+		return subs, s.rows[rowKey{f.Platform, f.Graph, f.Algorithm}]
+	}
+	var refs []rowRef
+	keys := 0
+	for k, posting := range s.rows {
+		if (f.Platform == "" || k.platform == f.Platform) &&
+			(f.Graph == "" || k.graph == f.Graph) &&
+			(f.Algorithm == "" || k.algorithm == f.Algorithm) {
+			refs = append(refs, posting...)
+			keys++
+		}
+	}
+	if keys > 1 {
+		slices.SortFunc(refs, func(a, b rowRef) int {
+			return cmp.Or(cmp.Compare(a.sub, b.sub), cmp.Compare(a.res, b.res))
+		})
+	}
+	return subs, refs
+}
+
+// summaryBodies returns the encoded summaries of the submissions stored
+// before the call, oldest first. The slice may not be modified.
+func (s *Store) summaryBodies() [][]byte {
+	s.rlockIndexed()
+	defer s.mu.RUnlock()
+	return s.summaryJSON[:s.indexed]
 }
 
 // Comparison is the per-platform best successful runtime for one
@@ -342,6 +446,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// bodies holds the buffers /results and the submission list assemble
+// their answers in; one larger than maxPooledBody is left to the GC.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 4 << 20
+
+// sendBody answers 200 with the JSON in b, which it returns to bodies.
+func sendBody(w http.ResponseWriter, b *bytes.Buffer) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b.Bytes())
+	if b.Cap() <= maxPooledBody {
+		b.Reset()
+		bodies.Put(b)
+	}
+}
+
 type apiError struct {
 	Error string `json:"error"`
 }
@@ -349,7 +470,18 @@ type apiError struct {
 func (s *Store) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.List())
+		// The bytes writeJSON sends for List().
+		enc := s.summaryBodies()
+		b := bodies.Get().(*bytes.Buffer)
+		b.WriteByte('[')
+		for i := len(enc) - 1; i >= 0; i-- {
+			b.Write(enc[i])
+			if i > 0 {
+				b.WriteByte(',')
+			}
+		}
+		b.WriteString("]\n")
+		sendBody(w, b)
 	case http.MethodPost:
 		var sub Submission
 		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
@@ -397,15 +529,28 @@ func (s *Store) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	rows := s.Results(Filter{
+	subs, refs := s.selectRows(Filter{
 		Platform:  q.Get("platform"),
 		Graph:     q.Get("graph"),
 		Algorithm: q.Get("algorithm"),
 	})
-	if rows == nil {
-		rows = []ResultRow{}
+	// The bytes writeJSON sends for Results(), "[]" when it is nil:
+	// each row as Encode writes it (validate admits only what encodes)
+	// less the newline Encode ends it with.
+	b := bodies.Get().(*bytes.Buffer)
+	enc := json.NewEncoder(b)
+	var row ResultRow
+	b.WriteByte('[')
+	for i, ref := range refs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		row = ref.row(subs)
+		_ = enc.Encode(&row)
+		b.Truncate(b.Len() - 1)
 	}
-	writeJSON(w, http.StatusOK, rows)
+	b.WriteString("]\n")
+	sendBody(w, b)
 }
 
 func (s *Store) handleCompare(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -13,15 +14,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"graphalytics/internal/algo"
+	"graphalytics/internal/monitor"
 	"graphalytics/internal/report"
+	"graphalytics/internal/telemetry"
 )
 
 func sampleReport(platform string, runtimeMS float64) *report.Report {
@@ -576,13 +581,75 @@ func randomSubmission(rng *rand.Rand, k int) Submission {
 var regressionOpts = []RegressionOptions{{}, {Threshold: 0.05}, {Window: 1}, {Threshold: 0.5, Window: 10}}
 
 // jsonBody is what writeJSON sends for v.
-func jsonBody(t *testing.T, v any) string {
+func jsonBody(t testing.TB, v any) string {
 	t.Helper()
 	var b bytes.Buffer
 	if err := json.NewEncoder(&b).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// readFilters are the /results filters the oracle comparisons run: every
+// combination of wildcard, unknown and known platform, graph and
+// algorithm.
+func readFilters() []Filter {
+	var out []Filter
+	for _, p := range append([]string{"", "nope"}, propPlatforms...) {
+		for _, g := range append([]string{"", "nope"}, propGraphs...) {
+			for _, a := range []string{"", "nope", "BFS", "CONN", "PR"} {
+				out = append(out, Filter{Platform: p, Graph: g, Algorithm: a})
+			}
+		}
+	}
+	return out
+}
+
+// resultsPath is the /results request for f.
+func resultsPath(f Filter) string {
+	q := url.Values{}
+	for k, v := range map[string]string{"platform": f.Platform, "graph": f.Graph, "algorithm": f.Algorithm} {
+		if v != "" {
+			q.Set(k, v)
+		}
+	}
+	return "/api/v1/results?" + q.Encode()
+}
+
+// serve answers one GET through the store's handler.
+func serve(h http.Handler, path string) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Code, rec.Body.String()
+}
+
+// checkIndexedReads asserts that the reads served from the read index —
+// Results, /results and the submission list — equal the oracle's
+// answers from the submission log, the bodies byte for byte.
+func checkIndexedReads(t testing.TB, s *Store, h http.Handler) {
+	t.Helper()
+	subs := s.subs
+	expect := func(path, body string) {
+		t.Helper()
+		if code, got := serve(h, path); code != http.StatusOK || got != body {
+			t.Fatalf("GET %s = %d %q,\nwant 200 %q", path, code, got, body)
+		}
+	}
+	for _, f := range readFilters() {
+		want := oracleResults(subs, f)
+		if got := s.Results(f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Results(%+v): %d rows (nil: %t), want %d (nil: %t)", f, len(got), got == nil, len(want), want == nil)
+		}
+		if want == nil {
+			want = []ResultRow{}
+		}
+		expect(resultsPath(f), jsonBody(t, want))
+	}
+	wantList := oracleList(subs)
+	if got := s.List(); !reflect.DeepEqual(got, wantList) {
+		t.Fatalf("List = %+v\nwant %+v", got, wantList)
+	}
+	expect("/api/v1/submissions", jsonBody(t, wantList))
 }
 
 // checkOracle asserts that every read of s, direct and over HTTP,
@@ -627,33 +694,7 @@ func checkOracle(t *testing.T, s *Store) int {
 		}
 	}
 
-	wantList := oracleList(subs)
-	if got := s.List(); !reflect.DeepEqual(got, wantList) {
-		t.Fatalf("List = %+v\nwant %+v", got, wantList)
-	}
-	expect("/api/v1/submissions", http.StatusOK, jsonBody(t, wantList))
-
-	for _, p := range append([]string{"", "nope"}, propPlatforms...) {
-		for _, g := range append([]string{"", "nope"}, propGraphs...) {
-			for _, a := range []string{"", "nope", "BFS", "CONN", "PR"} {
-				f := Filter{Platform: p, Graph: g, Algorithm: a}
-				want := oracleResults(subs, f)
-				if got := s.Results(f); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Results(%+v): %d rows, want %d", f, len(got), len(want))
-				}
-				q := url.Values{}
-				for k, v := range map[string]string{"platform": p, "graph": g, "algorithm": a} {
-					if v != "" {
-						q.Set(k, v)
-					}
-				}
-				if want == nil {
-					want = []ResultRow{}
-				}
-				expect("/api/v1/results?"+q.Encode(), http.StatusOK, jsonBody(t, want))
-			}
-		}
-	}
+	checkIndexedReads(t, s, s.Handler())
 
 	for _, g := range append([]string{"nope"}, propGraphs...) {
 		for _, a := range []string{"nope", "BFS", "CONN", "PR"} {
@@ -773,30 +814,38 @@ func TestReadsReturnCopies(t *testing.T) {
 }
 
 // Submissions and reads run concurrently (run under -race), and the
-// views end equal to the oracle.
+// views end equal to the oracle. Readers race the read index's
+// catch-up, and each index read sees at least every submission
+// acknowledged before it began.
 func TestConcurrentSubmitAndReads(t *testing.T) {
 	s := NewStore()
+	h := s.Handler()
 	const perWriter = 40
+	var acked atomic.Int64 // the highest ID a Submit has returned
+	var reads atomic.Int64 // the readers' finished rounds
 	var writers, readers sync.WaitGroup
-	for w := range 2 {
-		writers.Add(1)
-		go func() {
-			defer writers.Done()
-			for i := range perWriter {
-				rep := sampleReport(propPlatforms[w], float64(1+i%7))
-				rep.Results[0].KTEPS = float64(1000 - i)
-				if _, err := s.Submit(Submission{Submitter: fmt.Sprint("w", w), Report: rep}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	// indexed checks one index read begun after ID floor was acknowledged:
+	// ids lists, in order, the submission of each row, one CONN row per
+	// submission (from two postings) or one summary each.
+	indexed := func(what string, floor int64, ids []int64) bool {
+		t.Helper()
+		ok := int64(len(ids)) >= floor
+		for i, id := range ids {
+			ok = ok && id == int64(i+1)
+		}
+		if !ok {
+			t.Errorf("%s begun after id %d was acknowledged lists submissions %v", what, floor, ids)
+		}
+		return ok
 	}
 	stop := make(chan struct{})
+	var started sync.WaitGroup
 	for range 2 {
 		readers.Add(1)
+		started.Add(1)
 		go func() {
 			defer readers.Done()
+			started.Done()
 			for {
 				select {
 				case <-stop:
@@ -806,12 +855,72 @@ func TestConcurrentSubmitAndReads(t *testing.T) {
 				s.Compare("snb-1000", "CONN")
 				s.Regressions(RegressionOptions{})
 				list := s.List()
-				if len(list) == 0 {
-					continue
+				if len(list) > 0 {
+					if sub, ok := s.Get(list[0].ID); !ok || sub.ID != list[0].ID {
+						t.Errorf("Get(%d) = %v, %t after List named it", list[0].ID, sub, ok)
+						return
+					}
 				}
-				if sub, ok := s.Get(list[0].ID); !ok || sub.ID != list[0].ID {
-					t.Errorf("Get(%d) = %v, %t after List named it", list[0].ID, sub, ok)
+
+				floor := acked.Load()
+				var ids []int64
+				for _, row := range s.Results(Filter{Algorithm: "CONN"}) {
+					ids = append(ids, row.SubmissionID)
+				}
+				if !indexed("Results", floor, ids) {
 					return
+				}
+				floor = acked.Load()
+				var rows []ResultRow
+				if code, body := serve(h, "/api/v1/results?algorithm=CONN"); code != http.StatusOK || json.Unmarshal([]byte(body), &rows) != nil {
+					t.Errorf("GET /results = %d %q", code, body)
+					return
+				}
+				ids = ids[:0]
+				for _, row := range rows {
+					ids = append(ids, row.SubmissionID)
+				}
+				if !indexed("GET /results", floor, ids) {
+					return
+				}
+				floor = acked.Load()
+				var sums []Summary
+				if code, body := serve(h, "/api/v1/submissions"); code != http.StatusOK || json.Unmarshal([]byte(body), &sums) != nil {
+					t.Errorf("GET /submissions = %d %q", code, body)
+					return
+				}
+				ids = ids[:0]
+				for i := len(sums) - 1; i >= 0; i-- {
+					ids = append(ids, sums[i].ID)
+				}
+				if !indexed("GET /submissions", floor, ids) {
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	// The writers start once the readers run, so reads meet partial
+	// stores.
+	started.Wait()
+	for w := range 2 {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := range perWriter {
+				rep := sampleReport(propPlatforms[w], float64(1+i%7))
+				rep.Results[0].KTEPS = float64(1000 - i)
+				id, err := s.Submit(Submission{Submitter: fmt.Sprint("w", w), Report: rep})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for cur := acked.Load(); id > cur && !acked.CompareAndSwap(cur, id); cur = acked.Load() {
+				}
+				// Let a reader's whole round fall between two submissions
+				// (bounded, in case the readers stopped on an error).
+				for n, start := reads.Load()+2, time.Now(); reads.Load() < n && time.Since(start) < 100*time.Millisecond; {
+					runtime.Gosched()
 				}
 			}
 		}()
@@ -823,4 +932,141 @@ func TestConcurrentSubmitAndReads(t *testing.T) {
 		t.Fatalf("List has %d submissions, want %d", n, 2*perWriter)
 	}
 	checkOracle(t, s)
+}
+
+// The read index is brought up to date by reads, not by writes. Reads
+// interleaved with submissions — one after every submission, one after
+// a replay of the whole file — see every submission stored before them,
+// on a memory store, on a file store, on a replay of that file and
+// after more submissions to the replay.
+func TestReadIndexCatchUp(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 7))
+	var subs []Submission
+	for k := range 12 {
+		subs = append(subs, randomSubmission(rng, k))
+	}
+	// submitAndRead submits subs, reading after every each-th one.
+	submitAndRead := func(s *Store, subs []Submission, each int) {
+		t.Helper()
+		h := s.Handler()
+		checkIndexedReads(t, s, h)
+		for k, sub := range subs {
+			if _, err := s.Submit(sub); err != nil {
+				t.Fatal(err)
+			}
+			if (k+1)%each == 0 {
+				checkIndexedReads(t, s, h)
+			}
+		}
+		checkIndexedReads(t, s, h)
+	}
+	submitAndRead(NewStore(), subs, 1)
+	submitAndRead(NewStore(), subs, 5)
+
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	written, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAndRead(written, subs[:7], 2)
+	written.log.Close()
+	replayed, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.log.Close()
+	submitAndRead(replayed, subs[7:], 1)
+}
+
+// A float JSON has no token for, or a time RFC 3339 cannot write, is
+// refused on the way in by either store. Accepted, it would fail every
+// encoding of the submission: a memory store would answer its reads
+// with empty bodies, and a file store would count it as a volume fault.
+func TestSubmitRefusesUnencodable(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := map[string]func(*Submission){
+		"kteps +Inf": func(s *Submission) { s.Report.Results[0].KTEPS = inf },
+		"kteps -Inf": func(s *Submission) { s.Report.Results[1].KTEPS = -inf },
+		"kteps NaN":  func(s *Submission) { s.Report.Results[0].KTEPS = nan },
+		"ingest evps NaN": func(s *Submission) {
+			s.Report.Ingests = []report.IngestStat{{Graph: "snb-1000", EVPS: nan}}
+		},
+		"cpu mean +Inf": func(s *Submission) {
+			s.Report.Results[1].Resources = &monitor.Resources{CPUMeanPercent: inf}
+		},
+		"report year 10000": func(s *Submission) { s.Report.Started = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) },
+		"submitted year -1": func(s *Submission) { s.SubmittedAt = time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC) },
+	}
+	failures := telemetry.Metrics.Counter("resultsdb_persist_failures_total",
+		"submissions rejected because the store could not be persisted")
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	file, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.log.Close()
+	for storeName, s := range map[string]*Store{"memory": NewStore(), "file": file} {
+		before := failures.Value()
+		for name, spoil := range cases {
+			sub := Submission{Submitter: "a", Report: sampleReport("pregel", 10)}
+			spoil(&sub)
+			if _, err := s.Submit(sub); !errors.Is(err, ErrInvalidSubmission) {
+				t.Errorf("%s store, %s: Submit error = %v, want ErrInvalidSubmission", storeName, name, err)
+			}
+		}
+		if n := failures.Value() - before; n != 0 {
+			t.Errorf("%s store: %d persist failures counted for refused submissions", storeName, n)
+		}
+		if id, err := s.Submit(Submission{Submitter: "a", Report: sampleReport("pregel", 10)}); id != 1 || err != nil {
+			t.Fatalf("%s store: Submit after the refusals = %d, %v; want id 1", storeName, id, err)
+		}
+		checkIndexedReads(t, s, s.Handler())
+	}
+	reopened, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.log.Close()
+	if n := len(reopened.List()); n != 1 {
+		t.Errorf("file holds %d submissions, want 1", n)
+	}
+}
+
+// BenchmarkReads times every /results filter, the submission list and
+// Results on a 300-submission store, and fails if any answer differs
+// from the oracle's. CI runs it once as a tripwire, with no timing gate.
+func BenchmarkReads(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 7))
+	s := NewStore()
+	for k := range 300 {
+		if _, err := s.Submit(randomSubmission(rng, k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h := s.Handler()
+	filters := readFilters()
+	var paths []string
+	for _, f := range filters {
+		paths = append(paths, resultsPath(f))
+	}
+	b.Run("results", func(b *testing.B) {
+		for range b.N {
+			for _, p := range paths {
+				serve(h, p)
+			}
+		}
+	})
+	b.Run("list", func(b *testing.B) {
+		for range b.N {
+			serve(h, "/api/v1/submissions")
+		}
+	})
+	b.Run("Results", func(b *testing.B) {
+		for range b.N {
+			for _, f := range filters {
+				s.Results(f)
+			}
+		}
+	})
+	checkIndexedReads(b, s, h)
 }
