@@ -3,9 +3,9 @@ package algo
 import (
 	"runtime"
 	"sort"
-	"sync"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/xrand"
 )
 
@@ -50,30 +50,13 @@ func RunEvo(g *graph.Graph, p Params) EvoOutput {
 	}
 	results := make([]fireResult, k)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > k {
-		workers = k
-	}
-	var wg sync.WaitGroup
-	chunk := (k + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > k {
-			hi = k
+	par.Ranges(k, runtime.GOMAXPROCS(0), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			newV := graph.VertexID(n + i)
+			results[i] = fireResult{newV: newV, targets: BurnFire(g, newV, p)}
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				newV := graph.VertexID(n + i)
-				results[i] = fireResult{newV: newV, targets: BurnFire(g, newV, p)}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		return nil
+	})
 
 	for _, r := range results {
 		for _, w := range r.targets {

@@ -2,9 +2,9 @@ package algo
 
 import (
 	"runtime"
-	"sync"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 )
 
 // RunLCC computes the LCC workload: the local clustering coefficient of
@@ -20,32 +20,15 @@ import (
 func RunLCC(g *graph.Graph) LCCOutput {
 	n := g.NumVertices()
 	lcc := make(LCCOutput, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	par.Ranges(n, runtime.GOMAXPROCS(0), func(_, lo, hi int) error {
+		var nbuf []graph.VertexID
+		cp := NewClosedPairs(n)
+		for v := lo; v < hi; v++ {
+			nbuf = g.Neighborhood(graph.VertexID(v), nbuf[:0])
+			lcc[v] = lccOf(g, cp, nbuf)
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var nbuf []graph.VertexID
-			cp := NewClosedPairs(n)
-			for v := lo; v < hi; v++ {
-				nbuf = g.Neighborhood(graph.VertexID(v), nbuf[:0])
-				lcc[v] = lccOf(g, cp, nbuf)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		return nil
+	})
 	return lcc
 }
 

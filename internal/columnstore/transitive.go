@@ -3,10 +3,10 @@ package columnstore
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 )
 
 // Profile is the §3.4 measurement set.
@@ -97,74 +97,65 @@ func (t *Table) TransitiveCount(source graph.VertexID, threads int) Profile {
 		// Phase 1+2 per worker: expand own border partition (column
 		// access), exchange targets into per-partition outboxes.
 		outboxes := make([][][]graph.VertexID, parts) // [src][dst] -> vec
-		var wg sync.WaitGroup
-		for p := 0; p < parts; p++ {
+		par.Do(parts, func(p int) error {
 			outboxes[p] = make([][]graph.VertexID, parts)
 			if len(border[p]) == 0 {
-				continue
+				return nil
 			}
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				st := &stats[p]
-				cache := caches[p]
-				var vec []graph.VertexID
-				// Vectored execution: expand the border in vectors.
-				for off := 0; off < len(border[p]); off += BlockSize {
-					end := off + BlockSize
-					if end > len(border[p]) {
-						end = len(border[p])
-					}
-					t0 := time.Now()
-					vec = vec[:0]
-					for _, v := range border[p][off:end] {
-						lo, hi := t.rowRange(v)
-						vec = t.scanRows(lo, hi, vec, cache)
-						st.lookups++
-					}
-					st.endpoints += int64(len(vec))
-					st.column += time.Since(t0)
-
-					// Exchange: split the target vector by partition hash.
-					t1 := time.Now()
-					for _, w := range vec {
-						d := partOf(w)
-						outboxes[p][d] = append(outboxes[p][d], w)
-					}
-					st.exchange += time.Since(t1)
+			st := &stats[p]
+			cache := caches[p]
+			var vec []graph.VertexID
+			// Vectored execution: expand the border in vectors.
+			for off := 0; off < len(border[p]); off += BlockSize {
+				end := off + BlockSize
+				if end > len(border[p]) {
+					end = len(border[p])
 				}
-				st.decodes = cache.decodes
-			}(p)
-		}
-		wg.Wait()
+				t0 := time.Now()
+				vec = vec[:0]
+				for _, v := range border[p][off:end] {
+					lo, hi := t.rowRange(v)
+					vec = t.scanRows(lo, hi, vec, cache)
+					st.lookups++
+				}
+				st.endpoints += int64(len(vec))
+				st.column += time.Since(t0)
+
+				// Exchange: split the target vector by partition hash.
+				t1 := time.Now()
+				for _, w := range vec {
+					d := partOf(w)
+					outboxes[p][d] = append(outboxes[p][d], w)
+				}
+				st.exchange += time.Since(t1)
+			}
+			st.decodes = cache.decodes
+			return nil
+		})
 
 		// Phase 3 per worker: record the new border in the owned hash
 		// table partition, then sort it — vectored execution runs over
 		// sorted key vectors so the next level's column scans walk blocks
 		// sequentially (Virtuoso sorts lookup keys for exactly this).
 		next := make([][]graph.VertexID, parts)
-		for p := 0; p < parts; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				st := &stats[p]
-				t0 := time.Now()
-				tab := tables[p]
-				for src := 0; src < parts; src++ {
-					for _, w := range outboxes[src][p] {
-						if w == source {
-							sourceReReached[p] = true
-						}
-						if tab.insert(uint32(w)) {
-							next[p] = append(next[p], w)
-						}
+		par.Do(parts, func(p int) error {
+			st := &stats[p]
+			t0 := time.Now()
+			tab := tables[p]
+			for src := 0; src < parts; src++ {
+				for _, w := range outboxes[src][p] {
+					if w == source {
+						sourceReReached[p] = true
+					}
+					if tab.insert(uint32(w)) {
+						next[p] = append(next[p], w)
 					}
 				}
-				sortVertices(next[p])
-				st.hash += time.Since(t0)
-			}(p)
-		}
-		wg.Wait()
+			}
+			sortVertices(next[p])
+			st.hash += time.Since(t0)
+			return nil
+		})
 		border = next
 	}
 

@@ -42,6 +42,7 @@ import (
 	"graphalytics/internal/artifact"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/monitor"
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/report"
 	"graphalytics/internal/sched"
@@ -607,7 +608,12 @@ func (c *campaign) loadJob(pg *pgState, attempt int) error {
 	sp.SetAttr("graph", pg.g.Name())
 	sp.SetAttr("attempt", attempt)
 	loadStart := time.Now()
-	loaded, cached, err := c.loadOrRestore(pg)
+	var loaded platform.Loaded
+	var cached bool
+	err := par.Call(func() (err error) {
+		loaded, cached, err = c.loadOrRestore(pg)
+		return err
+	})
 	pg.loadTime = time.Since(loadStart)
 	pg.etlCached = cached
 	if cached {
@@ -793,7 +799,11 @@ func (c *campaign) runCell(ctx context.Context, pg *pgState, cell pendingCell) (
 		sp := telemetry.StartSpan("cell", phase+":"+cellTag)
 		sp.SetAttr("rep", i)
 		start := time.Now()
-		out, err := pg.loaded.Run(runCtx, a, b.Params)
+		var out *platform.Result
+		err := par.Call(func() (err error) {
+			out, err = pg.loaded.Run(runCtx, a, b.Params)
+			return err
+		})
 		d := time.Since(start)
 		cancel()
 		if err != nil {

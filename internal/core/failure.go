@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/report"
 )
@@ -17,16 +19,18 @@ import (
 // process or crossed the distributed seam as a report row.
 
 // transient classifies errors the scheduler may retry: everything
-// except the terminal missing-value states (out of memory, timeout)
-// and interruption. platform.ErrInterrupted always wraps the context
-// error, so the two context checks already cover it; the explicit
-// sentinel check keeps a cancelled kernel out of the retry budget even
-// if a platform ever wraps the sentinel without the cause.
+// except the terminal missing-value states (out of memory, timeout),
+// interruption and panics. platform.ErrInterrupted always wraps the
+// context error, so the two context checks already cover it; the
+// explicit sentinel check keeps a cancelled kernel out of the retry
+// budget even if a platform ever wraps the sentinel without the cause.
+// A panic is a bug, and the same inputs would only hit it again.
 func transient(err error) bool {
 	return !errors.Is(err, platform.ErrOutOfMemory) &&
 		!errors.Is(err, context.DeadlineExceeded) &&
 		!errors.Is(err, context.Canceled) &&
-		!errors.Is(err, platform.ErrInterrupted)
+		!errors.Is(err, platform.ErrInterrupted) &&
+		!errors.Is(err, par.ErrPanic)
 }
 
 // loadError marks a failed ETL step, so the pair's cells record
@@ -57,7 +61,9 @@ func statusOf(err error) report.Status {
 // errOf is the inverse of statusOf: the execution error a cell that
 // ended in status carries, with detail (the row's Err) as its message.
 // Success and invalid are final outcomes and carry none, exactly as the
-// local pool's runCell returns nil for them.
+// local pool's runCell returns nil for them. A failure whose detail is a
+// recovered panic's ("panic: …") is a *par.Panic again, so it is not
+// retried on either side of the seam.
 func errOf(status report.Status, detail string) error {
 	if detail == "" {
 		detail = string(status)
@@ -72,10 +78,17 @@ func errOf(status report.Status, detail string) error {
 		cause = context.DeadlineExceeded
 	case report.StatusCancelled:
 		cause = context.Canceled
-	case report.StatusLoadError:
-		return loadError{errors.New(detail)}
 	default:
-		return errors.New(detail)
+		// error and load-failed. A panic's stack stayed in the process
+		// that recovered it; its value's text crossed in the detail.
+		err := errors.New(detail)
+		if v, ok := strings.CutPrefix(detail, "panic: "); ok {
+			err = &par.Panic{Value: v}
+		}
+		if status == report.StatusLoadError {
+			return loadError{err}
+		}
+		return err
 	}
 	return fmt.Errorf("%s: %w", detail, cause)
 }

@@ -20,6 +20,7 @@ import (
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platform/graphdb"
+	"graphalytics/internal/platform/platformtest"
 	"graphalytics/internal/platform/pregel"
 	"graphalytics/internal/report"
 	"graphalytics/internal/stamp"
@@ -215,6 +216,13 @@ func startManager(t *testing.T, plats []platform.Platform, graphs []*graph.Graph
 // startRunner connects a real in-process runner with its own cache.
 func startRunner(t *testing.T, ctx context.Context, addr, name string, slots int) {
 	t.Helper()
+	startRunnerWith(t, ctx, addr, RunnerOptions{Name: name, Slots: slots}, BuildPlatform)
+}
+
+// startRunnerWith is startRunner with the runner's options and the
+// constructor it builds leased platforms with.
+func startRunnerWith(t *testing.T, ctx context.Context, addr string, opts RunnerOptions, build func(PlatformSpec) (platform.Platform, error)) {
+	t.Helper()
 	cache, err := artifact.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +232,12 @@ func startRunner(t *testing.T, ctx context.Context, addr, name string, slots int
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stamps.Close() })
-	r, err := Connect(addr, RunnerOptions{Name: name, Slots: slots, Cache: cache, Stamps: stamps})
+	opts.Cache, opts.Stamps = cache, stamps
+	r, err := Connect(addr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.build = build
 	done := make(chan error, 1)
 	go func() { done <- r.Run(ctx) }()
 	t.Cleanup(func() {
@@ -322,6 +332,54 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			t.Errorf("%s: runtime not recorded", r.Cell())
 		}
 	}
+}
+
+// TestDistributedPanicsFailCells runs the fault-injection platform
+// beside pregel through a manager and two runners. The runners turn
+// every panic into a failed row and go on serving leases; the manager
+// records those rows after one attempt although the campaign grants
+// two retries, and every other cell is the one a local campaign without
+// the faulty platform records.
+func TestDistributedPanicsFailCells(t *testing.T) {
+	graphs := []*graph.Graph{testGraph(t, 200, "social"), testGraph(t, 120, "poison")}
+	faulty := &platformtest.Faulty{Platform: pregel.New(pregel.Options{}),
+		LoadPanics: "poison", RunPanics: algo.CONN, WorkerPanics: algo.PR}
+	mkBench := func(plats ...platform.Platform) *core.Benchmark {
+		return &core.Benchmark{
+			Platforms:  plats,
+			Graphs:     graphs,
+			Algorithms: []algo.Kind{algo.BFS, algo.CONN, algo.PR},
+			Validate:   true,
+			Retries:    2,
+			Params:     algo.Params{Source: 0, Seed: 3},
+		}
+	}
+	clean, err := mkBench(pregel.New(pregel.Options{})).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	bench := mkBench(pregel.New(pregel.Options{}), faulty)
+	mgr := startManager(t, bench.Platforms, bench.Graphs, 0)
+	build := func(spec PlatformSpec) (platform.Platform, error) {
+		if spec.Name == faulty.Name() {
+			return faulty, nil
+		}
+		return BuildPlatform(spec)
+	}
+	for _, name := range []string{"r1", "r2"} {
+		startRunnerWith(t, ctx, mgr.Addr().String(), RunnerOptions{Name: name, Slots: 1,
+			Platforms: append([]string{faulty.Name()}, AllPlatforms...)}, build)
+	}
+	bench.Executor = mgr
+	remote, err := bench.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	platformtest.CheckFaultyCampaign(t, faulty, remote.Results, clean.Results)
 }
 
 // TestDistributedResumeRestoresFromStore runs a distributed campaign

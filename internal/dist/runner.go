@@ -66,6 +66,9 @@ type Runner struct {
 	managerBinary string
 	slots         chan struct{} // semaphore: one token per concurrent lease
 	wg            sync.WaitGroup
+	// build constructs the platform a lease names: BuildPlatform, or a
+	// test's fault-injecting engine.
+	build func(PlatformSpec) (platform.Platform, error)
 }
 
 type fetched struct {
@@ -121,6 +124,7 @@ func Connect(addr string, opts RunnerOptions) (*Runner, error) {
 		pending:       make(map[uint64]chan fetched),
 		managerBinary: reply.Binary,
 		slots:         make(chan struct{}, opts.Slots),
+		build:         BuildPlatform,
 	}
 	slog.Info("dist: connected to manager", "addr", addr,
 		"slots", opts.Slots, "platforms", opts.Platforms)
@@ -368,7 +372,7 @@ func (r *Runner) runLease(ctx context.Context, lease *Lease) (*report.RunResult,
 	if err != nil {
 		return nil, err
 	}
-	p, err := BuildPlatform(lease.Platform)
+	p, err := r.build(lease.Platform)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"graphalytics/internal/par"
 )
 
 // ClusterSim models the two deployment targets of the Figure 3
@@ -66,63 +68,46 @@ func (s ClusterSim) Run(cfg Config) (SimResult, error) {
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
 	var totalEdges, totalBytes atomic.Int64
 	var ioLimited atomic.Bool
-	errs := make([]error, s.Nodes)
-
-	perNode := (c.Persons + s.Nodes - 1) / s.Nodes
-	for node := 0; node < s.Nodes; node++ {
-		lo := node * perNode
-		hi := lo + perNode
-		if hi > c.Persons {
-			hi = c.Persons
-		}
+	err := par.Ranges(c.Persons, s.Nodes, func(node, lo, hi int) error {
 		if hi-lo < 2 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(node, lo, hi int) {
-			defer wg.Done()
-			// Per-node job startup.
-			if s.StartupOverhead > 0 {
-				time.Sleep(s.StartupOverhead)
-			}
-			nodeCfg := c
-			nodeCfg.Persons = hi - lo
-			// Offset the seed per node so person attributes differ per
-			// shard, mirroring how the Hadoop Datagen assigns disjoint
-			// person ranges to reducers.
-			nodeCfg.Seed = c.Seed + uint64(node)*0x9e37
-			nodeCfg.Workers = s.CoresPerNode
+		// Per-node job startup.
+		if s.StartupOverhead > 0 {
+			time.Sleep(s.StartupOverhead)
+		}
+		nodeCfg := c
+		nodeCfg.Persons = hi - lo
+		// Offset the seed per node so person attributes differ per
+		// shard, mirroring how the Hadoop Datagen assigns disjoint
+		// person ranges to reducers.
+		nodeCfg.Seed = c.Seed + uint64(node)*0x9e37
+		nodeCfg.Workers = s.CoresPerNode
 
-			disk := newDiskModel(s.DiskMBps)
-			var edges, bytes int64
-			var mu sync.Mutex
-			_, err := GenerateEdges(nodeCfg, func(u, v uint32) {
-				mu.Lock()
-				edges++
-				bytes += int64(s.BytesPerEdge)
-				mu.Unlock()
-				disk.write(int64(s.BytesPerEdge))
-			})
-			if err != nil {
-				errs[node] = err
-				return
-			}
-			if disk.waited() {
-				ioLimited.Store(true)
-			}
-			disk.drain()
-			totalEdges.Add(edges)
-			totalBytes.Add(bytes)
-		}(node, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return SimResult{}, err
+		disk := newDiskModel(s.DiskMBps)
+		var edges, bytes int64
+		var mu sync.Mutex
+		if _, err := GenerateEdges(nodeCfg, func(u, v uint32) {
+			mu.Lock()
+			edges++
+			bytes += int64(s.BytesPerEdge)
+			mu.Unlock()
+			disk.write(int64(s.BytesPerEdge))
+		}); err != nil {
+			return err
 		}
+		if disk.waited() {
+			ioLimited.Store(true)
+		}
+		disk.drain()
+		totalEdges.Add(edges)
+		totalBytes.Add(bytes)
+		return nil
+	})
+	if err != nil {
+		return SimResult{}, err
 	}
 	return SimResult{
 		Persons:   c.Persons,

@@ -23,9 +23,11 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"graphalytics/internal/gen/dist"
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/xrand"
 )
 
@@ -224,40 +226,30 @@ func generateArcs(c Config, stream func(u, v uint32)) (srcs, dsts []graph.Vertex
 		srcs, dsts []graph.VertexID
 	}
 
+	// A fixed set of c.Workers workers pulls block indices; each block's
+	// output lands in its own slot, so no lock guards the results.
 	numBlocks := (n + c.BlockSize - 1) / c.BlockSize
-	results := make([]blockResult, 0)
-	var resMu sync.Mutex
-
+	results := make([]blockResult, 3*numBlocks)
 	for pass := 0; pass < 3; pass++ {
 		order := passOrder(persons, pass, c.Seed)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, c.Workers)
-		for blk := 0; blk < numBlocks; blk++ {
-			lo := blk * c.BlockSize
-			hi := lo + c.BlockSize
-			if hi > n {
-				hi = n
-			}
-			if hi-lo < 2 {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(pass int, block []uint32) {
-				defer func() { <-sem; wg.Done() }()
-				bs, bd := scanBlock(persons, block, pass, c)
-				if stream != nil {
-					for k := range bs {
-						stream(uint32(bs[k]), uint32(bd[k]))
-					}
-					return
+		var next atomic.Int64
+		par.Do(c.Workers, func(int) error {
+			for blk := int(next.Add(1)) - 1; blk < numBlocks; blk = int(next.Add(1)) - 1 {
+				lo, hi := blk*c.BlockSize, min((blk+1)*c.BlockSize, n)
+				if hi-lo < 2 {
+					continue
 				}
-				resMu.Lock()
-				results = append(results, blockResult{bs, bd})
-				resMu.Unlock()
-			}(pass, order[lo:hi])
-		}
-		wg.Wait()
+				bs, bd := scanBlock(persons, order[lo:hi], pass, c)
+				if stream == nil {
+					results[pass*numBlocks+blk] = blockResult{bs, bd}
+					continue
+				}
+				for k := range bs {
+					stream(uint32(bs[k]), uint32(bd[k]))
+				}
+			}
+			return nil
+		})
 	}
 
 	if stream != nil {

@@ -13,9 +13,9 @@ package rmat
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/xrand"
 )
 
@@ -87,28 +87,12 @@ func Generate(cfg Config) (*graph.Graph, error) {
 
 	srcs := make([]graph.VertexID, m)
 	dsts := make([]graph.VertexID, m)
-	var wg sync.WaitGroup
-	workers := c.Workers
-	chunk := (m + int64(workers) - 1) / int64(workers)
-	for w := 0; w < workers; w++ {
-		lo := int64(w) * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
+	par.Ranges(int(m), c.Workers, func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			srcs[i], dsts[i] = edge(c, uint64(i))
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				u, v := edge(c, uint64(i))
-				srcs[i], dsts[i] = u, v
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		return nil
+	})
 
 	// Drop self-loops, then build the deduplicated undirected CSR.
 	k := 0

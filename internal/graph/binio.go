@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"slices"
-	"sync"
+
+	"graphalytics/internal/par"
 )
 
 // Binary graph format ("GALB"): a compact CSR serialization that loads
@@ -310,44 +310,12 @@ func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 // fillSources expands the CSR index into a per-arc source array.
 func fillSources(index []int64, srcs []VertexID, n, workers int) {
 	ranges := balancedVertexRanges(index, n, workers)
-	var wg sync.WaitGroup
-	for _, vr := range ranges {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				for i := index[v]; i < index[v+1]; i++ {
-					srcs[i] = VertexID(v)
-				}
+	par.Do(len(ranges), func(r int) error {
+		for v := ranges[r][0]; v < ranges[r][1]; v++ {
+			for i := index[v]; i < index[v+1]; i++ {
+				srcs[i] = VertexID(v)
 			}
-		}(vr[0], vr[1])
-	}
-	wg.Wait()
-}
-
-// SaveBinary writes the graph to path in the binary format.
-func (g *Graph) SaveBinary(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBinary reads a binary graph file, with the reverse-adjacency
-// rebuild parallelized over all cores (see ReadBinaryWorkers).
-func LoadBinary(path string) (*Graph, error) { return LoadBinaryWorkers(path, 0) }
-
-// LoadBinaryWorkers is LoadBinary with ReadBinaryWorkers parallelism.
-func LoadBinaryWorkers(path string, workers int) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinaryWorkers(f, workers)
+		}
+		return nil
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -75,19 +74,6 @@ func TestBinaryRoundTripLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := roundTripBinary(t, g)
-	assertSameGraph(t, g, back)
-}
-
-func TestBinaryFileRoundTrip(t *testing.T) {
-	g := randomTestGraph(100, 300, 7, true)
-	path := filepath.Join(t.TempDir(), "g.galb")
-	if err := g.SaveBinary(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	assertSameGraph(t, g, back)
 }
 

@@ -11,9 +11,9 @@ package gmetrics
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 )
 
 // Characteristics mirrors one row of Table 1.
@@ -65,38 +65,20 @@ func Measure(g *graph.Graph) Characteristics {
 func TriangleCounts(g *graph.Graph) []int64 {
 	n := g.NumVertices()
 	counts := make([]int64, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				adj := g.OutNeighbors(graph.VertexID(v))
-				var t int64
-				for _, u := range adj {
-					if u == graph.VertexID(v) {
-						continue
-					}
-					t += intersectCount(adj, g.OutNeighbors(u), graph.VertexID(v), u)
+	par.Ranges(n, runtime.GOMAXPROCS(0), func(_, lo, hi int) error {
+		for v := lo; v < hi; v++ {
+			adj := g.OutNeighbors(graph.VertexID(v))
+			var t int64
+			for _, u := range adj {
+				if u == graph.VertexID(v) {
+					continue
 				}
-				counts[v] = t / 2 // each triangle at v found via both other corners
+				t += intersectCount(adj, g.OutNeighbors(u), graph.VertexID(v), u)
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			counts[v] = t / 2 // each triangle at v found via both other corners
+		}
+		return nil
+	})
 	return counts
 }
 

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"sync"
 	"time"
 
+	"graphalytics/internal/par"
 	"graphalytics/internal/telemetry"
 )
 
@@ -117,19 +117,6 @@ func countLines(data []byte) int {
 	return n
 }
 
-// runWorkers invokes fn(0..n-1) on n goroutines and waits.
-func runWorkers(n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // ---------------------------------------------------------------------
 // Vertex files.
 
@@ -146,8 +133,9 @@ type vertexChunk struct {
 func ingestVertices(b *Builder, vdata []byte, workers int) error {
 	chunks := splitLines(vdata, workers)
 	results := make([]vertexChunk, len(chunks))
-	runWorkers(len(chunks), func(i int) {
+	par.Do(len(chunks), func(i int) error {
 		results[i] = parseVertexChunk(chunks[i])
+		return nil
 	})
 	lineBase := 0
 	for _, r := range results {
@@ -259,8 +247,9 @@ func ingestEdges(b *Builder, edata []byte, workers int) error {
 	psp.SetAttr("workers", workers)
 	chunks := splitLines(edata, workers)
 	results := make([]edgeChunk, len(chunks))
-	runWorkers(len(chunks), func(i int) {
+	par.Do(len(chunks), func(i int) error {
 		results[i] = parseEdgeChunk(chunks[i])
+		return nil
 	})
 	psp.End()
 
@@ -299,8 +288,9 @@ func ingestEdges(b *Builder, edata []byte, workers int) error {
 	var ws []float64
 	if weighted {
 		ws = make([]float64, total)
-		runWorkers(len(results), func(i int) {
+		par.Do(len(results), func(i int) error {
 			copy(ws[offsets[i]:], results[i].ws)
+			return nil
 		})
 	}
 	isp := telemetry.StartSpan("ingest", "intern")
@@ -330,7 +320,7 @@ func ingestEdges(b *Builder, edata []byte, workers int) error {
 // file order, exactly as the sequential loader would.
 func internFrozen(b *Builder, results []edgeChunk, offsets []int, srcs, dsts []VertexID) {
 	misses := make([][]int, len(results))
-	runWorkers(len(results), func(i int) {
+	par.Do(len(results), func(i int) error {
 		r := &results[i]
 		base := offsets[i]
 		m := b.ext2int
@@ -346,6 +336,7 @@ func internFrozen(b *Builder, results []edgeChunk, offsets []int, srcs, dsts []V
 				misses[i] = append(misses[i], 2*j+1)
 			}
 		}
+		return nil
 	})
 	for i := range results {
 		r := &results[i]
@@ -382,7 +373,7 @@ func internSharded(results []edgeChunk, offsets []int, srcs, dsts []VertexID, wo
 	// Phase 1: per-chunk local dedup, bucketed by shard. Positions are
 	// 2*arc+side so src interns before dst, like the sequential loader.
 	buckets := make([][][]shardPending, len(results))
-	runWorkers(len(results), func(i int) {
+	par.Do(len(results), func(i int) error {
 		r := &results[i]
 		seen := make(map[int64]struct{}, 1024)
 		bk := make([][]shardPending, shards)
@@ -400,12 +391,13 @@ func internSharded(results []edgeChunk, offsets []int, srcs, dsts []VertexID, wo
 			note(r.dsts[j], base+2*int64(j)+1)
 		}
 		buckets[i] = bk
+		return nil
 	})
 
 	// Phase 2: per-shard merge in chunk order keeps the smallest
 	// (first-in-file) position per external ID.
 	shardMaps := make([]map[int64]int64, shards)
-	runWorkers(shards, func(s int) {
+	par.Do(shards, func(s int) error {
 		m := make(map[int64]int64)
 		for i := range buckets {
 			for _, p := range buckets[i][s] {
@@ -415,6 +407,7 @@ func internSharded(results []edgeChunk, offsets []int, srcs, dsts []VertexID, wo
 			}
 		}
 		shardMaps[s] = m
+		return nil
 	})
 
 	// Phase 3: sort the (unique) first positions once; an ID's dense
@@ -432,22 +425,24 @@ func internSharded(results []edgeChunk, offsets []int, srcs, dsts []VertexID, wo
 	}
 	slices.Sort(positions)
 	labels := make([]int64, nv)
-	runWorkers(shards, func(s int) {
+	par.Do(shards, func(s int) error {
 		for ext, pos := range shardMaps[s] {
 			rank, _ := slices.BinarySearch(positions, pos)
 			labels[rank] = ext
 			shardMaps[s][ext] = int64(rank)
 		}
+		return nil
 	})
 
 	// Phase 4: map the external arc arrays to dense IDs.
-	runWorkers(len(results), func(i int) {
+	par.Do(len(results), func(i int) error {
 		r := &results[i]
 		base := offsets[i]
 		for j := range r.srcs {
 			srcs[base+j] = VertexID(shardMaps[shardOf(r.srcs[j], shards)][r.srcs[j]])
 			dsts[base+j] = VertexID(shardMaps[shardOf(r.dsts[j], shards)][r.dsts[j]])
 		}
+		return nil
 	})
 	return labels
 }

@@ -3,8 +3,8 @@ package graph
 import (
 	"runtime"
 	"sort"
-	"sync"
 
+	"graphalytics/internal/par"
 	"graphalytics/internal/telemetry"
 )
 
@@ -66,43 +66,21 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 	// int32 is enough: a within-vertex offset is bounded by the arc
 	// count, which the gate above keeps under 1<<31.
 	counts := make([][]int32, workers)
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range counts {
 		counts[w] = make([]int32, n)
-		lo, hi := w*chunk, min((w+1)*chunk, m)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(hist []int32, part []VertexID) {
-			defer wg.Done()
-			for _, s := range part {
-				hist[s]++
-			}
-		}(counts[w], srcs[lo:hi])
 	}
-	wg.Wait()
+	par.Ranges(m, workers, func(w, lo, hi int) error {
+		hist := counts[w]
+		for _, s := range srcs[lo:hi] {
+			hist[s]++
+		}
+		return nil
+	})
 
 	// 2. Merge histograms into the prefix-sum index, then rewrite each
 	// histogram into the worker's exclusive within-vertex offset.
 	index := make([]int64, n+1)
-	vchunk := (n + workers - 1) / workers
-	forEachVertexChunk := func(fn func(lo, hi int)) {
-		for w := 0; w < workers; w++ {
-			lo, hi := w*vchunk, min((w+1)*vchunk, n)
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fn(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	forEachVertexChunk(func(lo, hi int) {
+	par.Ranges(n, workers, func(_, lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			var t int64
 			for w := 0; w < workers; w++ {
@@ -110,11 +88,12 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 			}
 			index[v+1] = t
 		}
+		return nil
 	})
 	for v := 0; v < n; v++ {
 		index[v+1] += index[v]
 	}
-	forEachVertexChunk(func(lo, hi int) {
+	par.Ranges(n, workers, func(_, lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			var run int32
 			for w := 0; w < workers; w++ {
@@ -123,6 +102,7 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 				run += c
 			}
 		}
+		return nil
 	})
 
 	hsp.End()
@@ -134,46 +114,35 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 	if ws != nil {
 		weights = make([]float64, m)
 	}
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, m)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(off []int32, srcs, dsts []VertexID, wsPart []float64) {
-			defer wg.Done()
-			for i, s := range srcs {
-				at := index[s] + int64(off[s])
-				off[s]++
-				edges[at] = dsts[i]
-				if weights != nil {
-					weights[at] = wsPart[i]
-				}
+	par.Ranges(m, workers, func(w, lo, hi int) error {
+		off, wsPart := counts[w], wsSlice(ws, lo, hi)
+		for i, s := range srcs[lo:hi] {
+			at := index[s] + int64(off[s])
+			off[s]++
+			edges[at] = dsts[lo+i]
+			if weights != nil {
+				weights[at] = wsPart[i]
 			}
-		}(counts[w], srcs[lo:hi], dsts[lo:hi], wsSlice(ws, lo, hi))
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	ssp.End()
 
 	// 4. Per-vertex adjacency sort over arc-balanced vertex ranges.
 	sosp := telemetry.StartSpan("ingest", "csr-sort")
 	ranges := balancedVertexRanges(index, n, workers)
-	for _, r := range ranges {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				s, e := index[v], index[v+1]
-				adj := edges[s:e]
-				if weights == nil {
-					sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-					continue
-				}
-				sort.Sort(&edgeWeightSort{adj: adj, ws: weights[s:e]})
+	par.Do(len(ranges), func(r int) error {
+		for v := ranges[r][0]; v < ranges[r][1]; v++ {
+			s, e := index[v], index[v+1]
+			adj := edges[s:e]
+			if weights == nil {
+				sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+				continue
 			}
-		}(r[0], r[1])
-	}
-	wg.Wait()
+			sort.Sort(&edgeWeightSort{adj: adj, ws: weights[s:e]})
+		}
+		return nil
+	})
 	sosp.End()
 	if !dedup {
 		return index, edges, weights
@@ -186,32 +155,28 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 	// into exactly sized arrays. (In-place global compaction would let
 	// one range's writes overrun its neighbor's reads.)
 	newDeg := make([]int32, n)
-	for _, r := range ranges {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				s, e := index[v], index[v+1]
-				k := s
-				var last VertexID
-				first := true
-				for i := s; i < e; i++ {
-					u := edges[i]
-					if first || u != last {
-						edges[k] = u
-						if weights != nil {
-							weights[k] = weights[i]
-						}
-						k++
-						last = u
-						first = false
+	par.Do(len(ranges), func(r int) error {
+		for v := ranges[r][0]; v < ranges[r][1]; v++ {
+			s, e := index[v], index[v+1]
+			k := s
+			var last VertexID
+			first := true
+			for i := s; i < e; i++ {
+				u := edges[i]
+				if first || u != last {
+					edges[k] = u
+					if weights != nil {
+						weights[k] = weights[i]
 					}
+					k++
+					last = u
+					first = false
 				}
-				newDeg[v] = int32(k - s)
 			}
-		}(r[0], r[1])
-	}
-	wg.Wait()
+			newDeg[v] = int32(k - s)
+		}
+		return nil
+	})
 	newIndex := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		newIndex[v+1] = newIndex[v] + int64(newDeg[v])
@@ -222,20 +187,16 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 	if weights != nil {
 		outWeights = make([]float64, kept)
 	}
-	for _, r := range ranges {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				s, d, deg := index[v], newIndex[v], int64(newDeg[v])
-				copy(outEdges[d:d+deg], edges[s:s+deg])
-				if weights != nil {
-					copy(outWeights[d:d+deg], weights[s:s+deg])
-				}
+	par.Do(len(ranges), func(r int) error {
+		for v := ranges[r][0]; v < ranges[r][1]; v++ {
+			s, d, deg := index[v], newIndex[v], int64(newDeg[v])
+			copy(outEdges[d:d+deg], edges[s:s+deg])
+			if weights != nil {
+				copy(outWeights[d:d+deg], weights[s:s+deg])
 			}
-		}(r[0], r[1])
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	return newIndex, outEdges, outWeights
 }
 

@@ -44,10 +44,10 @@ import (
 	"context"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 )
 
@@ -230,7 +230,7 @@ func AggregateMessagesW[VD, M any](ctx context.Context, env *Env, verts []VD, vd
 
 	out := Msgs[M]{vals: ctxs[0].acc, has: ctxs[0].has}
 	keys := make([][]graph.VertexID, env.Parts)
-	if err := forChunks(env.Parts, n, func(part, lo, hi int) error {
+	if err := par.Ranges(n, env.Parts, func(part, lo, hi int) error {
 		var ks []graph.VertexID
 		for v := lo; v < hi; v++ {
 			if (v-lo)%platform.CheckStride == 0 && ctx.Err() != nil {
@@ -339,36 +339,24 @@ func CollectMessages[VD, M any](ctx context.Context, env *Env, verts []VD, vdSiz
 // are added to env.Counters.
 func scan[VD, M any](ctx context.Context, env *Env, verts []VD, ctxs []*Ctx[M], send SendFuncW[VD, M]) error {
 	n := env.G.NumVertices()
-	errs := make([]error, len(ctxs))
-	var wg sync.WaitGroup
-	chunk := (n + len(ctxs) - 1) / len(ctxs)
-	for p, c := range ctxs {
-		lo, hi := p*chunk, min((p+1)*chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(p, lo, hi int, c *Ctx[M]) {
-			defer wg.Done()
-			t0 := time.Now()
-			for u := lo; u < hi; u++ {
-				if (u-lo)%platform.CheckStride == 0 && ctx.Err() != nil {
-					errs[p] = platform.CheckContextPhase(ctx, "dataflow/aggregate")
-					break
-				}
-				adj := env.G.OutNeighbors(graph.VertexID(u))
-				ws := env.G.OutWeights(graph.VertexID(u))
-				for i, v := range adj {
-					c.repeat = i > 0 && adj[i-1] == v
-					send(c, graph.VertexID(u), v, graph.WeightAt(ws, i), verts[u], verts[v])
-					c.edges++
-				}
+	if err := par.Ranges(n, len(ctxs), func(p, lo, hi int) error {
+		c := ctxs[p]
+		t0 := time.Now()
+		for u := lo; u < hi; u++ {
+			if (u-lo)%platform.CheckStride == 0 && ctx.Err() != nil {
+				return platform.CheckContextPhase(ctx, "dataflow/aggregate")
 			}
-			c.busy = time.Since(t0)
-		}(p, lo, hi, c)
-	}
-	wg.Wait()
-	if err := platform.FirstError(errs); err != nil {
+			adj := env.G.OutNeighbors(graph.VertexID(u))
+			ws := env.G.OutWeights(graph.VertexID(u))
+			for i, v := range adj {
+				c.repeat = i > 0 && adj[i-1] == v
+				send(c, graph.VertexID(u), v, graph.WeightAt(ws, i), verts[u], verts[v])
+				c.edges++
+			}
+		}
+		c.busy = time.Since(t0)
+		return nil
+	}); err != nil {
 		return err
 	}
 	if len(env.Counters.WorkerBusy) < len(ctxs) {
@@ -423,7 +411,7 @@ func JoinVertices[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize i
 		return nil, err
 	}
 	next := make([]VD, len(verts))
-	if err := forChunks(env.Parts, len(verts), func(_, lo, hi int) error {
+	if err := par.Ranges(len(verts), env.Parts, func(_, lo, hi int) error {
 		if ctx.Err() != nil {
 			return platform.CheckContextPhase(ctx, "dataflow/join")
 		}
@@ -432,7 +420,7 @@ func JoinVertices[VD, M any](ctx context.Context, env *Env, verts []VD, vdSize i
 	}); err != nil {
 		return nil, err
 	}
-	if err := forChunks(env.Parts, msgs.Len(), func(_, lo, hi int) error {
+	if err := par.Ranges(msgs.Len(), env.Parts, func(_, lo, hi int) error {
 		for i, v := range msgs.keys[lo:hi] {
 			if i%platform.CheckStride == 0 && ctx.Err() != nil {
 				return platform.CheckContextPhase(ctx, "dataflow/join")
@@ -453,7 +441,7 @@ func MapVertices[VD any](ctx context.Context, env *Env, n int, vdSize int64, f f
 		return nil, err
 	}
 	out := make([]VD, n)
-	if err := forChunks(env.Parts, n, func(_, lo, hi int) error {
+	if err := par.Ranges(n, env.Parts, func(_, lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			if (v-lo)%platform.CheckStride == 0 && ctx.Err() != nil {
 				return platform.CheckContextPhase(ctx, "dataflow/map")
@@ -465,37 +453,6 @@ func MapVertices[VD any](ctx context.Context, env *Env, n int, vdSize int64, f f
 		return nil, err
 	}
 	return out, nil
-}
-
-// forChunks runs body over one contiguous chunk of [0, n) per partition
-// concurrently and returns the lowest-partition error. Bodies do their
-// own amortized context checks when they loop.
-func forChunks(parts, n int, body func(part, lo, hi int) error) error {
-	if parts < 1 {
-		parts = 1
-	}
-	chunk := (n + parts - 1) / parts
-	if chunk < 1 {
-		chunk = 1
-	}
-	errs := make([]error, parts)
-	var wg sync.WaitGroup
-	for p := 0; p < parts; p++ {
-		lo, hi := p*chunk, (p+1)*chunk
-		if lo >= n {
-			break
-		}
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			errs[p] = body(p, lo, hi)
-		}(p, lo, hi)
-	}
-	wg.Wait()
-	return platform.FirstError(errs)
 }
 
 // Canonical reports whether the scanned arc (u, v) is the canonical arc

@@ -35,9 +35,9 @@ import (
 	"context"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/telemetry"
 )
@@ -157,7 +157,7 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 	err := c.mapPhase(ctx, input, job)
 	c.collect(counters)
 	if err == nil {
-		err = parallel(workers, func(r int) error { return c.reduce(ctx, r, job) })
+		err = par.Do(workers, func(r int) error { return c.reduce(ctx, r, job) })
 		c.collect(counters)
 	}
 	var output []Record
@@ -231,7 +231,7 @@ func (c *Cluster) collect(counters map[string]int64) {
 func (c *Cluster) mapPhase(ctx context.Context, input []Record, job Job) error {
 	workers := len(c.slots)
 	chunk := (len(input) + workers - 1) / workers
-	return parallel(workers, func(m int) error {
+	return par.Do(workers, func(m int) error {
 		s := &c.slots[m]
 		start := time.Now()
 		defer func() { s.busy += time.Since(start) }()
@@ -327,7 +327,7 @@ func (c *Cluster) output(ctx context.Context) ([]Record, error) {
 	}
 	es := slices.Grow(c.outES[:0], total)[:total]
 	c.outES = es
-	err := parallel(len(c.slots), func(r int) error {
+	err := par.Do(len(c.slots), func(r int) error {
 		lo := 0
 		for i := range r {
 			lo += c.slots[i].outRecs
@@ -351,26 +351,4 @@ func (c *Cluster) output(ctx context.Context) ([]Record, error) {
 		output[i] = Record{Key: e.key, Value: e.value(c.outBufs)}
 	}
 	return output, nil
-}
-
-// parallel runs task for every worker index concurrently and returns
-// the lowest-indexed error (deterministic pick under concurrent
-// interruption).
-func parallel(workers int, task func(w int) error) error {
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[w] = task(w)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

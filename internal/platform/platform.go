@@ -281,14 +281,3 @@ func CheckContextPhase(ctx context.Context, phase string) error {
 	}
 	return nil
 }
-
-// FirstError returns the lowest-indexed non-nil error from a per-worker
-// error slice (deterministic pick under concurrent interruption).
-func FirstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -196,7 +196,7 @@ func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 			for _, spec := range specs {
 				// PageRank's sums still depend on how senders are
 				// partitioned and combined; it joins the bit-identical
-				// check once ROADMAP item 5(b) makes them order-free.
+				// check once ROADMAP item 4(a) makes them order-free.
 				if spec.Kind == algo.PR {
 					continue
 				}

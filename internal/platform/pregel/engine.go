@@ -35,10 +35,10 @@ import (
 	"context"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"graphalytics/internal/graph"
+	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/telemetry"
 )
@@ -321,33 +321,26 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 
 		// Compute phase. Each worker probes the context every CheckStride
 		// vertices so even one huge superstep stays interruptible.
-		var wg sync.WaitGroup
-		werr := make([]error, e.Workers)
-		for w := 0; w < e.Workers; w++ {
+		if err := par.Do(e.Workers, func(w int) (err error) {
 			c := ctxs[w]
 			clear(c.lagg)
 			c.haltReq = c.haltReq[:0]
-			wg.Add(1)
-			go func(w int, c *VCtx[M]) {
-				defer wg.Done()
-				start := time.Now()
-				for i, v := range e.byPart[w] {
-					if i%platform.CheckStride == 0 && ctx.Err() != nil {
-						werr[w] = platform.CheckContextPhase(ctx, "pregel/compute")
-						break
-					}
-					msgs := e.inbox[v]
-					if e.halted[v] && len(msgs) == 0 {
-						continue
-					}
-					e.halted[v] = false
-					compute(c, v, msgs)
+			start := time.Now()
+			for i, v := range e.byPart[w] {
+				if i%platform.CheckStride == 0 && ctx.Err() != nil {
+					err = platform.CheckContextPhase(ctx, "pregel/compute")
+					break
 				}
-				e.Counters.WorkerBusy[w] += time.Since(start)
-			}(w, c)
-		}
-		wg.Wait()
-		if err := platform.FirstError(werr); err != nil {
+				msgs := e.inbox[v]
+				if e.halted[v] && len(msgs) == 0 {
+					continue
+				}
+				e.halted[v] = false
+				compute(c, v, msgs)
+			}
+			e.Counters.WorkerBusy[w] += time.Since(start)
+			return err
+		}); err != nil {
 			ssp.SetAttr("error", err.Error())
 			ssp.End()
 			return err
@@ -395,17 +388,7 @@ func (e *Engine[M]) Run(ctx context.Context, compute ComputeFunc[M], master Mast
 				return err
 			}
 		}
-		var dwg sync.WaitGroup
-		derr := make([]error, e.Workers)
-		for dw := 0; dw < e.Workers; dw++ {
-			dwg.Add(1)
-			go func(dw int) {
-				defer dwg.Done()
-				derr[dw] = e.deliver(ctx, dw, ctxs)
-			}(dw)
-		}
-		dwg.Wait()
-		if err := platform.FirstError(derr); err != nil {
+		if err := par.Do(e.Workers, func(dw int) error { return e.deliver(ctx, dw, ctxs) }); err != nil {
 			ssp.SetAttr("error", err.Error())
 			ssp.End()
 			return err
