@@ -87,9 +87,6 @@ func (t *Table) NumRows() int64 { return t.rows }
 // NumVertices returns the vertex domain size.
 func (t *Table) NumVertices() int { return t.n }
 
-// Compressed reports whether the spe_to column is compressed.
-func (t *Table) Compressed() bool { return t.compressed }
-
 // ColumnBytes returns the stored size of the spe_to column (the
 // compression ablation's memory measure).
 func (t *Table) ColumnBytes() int64 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,10 +74,10 @@ func sameCell(t *testing.T, seq, par report.RunResult) {
 	if seq.Validation.Valid != par.Validation.Valid {
 		t.Errorf("%s: valid %v vs %v", id, seq.Validation.Valid, par.Validation.Valid)
 	}
-	if seq.Counters.Messages != par.Counters.Messages || seq.Counters.Supersteps != par.Counters.Supersteps {
-		t.Errorf("%s: counters diverge: %d/%d msgs, %d/%d supersteps", id,
-			seq.Counters.Messages, par.Counters.Messages,
-			seq.Counters.Supersteps, par.Counters.Supersteps)
+	// Every counter but WorkerBusy, a timing, belongs to the cell alone.
+	seq.Counters.WorkerBusy, par.Counters.WorkerBusy = nil, nil
+	if !reflect.DeepEqual(seq.Counters, par.Counters) {
+		t.Errorf("%s: counters diverge:\n seq %+v\n par %+v", id, seq.Counters, par.Counters)
 	}
 }
 

@@ -252,8 +252,8 @@ func startRunnerWith(t *testing.T, ctx context.Context, addr string, opts Runner
 // normalize strips everything time- or machine-dependent from a result
 // row and renders it as canonical JSON, so reports from local and
 // distributed runs can be compared byte-for-byte: coordinates, status,
-// validation, and structural metadata must match; runtimes, samples,
-// and provenance may not.
+// validation, structural metadata and every counter but WorkerBusy must
+// match; runtimes, samples, and provenance may not.
 func normalize(t *testing.T, rs []report.RunResult) []string {
 	t.Helper()
 	out := make([]string, len(rs))
@@ -265,7 +265,7 @@ func normalize(t *testing.T, rs []report.RunResult) []string {
 		r.Resources = nil
 		r.Attempts = 0
 		r.Provenance = ""
-		r.Counters = platform.Counters{}
+		r.Counters.WorkerBusy = nil
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)

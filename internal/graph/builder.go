@@ -252,9 +252,6 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// NumBufferedEdges returns the number of edges added so far.
-func (b *Builder) NumBufferedEdges() int { return len(b.srcs) }
-
 // ErrEmptyGraph is returned by Build when no vertices were added.
 var ErrEmptyGraph = errors.New("graph: empty graph")
 

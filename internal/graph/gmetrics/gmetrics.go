@@ -108,10 +108,6 @@ func intersectCount(x, y []graph.VertexID, a, b graph.VertexID) int64 {
 // undirected view of g.
 func GlobalCC(g *graph.Graph) float64 { return Measure(g).GlobalCC }
 
-// AverageLocalCC returns the mean local clustering coefficient of the
-// undirected view of g.
-func AverageLocalCC(g *graph.Graph) float64 { return Measure(g).AvgCC }
-
 // Assortativity returns the degree assortativity coefficient: the
 // Pearson correlation of the degrees at the two endpoints of each edge
 // (both orientations), on an undirected graph. Returns 0 for degenerate

@@ -14,8 +14,8 @@ import (
 
 // ------------------------------ BFS ------------------------------
 
-func (l *loaded) runBFS(ctx context.Context, env *Env, p algo.Params) (algo.BFSOutput, error) {
-	n := l.g.NumVertices()
+func (env *Env) runBFS(ctx context.Context, p algo.Params) (algo.BFSOutput, error) {
+	n := env.G.NumVertices()
 	depths, err := MapVertices(ctx, env, n, 8, func(v graph.VertexID) int64 {
 		if v == p.Source {
 			return 0
@@ -71,8 +71,8 @@ func (l *loaded) runBFS(ctx context.Context, env *Env, p algo.Params) (algo.BFSO
 
 // ------------------------------ CONN ------------------------------
 
-func (l *loaded) runConn(ctx context.Context, env *Env, p algo.Params) (algo.ConnOutput, error) {
-	n := l.g.NumVertices()
+func (env *Env) runConn(ctx context.Context, p algo.Params) (algo.ConnOutput, error) {
+	n := env.G.NumVertices()
 	labels, err := MapVertices(ctx, env, n, 4, func(v graph.VertexID) graph.VertexID { return v })
 	if err != nil {
 		return nil, err
@@ -138,14 +138,14 @@ type cdVD struct {
 	degree int32
 }
 
-func (l *loaded) runCD(ctx context.Context, env *Env, p algo.Params) (algo.CDOutput, error) {
-	n := l.g.NumVertices()
+func (env *Env) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error) {
+	n := env.G.NumVertices()
 	// Degrees are gathered up front: the MapVertices closure runs
 	// chunked in parallel, so it cannot share a scratch buffer.
 	degs := make([]int32, n)
 	var buf []graph.VertexID
 	for v := 0; v < n; v++ {
-		buf = l.g.Neighborhood(graph.VertexID(v), buf[:0])
+		buf = env.G.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
 	}
 	w := algo.NewCDWeights(p.CDPreference, degs)
@@ -207,8 +207,8 @@ type evoVD struct {
 	burned []uint32
 }
 
-func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoOutput, error) {
-	n := l.g.NumVertices()
+func (env *Env) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, error) {
+	n := env.G.NumVertices()
 	k := p.EvoNewVertices
 
 	verts, err := MapVertices(ctx, env, n, 32, func(graph.VertexID) evoVD { return evoVD{} })
@@ -248,7 +248,7 @@ func (l *loaded) runEvo(ctx context.Context, env *Env, p algo.Params) (algo.EvoO
 			fires := slices.Clone(allowed.Get(v))
 			slices.Sort(fires)
 			for _, f := range fires {
-				picks := algo.FirePicks(l.g, graph.VertexID(n+int(f)), v, p)
+				picks := algo.FirePicks(env.G, graph.VertexID(n+int(f)), v, p)
 				env.Counters.Messages += int64(len(picks))
 				env.Counters.MessageBytes += int64(len(picks)) * 4
 				env.Counters.EdgesTraversed += int64(len(picks))

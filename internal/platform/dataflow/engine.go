@@ -92,18 +92,6 @@ func (e *Env) allocRetained(bytes int64) error {
 	return nil
 }
 
-// releaseAll frees every retained version (end of run).
-func (e *Env) releaseAll() {
-	if e.Mem == nil {
-		e.retained = nil
-		return
-	}
-	for _, b := range e.retained {
-		e.Mem.Free(b)
-	}
-	e.retained = nil
-}
-
 // Ctx is the per-arc message context handed to send functions. An
 // aggregating scan merges each message into the partition's dense
 // accumulator (acc, has); a collecting scan (merge == nil) appends it to

@@ -25,8 +25,8 @@ import (
 // full dataset materialization; the dangling mass is a driver-side
 // reduction over the current rank dataset, the way a Spark driver
 // collects a scalar between iterations.
-func (l *loaded) runPageRank(ctx context.Context, env *Env, p algo.Params) (algo.PROutput, error) {
-	n := l.g.NumVertices()
+func (env *Env) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
+	n := env.G.NumVertices()
 	d := p.PRDamping
 	inv := 1.0 / float64(n)
 	ranks, err := MapVertices(ctx, env, n, 8, func(graph.VertexID) float64 { return inv })
@@ -43,13 +43,13 @@ func (l *loaded) runPageRank(ctx context.Context, env *Env, p algo.Params) (algo
 			if v%platform.CheckStride == 0 && ctx.Err() != nil {
 				return nil, platform.CheckContextPhase(ctx, "dataflow/pr-dangling")
 			}
-			if l.g.OutDegree(graph.VertexID(v)) == 0 {
+			if env.G.OutDegree(graph.VertexID(v)) == 0 {
 				dangling += ranks[v]
 			}
 		}
 		contribs, err := AggregateMessages(ctx, env, ranks, 8, 8,
 			func(c *Ctx[float64], u, v graph.VertexID, du, _ float64) {
-				c.SendToDst(v, du/float64(l.g.OutDegree(u)))
+				c.SendToDst(v, du/float64(env.G.OutDegree(u)))
 			},
 			func(a, b float64) float64 { return a + b })
 		if err != nil {
@@ -71,8 +71,8 @@ func (l *loaded) runPageRank(ctx context.Context, env *Env, p algo.Params) (algo
 // runSSSP: the weighted generalization of runBFS. Active vertices relax
 // their out-arcs through the weighted triplet scan; the min merge and
 // the join keep only improvements, and the loop runs to the fixpoint.
-func (l *loaded) runSSSP(ctx context.Context, env *Env, p algo.Params) (algo.SSSPOutput, error) {
-	n := l.g.NumVertices()
+func (env *Env) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, error) {
+	n := env.G.NumVertices()
 	inf := math.Inf(1)
 	dists, err := MapVertices(ctx, env, n, 8, func(v graph.VertexID) float64 {
 		if v == p.Source {
@@ -133,8 +133,8 @@ func (l *loaded) runSSSP(ctx context.Context, env *Env, p algo.Params) (algo.SSS
 // every vertex collects its neighborhood, then each canonical arc
 // carries closed-pair counts to both endpoints. It serves STATS too,
 // whose mean Run folds with algo.StatsFromLCC.
-func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCOutput, error) {
-	n := l.g.NumVertices()
+func (env *Env) runLCC(ctx context.Context, p algo.Params) (algo.LCCOutput, error) {
+	n := env.G.NumVertices()
 	// Round 1: collect neighbor IDs (both directions), dedup + sort.
 	empty, err := MapVertices(ctx, env, n, 24, func(graph.VertexID) []graph.VertexID { return nil })
 	if err != nil {
@@ -199,14 +199,14 @@ func (l *loaded) runLCC(ctx context.Context, env *Env, p algo.Params) (algo.LCCO
 			sc := &parts[c.Part()]
 			if sc.u != u {
 				sc.u = u
-				sc.out.Mark(l.g.OutNeighbors(u))
+				sc.out.Mark(env.G.OutNeighbors(u))
 				sc.nbh.Mark(nu)
 			}
 			if len(nv) >= 2 {
 				c.SendToDst(v, sc.out.Count(nv, u))
 			}
 			if len(nu) >= 2 {
-				c.SendToSrc(u, sc.nbh.Count(l.g.OutNeighbors(v), v))
+				c.SendToSrc(u, sc.nbh.Count(env.G.OutNeighbors(v), v))
 			}
 		},
 		func(a, b int64) int64 { return a + b })

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -43,8 +42,8 @@ func (p *Platform) StampConfig() string {
 }
 
 // ConcurrencyLimit implements platform.ConcurrencyHinter: a
-// memory-budgeted engine serializes its jobs so concurrent loads do
-// not double-count against one budget.
+// memory-budgeted engine serializes its jobs, because each run checks
+// the budget against the resident graph plus its own bytes only.
 func (p *Platform) ConcurrencyLimit() int {
 	if p.opts.MemoryBudget > 0 {
 		return 1
@@ -56,65 +55,26 @@ func (p *Platform) ConcurrencyLimit() int {
 // an immutable dataset; dataflow tuple representation costs ~2× the raw
 // CSR (edge objects with src/dst fields rather than packed arrays).
 func (p *Platform) LoadGraph(g *graph.Graph) (platform.Loaded, error) {
-	mem := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget)
-	edgeBytes := 2 * g.MemoryFootprint()
-	if err := mem.Alloc(edgeBytes); err != nil {
+	resident := 2 * g.MemoryFootprint()
+	if err := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget).Alloc(resident); err != nil {
 		return nil, err
 	}
-	return &loaded{p: p, g: g, mem: mem, edgeBytes: edgeBytes}, nil
+	return &platform.LoadedGraph[*Env]{
+		G: g, Platform: p.Name(), Budget: p.opts.MemoryBudget, Resident: resident,
+		NewRun: func(mem *platform.MemoryTracker, c *platform.Counters) (*Env, func()) {
+			return NewEnv(g, p.opts.Parts, mem, c), nil
+		},
+		Kernels: kernels,
+	}, nil
 }
 
-type loaded struct {
-	p         *Platform
-	g         *graph.Graph
-	mem       *platform.MemoryTracker
-	edgeBytes int64
-}
-
-// Graph implements platform.Loaded.
-func (l *loaded) Graph() *graph.Graph { return l.g }
-
-// Close implements platform.Loaded.
-func (l *loaded) Close() error {
-	l.mem.Free(l.edgeBytes)
-	return nil
-}
-
-// Run implements platform.Loaded.
-func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*platform.Result, error) {
-	params = params.WithDefaults(l.g.NumVertices())
-	counters := &platform.Counters{}
-	env := NewEnv(l.g, l.p.opts.Parts, l.mem, counters)
-	defer env.releaseAll()
-
-	var out any
-	var err error
-	switch kind {
-	case algo.BFS:
-		out, err = l.runBFS(ctx, env, params)
-	case algo.CONN:
-		out, err = l.runConn(ctx, env, params)
-	case algo.CD:
-		out, err = l.runCD(ctx, env, params)
-	case algo.STATS:
-		var lcc algo.LCCOutput
-		if lcc, err = l.runLCC(ctx, env, params); err == nil {
-			out = algo.StatsFromLCC(l.g, lcc)
-		}
-	case algo.EVO:
-		out, err = l.runEvo(ctx, env, params)
-	case algo.PR:
-		out, err = l.runPageRank(ctx, env, params)
-	case algo.SSSP:
-		out, err = l.runSSSP(ctx, env, params)
-	case algo.LCC:
-		out, err = l.runLCC(ctx, env, params)
-	default:
-		return nil, fmt.Errorf("%w: %s on %s", platform.ErrUnsupported, kind, l.p.Name())
-	}
-	if err != nil {
-		return nil, err
-	}
-	counters.PeakMemoryBytes = l.mem.Peak()
-	return &platform.Result{Output: out, Counters: *counters}, nil
+// kernels is the dataflow engine's table for the shared run skeleton.
+var kernels = map[algo.Kind]platform.Kernel[*Env]{
+	algo.BFS:  platform.KernelOf((*Env).runBFS),
+	algo.CONN: platform.KernelOf((*Env).runConn),
+	algo.CD:   platform.KernelOf((*Env).runCD),
+	algo.EVO:  platform.KernelOf((*Env).runEvo),
+	algo.PR:   platform.KernelOf((*Env).runPageRank),
+	algo.SSSP: platform.KernelOf((*Env).runSSSP),
+	algo.LCC:  platform.KernelOf((*Env).runLCC),
 }

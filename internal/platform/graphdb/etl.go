@@ -126,8 +126,7 @@ func (p *Platform) ReadETL(g *graph.Graph, r io.Reader) (platform.Loaded, error)
 		return nil, fmt.Errorf("%w: flags %#x do not match the graph (directed %t, weighted %t)",
 			errETL, flags, g.Directed(), g.Weighted())
 	}
-	mem := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget)
-	if err := mem.Alloc(storeBytes(int(numNodes), int(numRels), weighted)); err != nil {
+	if err := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget).Alloc(storeBytes(int(numNodes), int(numRels), weighted)); err != nil {
 		return nil, err
 	}
 
@@ -179,7 +178,7 @@ func (p *Platform) ReadETL(g *graph.Graph, r io.Reader) (platform.Loaded, error)
 			s.weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
 		}
 	}
-	return &loaded{p: p, g: g, store: s, mem: mem}, nil
+	return p.newLoaded(g, s), nil
 }
 
 // relCount is the number of relationships BuildStore creates for g, one

@@ -115,7 +115,7 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, e
 
 // runLCC: per-vertex neighborhood intersections through the store. It
 // serves STATS too, whose mean Run folds with algo.StatsFromLCC.
-func (l *loaded) runLCC(ctx context.Context) (algo.LCCOutput, error) {
+func (l *loaded) runLCC(ctx context.Context, _ algo.Params) (algo.LCCOutput, error) {
 	n := l.store.NumNodes()
 	lcc := make(algo.LCCOutput, n)
 	var nbh, out []graph.VertexID

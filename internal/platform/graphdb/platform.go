@@ -43,82 +43,60 @@ func (p *Platform) StampConfig() string {
 }
 
 // ConcurrencyLimit implements platform.ConcurrencyHinter: the database
-// is single-threaded — a loaded store's page cache is unsynchronized,
-// and its hit/miss counters are per-run results — so its jobs always
-// serialize.
+// is single-threaded — a loaded store has one unsynchronized page
+// cache, which every run clears and then counts its hits and misses
+// in — so its jobs always serialize.
 func (p *Platform) ConcurrencyLimit() int { return 1 }
 
 // LoadGraph implements platform.Platform: it builds the record stores.
 // Unlike the distributed platforms, the whole store must fit in one
 // machine's budget or the import fails.
 func (p *Platform) LoadGraph(g *graph.Graph) (platform.Loaded, error) {
-	mem := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget)
 	store := BuildStore(g, p.opts.PageCachePages)
-	if err := mem.Alloc(store.Bytes()); err != nil {
+	if err := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget).Alloc(store.Bytes()); err != nil {
 		return nil, err
 	}
-	return &loaded{p: p, g: g, store: store, mem: mem}, nil
+	return p.newLoaded(g, store), nil
 }
 
+// loaded is a graph imported into record stores.
 type loaded struct {
-	p     *Platform
-	g     *graph.Graph
+	platform.LoadedGraph[*loaded]
 	store *Store
-	mem   *platform.MemoryTracker
 }
 
-// Graph implements platform.Loaded.
-func (l *loaded) Graph() *graph.Graph { return l.g }
-
-// Close implements platform.Loaded.
-func (l *loaded) Close() error {
-	l.mem.Free(l.store.Bytes())
-	return nil
+// kernels is the graph database's table for the shared run skeleton.
+var kernels = map[algo.Kind]platform.Kernel[*loaded]{
+	algo.BFS:  platform.KernelOf((*loaded).runBFS),
+	algo.CONN: platform.KernelOf((*loaded).runConn),
+	algo.CD:   platform.KernelOf((*loaded).runCD),
+	algo.EVO:  platform.KernelOf((*loaded).runEvo),
+	algo.PR:   platform.KernelOf((*loaded).runPageRank),
+	algo.SSSP: platform.KernelOf((*loaded).runSSSP),
+	algo.LCC:  platform.KernelOf((*loaded).runLCC),
 }
 
-// Run implements platform.Loaded.
-func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*platform.Result, error) {
-	params = params.WithDefaults(l.g.NumVertices())
-	counters := &platform.Counters{}
-	h0, m0 := l.store.CacheStats()
+// newLoaded wraps a built or restored store for the shared run skeleton.
+func (p *Platform) newLoaded(g *graph.Graph, store *Store) *loaded {
+	l := &loaded{store: store}
+	l.LoadedGraph = platform.LoadedGraph[*loaded]{
+		G: g, Platform: p.Name(), Budget: p.opts.MemoryBudget, Resident: store.Bytes(),
+		NewRun: l.newRun, Kernels: kernels,
+	}
+	return l
+}
+
+// newRun starts a run on a cold page cache, so that the hits and misses
+// it reports are its own, and fills in the counters when it ends.
+func (l *loaded) newRun(_ *platform.MemoryTracker, c *platform.Counters) (*loaded, func()) {
+	l.store.cache.reset()
 	start := time.Now()
-
-	var out any
-	var err error
-	switch kind {
-	case algo.BFS:
-		out, err = l.runBFS(ctx, params)
-	case algo.CONN:
-		out, err = l.runConn(ctx)
-	case algo.CD:
-		out, err = l.runCD(ctx, params)
-	case algo.STATS:
-		var lcc algo.LCCOutput
-		if lcc, err = l.runLCC(ctx); err == nil {
-			out = algo.StatsFromLCC(l.g, lcc)
-		}
-	case algo.EVO:
-		out, err = l.runEvo(ctx, params)
-	case algo.PR:
-		out, err = l.runPageRank(ctx, params)
-	case algo.SSSP:
-		out, err = l.runSSSP(ctx, params)
-	case algo.LCC:
-		out, err = l.runLCC(ctx)
-	default:
-		return nil, fmt.Errorf("%w: %s on %s", platform.ErrUnsupported, kind, l.p.Name())
+	return l, func() {
+		c.CacheHits, c.CacheMisses = l.store.CacheStats()
+		c.EdgesTraversed = c.CacheHits + c.CacheMisses // record touches
+		c.Supersteps = 1                               // one transaction scope
+		c.WorkerBusy = []time.Duration{time.Since(start)}
 	}
-	if err != nil {
-		return nil, err
-	}
-	h1, m1 := l.store.CacheStats()
-	counters.CacheHits = h1 - h0
-	counters.CacheMisses = m1 - m0
-	counters.EdgesTraversed = (h1 - h0) + (m1 - m0) // record touches
-	counters.Supersteps = 1                         // one transaction scope
-	counters.WorkerBusy = []time.Duration{time.Since(start)}
-	counters.PeakMemoryBytes = l.mem.Peak()
-	return &platform.Result{Output: out, Counters: *counters}, nil
 }
 
 // runBFS: classic queue traversal over the store (out-direction).
@@ -158,7 +136,7 @@ func (l *loaded) runBFS(ctx context.Context, p algo.Params) (algo.BFSOutput, err
 // runConn: ascending-scan traversal labeling. The first unvisited vertex
 // of each component is its minimum ID, so the labels equal the HashMin
 // fixpoint the other platforms compute.
-func (l *loaded) runConn(ctx context.Context) (algo.ConnOutput, error) {
+func (l *loaded) runConn(ctx context.Context, _ algo.Params) (algo.ConnOutput, error) {
 	n := l.store.NumNodes()
 	labels := make(algo.ConnOutput, n)
 	visited := make([]bool, n)

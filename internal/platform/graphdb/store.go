@@ -210,7 +210,8 @@ func (s *Store) Neighborhood(v graph.VertexID, buf []graph.VertexID) []graph.Ver
 	return buf[:start+len(slices.Compact(buf[start:]))]
 }
 
-// CacheStats returns page-cache hits and misses so far.
+// CacheStats returns page-cache hits and misses since the cache was
+// last emptied: at load, and at the start of every run.
 func (s *Store) CacheStats() (hits, misses int64) { return s.cache.hits, s.cache.misses }
 
 // pageCache simulates Neo4j's page cache with a direct-mapped page
@@ -229,10 +230,16 @@ func newPageCache(pages int) *pageCache {
 		pages = 8192
 	}
 	c := &pageCache{slots: make([]int64, pages)}
+	c.reset()
+	return c
+}
+
+// reset empties the cache and zeroes its counts.
+func (c *pageCache) reset() {
 	for i := range c.slots {
 		c.slots[i] = -1
 	}
-	return c
+	c.hits, c.misses = 0, 0
 }
 
 func (c *pageCache) touch(byteOffset int64) {

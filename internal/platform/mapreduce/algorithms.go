@@ -20,9 +20,9 @@ const (
 // quiet, adding each job's "traversed" counter to the engine counters.
 // A chain still updating after MaxJobs jobs is an error: its state is
 // not the algorithm's output.
-func (l *loaded) iterate(ctx context.Context, c *Cluster, kind algo.Kind, input []Record, job Job) ([]Record, error) {
+func (c *chain) iterate(ctx context.Context, kind algo.Kind, input []Record, job Job) ([]Record, error) {
 	output := input
-	for i := 0; i < l.p.opts.MaxJobs; i++ {
+	for i := 0; i < c.maxJobs; i++ {
 		res, err := c.Run(ctx, output, job)
 		if err != nil {
 			return nil, err
@@ -33,7 +33,7 @@ func (l *loaded) iterate(ctx context.Context, c *Cluster, kind algo.Kind, input 
 			return output, nil
 		}
 	}
-	return nil, errCapped(kind, l.p.opts.MaxJobs)
+	return nil, errCapped(kind, c.maxJobs)
 }
 
 // errCapped reports a job chain cut off by MaxJobs before it converged.
@@ -114,9 +114,9 @@ func bfsInput(g *graph.Graph, source graph.VertexID) []Record {
 	return input
 }
 
-func (l *loaded) runBFS(ctx context.Context, c *Cluster, p algo.Params) (algo.BFSOutput, error) {
-	n := l.g.NumVertices()
-	output, err := l.iterate(ctx, c, algo.BFS, bfsInput(l.g, p.Source), bfsJob())
+func (c *chain) runBFS(ctx context.Context, p algo.Params) (algo.BFSOutput, error) {
+	n := c.g.NumVertices()
+	output, err := c.iterate(ctx, algo.BFS, bfsInput(c.g, p.Source), bfsJob())
 	if err != nil {
 		return nil, err
 	}
@@ -144,9 +144,9 @@ func connState(updated bool, label int64, adj []graph.VertexID) []byte {
 	return appendVertexList(buf, adj)
 }
 
-func (l *loaded) runConn(ctx context.Context, c *Cluster, p algo.Params) (algo.ConnOutput, error) {
-	n := l.g.NumVertices()
-	nbh := l.neighborhoods()
+func (c *chain) runConn(ctx context.Context, p algo.Params) (algo.ConnOutput, error) {
+	n := c.g.NumVertices()
+	nbh := c.neighborhoods()
 	input := make([]Record, n)
 	for v := 0; v < n; v++ {
 		input[v] = Record{Key: int64(v), Value: connState(true, int64(v), nbh[v])}
@@ -194,7 +194,7 @@ func (l *loaded) runConn(ctx context.Context, c *Cluster, p algo.Params) (algo.C
 		},
 	}
 
-	output, err := l.iterate(ctx, c, algo.CONN, input, job)
+	output, err := c.iterate(ctx, algo.CONN, input, job)
 	if err != nil {
 		return nil, err
 	}
@@ -219,9 +219,9 @@ func cdState(label int64, score float64, degree int, adj []graph.VertexID) []byt
 	return appendVertexList(buf, adj)
 }
 
-func (l *loaded) runCD(ctx context.Context, c *Cluster, p algo.Params) (algo.CDOutput, error) {
-	n := l.g.NumVertices()
-	nbh := l.neighborhoods()
+func (c *chain) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error) {
+	n := c.g.NumVertices()
+	nbh := c.neighborhoods()
 	input := make([]Record, n)
 	degs := make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -335,8 +335,8 @@ func readEvoState(v []byte) (out, in []graph.VertexID, burned []uint32) {
 	return out, in, burned
 }
 
-func (l *loaded) runEvo(ctx context.Context, c *Cluster, p algo.Params) (algo.EvoOutput, error) {
-	n := l.g.NumVertices()
+func (c *chain) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, error) {
+	n := c.g.NumVertices()
 	k := p.EvoNewVertices
 
 	// Driver-side master state (the job chain's coordination logic).
@@ -352,9 +352,9 @@ func (l *loaded) runEvo(ctx context.Context, c *Cluster, p algo.Params) (algo.Ev
 	input := make([]Record, n)
 	for v := 0; v < n; v++ {
 		var in []graph.VertexID
-		out := l.g.OutNeighbors(graph.VertexID(v))
-		if l.g.Directed() && l.g.HasReverse() {
-			in = l.g.InNeighbors(graph.VertexID(v))
+		out := c.g.OutNeighbors(graph.VertexID(v))
+		if c.g.Directed() && c.g.HasReverse() {
+			in = c.g.InNeighbors(graph.VertexID(v))
 		} else {
 			in = out
 		}
@@ -362,7 +362,7 @@ func (l *loaded) runEvo(ctx context.Context, c *Cluster, p algo.Params) (algo.Ev
 	}
 
 	output := input
-	for round := 0; round < l.p.opts.MaxJobs; round++ {
+	for round := 0; round < c.maxJobs; round++ {
 		if len(allowed) == 0 {
 			break
 		}
@@ -472,7 +472,7 @@ func (l *loaded) runEvo(ctx context.Context, c *Cluster, p algo.Params) (algo.Ev
 	}
 
 	if len(allowed) > 0 {
-		return algo.EvoOutput{}, errCapped(algo.EVO, l.p.opts.MaxJobs)
+		return algo.EvoOutput{}, errCapped(algo.EVO, c.maxJobs)
 	}
 
 	evo := algo.EvoOutput{NewVertices: k}

@@ -25,13 +25,13 @@ func prState(rank float64, adj []graph.VertexID) []byte {
 	return appendVertexList(buf, adj)
 }
 
-func (l *loaded) runPageRank(ctx context.Context, c *Cluster, p algo.Params) (algo.PROutput, error) {
-	n := l.g.NumVertices()
+func (c *chain) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
+	n := c.g.NumVertices()
 	d := p.PRDamping
 	inv := 1.0 / float64(n)
 	input := make([]Record, n)
 	for v := 0; v < n; v++ {
-		input[v] = Record{Key: int64(v), Value: prState(inv, l.g.OutNeighbors(graph.VertexID(v)))}
+		input[v] = Record{Key: int64(v), Value: prState(inv, c.g.OutNeighbors(graph.VertexID(v)))}
 	}
 
 	// danglingOf sums the rank of sink vertices in a state record set —
@@ -115,8 +115,8 @@ func ssspState(updated bool, dist float64, adj []graph.VertexID, ws []float64) [
 	return appendWeightedList(buf, adj, ws)
 }
 
-func (l *loaded) runSSSP(ctx context.Context, c *Cluster, p algo.Params) (algo.SSSPOutput, error) {
-	n := l.g.NumVertices()
+func (c *chain) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, error) {
+	n := c.g.NumVertices()
 	inf := math.Inf(1)
 	input := make([]Record, n)
 	for v := 0; v < n; v++ {
@@ -125,7 +125,7 @@ func (l *loaded) runSSSP(ctx context.Context, c *Cluster, p algo.Params) (algo.S
 			dist, updated = 0, true
 		}
 		input[v] = Record{Key: int64(v), Value: ssspState(updated, dist,
-			l.g.OutNeighbors(graph.VertexID(v)), l.g.OutWeights(graph.VertexID(v)))}
+			c.g.OutNeighbors(graph.VertexID(v)), c.g.OutWeights(graph.VertexID(v)))}
 	}
 
 	job := Job{
@@ -170,7 +170,7 @@ func (l *loaded) runSSSP(ctx context.Context, c *Cluster, p algo.Params) (algo.S
 		},
 	}
 
-	output, err := l.iterate(ctx, c, algo.SSSP, input, job)
+	output, err := c.iterate(ctx, algo.SSSP, input, job)
 	if err != nil {
 		return nil, err
 	}
@@ -213,17 +213,17 @@ func (s *slotPairs) of(tc *TaskCtx) *algo.ClosedPairs {
 // Neighborhood msg: [tagMsg][varint from][vertex list].
 // Job 1 output count msg: [tagMsg][varint count].
 // Job 2 output: [tagMsg][float lcc_v].
-func (l *loaded) runLCC(ctx context.Context, c *Cluster, p algo.Params) (algo.LCCOutput, error) {
-	n := l.g.NumVertices()
-	nbh := l.neighborhoods()
+func (c *chain) runLCC(ctx context.Context, p algo.Params) (algo.LCCOutput, error) {
+	n := c.g.NumVertices()
+	nbh := c.neighborhoods()
 	input := make([]Record, n)
 	for v := 0; v < n; v++ {
 		buf := []byte{tagState}
-		buf = appendVertexList(buf, l.g.OutNeighbors(graph.VertexID(v)))
+		buf = appendVertexList(buf, c.g.OutNeighbors(graph.VertexID(v)))
 		buf = appendVertexList(buf, nbh[v])
 		input[v] = Record{Key: int64(v), Value: buf}
 	}
-	pairs := newSlotPairs(c, n)
+	pairs := newSlotPairs(c.Cluster, n)
 
 	job1 := Job{
 		Name: "lcc-exchange",

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -59,67 +58,43 @@ func (p *Platform) StampConfig() string {
 // through spill buffers, so there is no memory budget to enforce: ETL
 // never fails for capacity reasons (§3.3).
 func (p *Platform) LoadGraph(g *graph.Graph) (platform.Loaded, error) {
-	return &loaded{p: p, g: g}, nil
+	return &platform.LoadedGraph[*chain]{
+		G: g, Platform: p.Name(),
+		NewRun: func(_ *platform.MemoryTracker, c *platform.Counters) (*chain, func()) {
+			cluster := &Cluster{Workers: p.opts.Workers, RoundOverhead: p.opts.RoundOverhead, Counters: c}
+			return &chain{Cluster: cluster, g: g, maxJobs: p.opts.MaxJobs}, nil
+		},
+		Kernels: kernels,
+	}, nil
 }
 
-type loaded struct {
-	p *Platform
-	g *graph.Graph
+// kernels is the MapReduce engine's table for the shared run skeleton.
+var kernels = map[algo.Kind]platform.Kernel[*chain]{
+	algo.BFS:  platform.KernelOf((*chain).runBFS),
+	algo.CONN: platform.KernelOf((*chain).runConn),
+	algo.CD:   platform.KernelOf((*chain).runCD),
+	algo.EVO:  platform.KernelOf((*chain).runEvo),
+	algo.PR:   platform.KernelOf((*chain).runPageRank),
+	algo.SSSP: platform.KernelOf((*chain).runSSSP),
+	algo.LCC:  platform.KernelOf((*chain).runLCC),
 }
 
-// Graph implements platform.Loaded.
-func (l *loaded) Graph() *graph.Graph { return l.g }
-
-// Close implements platform.Loaded.
-func (l *loaded) Close() error { return nil }
-
-// Run implements platform.Loaded.
-func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*platform.Result, error) {
-	params = params.WithDefaults(l.g.NumVertices())
-	cluster := &Cluster{
-		Workers:       l.p.opts.Workers,
-		RoundOverhead: l.p.opts.RoundOverhead,
-		Counters:      &platform.Counters{},
-	}
-	var out any
-	var err error
-	switch kind {
-	case algo.BFS:
-		out, err = l.runBFS(ctx, cluster, params)
-	case algo.CONN:
-		out, err = l.runConn(ctx, cluster, params)
-	case algo.CD:
-		out, err = l.runCD(ctx, cluster, params)
-	case algo.STATS:
-		var lcc algo.LCCOutput
-		if lcc, err = l.runLCC(ctx, cluster, params); err == nil {
-			out = algo.StatsFromLCC(l.g, lcc)
-		}
-	case algo.EVO:
-		out, err = l.runEvo(ctx, cluster, params)
-	case algo.PR:
-		out, err = l.runPageRank(ctx, cluster, params)
-	case algo.SSSP:
-		out, err = l.runSSSP(ctx, cluster, params)
-	case algo.LCC:
-		out, err = l.runLCC(ctx, cluster, params)
-	default:
-		return nil, fmt.Errorf("%w: %s on %s", platform.ErrUnsupported, kind, l.p.Name())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &platform.Result{Output: out, Counters: *cluster.Counters}, nil
+// chain is one algorithm execution: the job chain of one run, on a
+// fresh cluster whose counters are the run's.
+type chain struct {
+	*Cluster
+	g       *graph.Graph
+	maxJobs int
 }
 
 // neighborhoods precomputes N(v) for every vertex (the CD/CONN/STATS
 // neighborhood). This is input preparation, analogous to reading the
 // graph's HDFS input format at the head of a job chain.
-func (l *loaded) neighborhoods() [][]graph.VertexID {
-	n := l.g.NumVertices()
+func (c *chain) neighborhoods() [][]graph.VertexID {
+	n := c.g.NumVertices()
 	out := make([][]graph.VertexID, n)
 	for v := 0; v < n; v++ {
-		out[v] = l.g.Neighborhood(graph.VertexID(v), nil)
+		out[v] = c.g.Neighborhood(graph.VertexID(v), nil)
 	}
 	return out
 }

@@ -37,8 +37,9 @@ type Platform interface {
 // ConcurrencyHinter is optionally implemented by platforms whose
 // resources bound how many benchmark jobs the harness should run on
 // them at once. A memory-budgeted engine returns 1 so its jobs
-// serialize (two concurrent loads would double-count against one
-// budget) while unconstrained platforms keep the campaign saturated.
+// serialize (each run checks the budget against the resident graph
+// plus its own bytes, not against what concurrent jobs hold) while
+// unconstrained platforms keep the campaign saturated.
 type ConcurrencyHinter interface {
 	// ConcurrencyLimit returns the maximum number of campaign jobs to
 	// run concurrently on this platform (0 = unlimited).
@@ -134,7 +135,8 @@ type Counters struct {
 	// storage between rounds (MapReduce, dataflow shuffles).
 	SpilledBytes int64
 	// PeakMemoryBytes is the engine's own accounting of its maximum
-	// live data-structure footprint.
+	// live data-structure footprint during this run: the graph it keeps
+	// resident plus the run's own peak, never another run's.
 	PeakMemoryBytes int64
 	// ActivePerStep records active vertices per superstep — the decay
 	// curve behind the "skewed execution intensity" choke point.
@@ -147,7 +149,8 @@ type Counters struct {
 	EdgesTraversed int64
 	// CacheHits / CacheMisses report page-cache behaviour for
 	// store-backed platforms (the graph database) — the "poor access
-	// locality" choke point measure.
+	// locality" choke point measure. Each run starts on a cold cache, so
+	// they count this run's accesses alone.
 	CacheHits   int64
 	CacheMisses int64
 }
@@ -209,8 +212,9 @@ func (e *OOMError) Error() string {
 // Unwrap makes errors.Is(err, ErrOutOfMemory) succeed.
 func (e *OOMError) Unwrap() error { return ErrOutOfMemory }
 
-// MemoryTracker is a small atomic accounting helper engines embed to
-// enforce a memory budget and record the peak.
+// MemoryTracker is a small atomic accounting helper that enforces a
+// memory budget and records the peak. LoadedGraph.Run gives every run
+// its own.
 type MemoryTracker struct {
 	platform string
 	budget   int64
@@ -244,17 +248,8 @@ func (t *MemoryTracker) Alloc(n int64) error {
 // Free releases n bytes.
 func (t *MemoryTracker) Free(n int64) { t.current.Add(-n) }
 
-// Reset zeroes current usage (between runs) while keeping the peak.
-func (t *MemoryTracker) Reset() { t.current.Store(0) }
-
 // Peak returns the maximum recorded usage.
 func (t *MemoryTracker) Peak() int64 { return t.peak.Load() }
-
-// Current returns the live usage.
-func (t *MemoryTracker) Current() int64 { return t.current.Load() }
-
-// Budget returns the configured budget (0 = unlimited).
-func (t *MemoryTracker) Budget() int64 { return t.budget }
 
 // CheckStride is the amortization interval for in-loop context checks:
 // kernel hot loops probe the context once every CheckStride work units

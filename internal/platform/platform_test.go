@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"graphalytics/internal/algo"
+	"graphalytics/internal/graph"
 )
 
 func TestMemoryTrackerBudget(t *testing.T) {
@@ -30,44 +33,91 @@ func TestMemoryTrackerBudget(t *testing.T) {
 }
 
 func TestMemoryTrackerPeakAndFree(t *testing.T) {
-	tr := NewMemoryTracker("test", 0) // unlimited
+	tr := NewMemoryTracker("test", 100)
 	tr.Alloc(70)
 	tr.Alloc(30)
 	tr.Free(50)
-	if tr.Current() != 50 {
-		t.Errorf("current = %d", tr.Current())
-	}
 	if tr.Peak() != 100 {
 		t.Errorf("peak = %d", tr.Peak())
 	}
-	tr.Reset()
-	if tr.Current() != 0 || tr.Peak() != 100 {
-		t.Errorf("after reset: current %d peak %d", tr.Current(), tr.Peak())
+	// Free gave 50 bytes back: 50 more fit the budget without raising
+	// the peak, and one byte more does not fit.
+	if err := tr.Alloc(50); err != nil || tr.Peak() != 100 {
+		t.Errorf("refill after free: err %v, peak %d", err, tr.Peak())
 	}
-	if tr.Budget() != 0 {
-		t.Errorf("budget = %d", tr.Budget())
+	var oom *OOMError
+	if err := tr.Alloc(1); !errors.As(err, &oom) || oom.Need != 101 {
+		t.Errorf("one byte over: %v", err)
 	}
 }
 
 func TestMemoryTrackerConcurrent(t *testing.T) {
-	tr := NewMemoryTracker("test", 0)
+	const workers, size = 8, 3
+	tr := NewMemoryTracker("test", workers*size)
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				tr.Alloc(3)
-				tr.Free(3)
+				if err := tr.Alloc(size); err != nil {
+					t.Errorf("never more than the budget is live: %v", err)
+				}
+				tr.Free(size)
 			}
 		}()
 	}
 	wg.Wait()
-	if tr.Current() != 0 {
-		t.Errorf("current = %d after balanced alloc/free", tr.Current())
-	}
-	if tr.Peak() < 3 {
+	if tr.Peak() < size || tr.Peak() > workers*size {
 		t.Errorf("peak = %d", tr.Peak())
+	}
+	// Balanced: the whole budget is free again.
+	if err := tr.Alloc(workers * size); err != nil {
+		t.Errorf("after balanced alloc/free: %v", err)
+	}
+}
+
+// TestLoadedGraphRun checks the run scope: each run's peak is the
+// resident bytes plus its own peak, the budget holds against that sum,
+// and finish runs whether the kernel fails or not.
+func TestLoadedGraphRun(t *testing.T) {
+	b := graph.NewBuilder()
+	b.AddEdgeID(0, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := 0
+	l := &LoadedGraph[*MemoryTracker]{
+		G: g, Platform: "test", Budget: 150, Resident: 100,
+		NewRun: func(mem *MemoryTracker, _ *Counters) (*MemoryTracker, func()) {
+			return mem, func() { finished++ }
+		},
+		Kernels: map[algo.Kind]Kernel[*MemoryTracker]{
+			algo.CONN: func(mem *MemoryTracker, _ context.Context, _ algo.Params) (any, error) {
+				err := mem.Alloc(40)
+				mem.Free(40)
+				return algo.ConnOutput{0, 0}, err
+			},
+			algo.BFS: func(mem *MemoryTracker, _ context.Context, _ algo.Params) (any, error) {
+				return nil, mem.Alloc(60)
+			},
+		},
+	}
+	for i := 0; i < 2; i++ { // the second run reports its own peak, not the first's
+		res, err := l.Run(context.Background(), algo.CONN, algo.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters.PeakMemoryBytes != 140 {
+			t.Errorf("run %d: peak %d, want resident 100 + 40", i, res.Counters.PeakMemoryBytes)
+		}
+	}
+	if _, err := l.Run(context.Background(), algo.BFS, algo.Params{}); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("resident + run over budget: %v", err)
+	}
+	if finished != 3 {
+		t.Errorf("finish ran %d times, want 3", finished)
 	}
 }
 

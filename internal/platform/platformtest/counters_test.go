@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"graphalytics/internal/algo"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platform/dataflow"
 	"graphalytics/internal/platform/graphdb"
@@ -98,5 +100,63 @@ func TestGoldenEngineCounters(t *testing.T) {
 	}
 	if diffs > 10 {
 		t.Errorf("... %d changed lines in all", diffs)
+	}
+}
+
+// TestCountersBelongToTheCell runs every workload of every engine three
+// ways on one graph: on a fresh load, again after STATS and LCC on the
+// same load, and (engines that run jobs concurrently) beside LCC on the
+// same load. Every counter but WorkerBusy, a timing, must be the same
+// all three times: peak memory and page-cache counts describe the cell,
+// not what ran before it or beside it.
+func TestCountersBelongToTheCell(t *testing.T) {
+	const workers = 2
+	platforms := []platform.Platform{
+		pregel.New(pregel.Options{Workers: workers}),
+		mapreduce.New(mapreduce.Options{Workers: workers, RoundOverhead: -1}),
+		dataflow.New(dataflow.Options{Parts: workers}),
+		graphdb.New(graphdb.Options{}),
+	}
+	g := Graphs(t)[5] // the Datagen social graph
+	params := suiteParams(g)
+	ctx := context.Background()
+	run := func(l platform.Loaded, kind algo.Kind) platform.Counters {
+		t.Helper()
+		res, err := l.Run(ctx, kind, params)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		c := res.Counters
+		c.WorkerBusy = nil
+		return c
+	}
+	for _, p := range platforms {
+		for _, kind := range algo.Kinds {
+			fresh, err := p.LoadGraph(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := run(fresh, kind)
+			run(fresh, algo.STATS)
+			run(fresh, algo.LCC)
+			if got := run(fresh, kind); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s after STATS and LCC:\n got  %+v\n want %+v", p.Name(), kind, got, want)
+			}
+			if platform.ConcurrencyLimitOf(p) == 0 {
+				beside := make(chan error)
+				go func() {
+					_, err := fresh.Run(ctx, algo.LCC, params)
+					beside <- err
+				}()
+				got := run(fresh, kind)
+				if err := <-beside; err != nil {
+					t.Fatalf("%s LCC beside %s: %v", p.Name(), kind, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s beside LCC:\n got  %+v\n want %+v", p.Name(), kind, got, want)
+				}
+			}
+			fresh.Close()
+		}
 	}
 }

@@ -101,13 +101,12 @@ func CheckFaultyCampaign(tb testing.TB, f *Faulty, got, clean []report.RunResult
 	}
 }
 
-// timeless renders a row without its timings, as canonical JSON. Peak
-// memory goes too: cells that share a loaded graph share its memory
-// tracker, so the peak depends on which cells overlapped.
+// timeless renders a row without its timings, as canonical JSON. Every
+// other counter, peak memory included, belongs to the cell alone.
 func timeless(tb testing.TB, r report.RunResult) string {
 	r.Runtime, r.LoadTime, r.KTEPS = 0, 0, 0
 	r.Reps, r.Resources, r.Provenance = nil, nil, ""
-	r.Counters.WorkerBusy, r.Counters.PeakMemoryBytes = nil, 0
+	r.Counters.WorkerBusy = nil
 	b, err := json.Marshal(r)
 	if err != nil {
 		tb.Fatal(err)

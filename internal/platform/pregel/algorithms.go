@@ -6,7 +6,6 @@ import (
 
 	"graphalytics/internal/algo"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/platform"
 	"graphalytics/internal/xrand"
 )
 
@@ -15,19 +14,17 @@ import (
 // runBFS is the vertex-centric BFS: the frontier expands one level per
 // superstep; visited vertices absorb further messages. The combiner
 // collapses duplicate frontier messages to one.
-func (l *loaded) runBFS(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
-	counters := &platform.Counters{}
+func (r *run) runBFS(ctx context.Context, p algo.Params) (algo.BFSOutput, error) {
+	n := r.g.NumVertices()
 	depth := make(algo.BFSOutput, n)
 	for i := range depth {
 		depth[i] = -1
 	}
-	if err := l.mem.Alloc(int64(n) * 8); err != nil {
+	if err := r.mem.Alloc(int64(n) * 8); err != nil {
 		return nil, err
 	}
-	defer l.mem.Free(int64(n) * 8)
 
-	e := newEngine[struct{}](l, counters, func(struct{}) int64 { return 1 },
+	e := newEngine[struct{}](r, func(struct{}) int64 { return 1 },
 		func(a, _ struct{}) struct{} { return a })
 	compute := func(c *VCtx[struct{}], v graph.VertexID, msgs []struct{}) {
 		switch {
@@ -45,7 +42,7 @@ func (l *loaded) runBFS(ctx context.Context, p algo.Params) (*platform.Result, e
 	if err := e.Run(ctx, compute, nil); err != nil {
 		return nil, err
 	}
-	return &platform.Result{Output: depth, Counters: *counters}, nil
+	return depth, nil
 }
 
 // ------------------------------ CONN ------------------------------
@@ -54,16 +51,14 @@ func (l *loaded) runBFS(ctx context.Context, p algo.Params) (*platform.Result, e
 // the minimum label among itself and its neighbors (both directions for
 // weak connectivity) until a global fixpoint. The min combiner collapses
 // message traffic.
-func (l *loaded) runConn(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
-	counters := &platform.Counters{}
+func (r *run) runConn(ctx context.Context, p algo.Params) (algo.ConnOutput, error) {
+	n := r.g.NumVertices()
 	labels := make(algo.ConnOutput, n)
-	if err := l.mem.Alloc(int64(n) * 4); err != nil {
+	if err := r.mem.Alloc(int64(n) * 4); err != nil {
 		return nil, err
 	}
-	defer l.mem.Free(int64(n) * 4)
 
-	e := newEngine[graph.VertexID](l, counters, func(graph.VertexID) int64 { return 4 },
+	e := newEngine[graph.VertexID](r, func(graph.VertexID) int64 { return 4 },
 		func(a, b graph.VertexID) graph.VertexID {
 			if a < b {
 				return a
@@ -92,7 +87,7 @@ func (l *loaded) runConn(ctx context.Context, p algo.Params) (*platform.Result, 
 	if err := e.Run(ctx, compute, nil); err != nil {
 		return nil, err
 	}
-	return &platform.Result{Output: labels, Counters: *counters}, nil
+	return labels, nil
 }
 
 // ------------------------------ CD ------------------------------
@@ -100,26 +95,24 @@ func (l *loaded) runConn(ctx context.Context, p algo.Params) (*platform.Result, 
 // runCD runs Leung label propagation for exactly CDIterations rounds.
 // Votes are tallied with algo.TallyVotes, the shared kernel, so label
 // elections are bit-identical to the reference.
-func (l *loaded) runCD(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
-	counters := &platform.Counters{}
+func (r *run) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error) {
+	n := r.g.NumVertices()
 	labels := make([]int64, n)
 	scores := make([]float64, n)
 	degs := make([]int32, n)
-	if err := l.mem.Alloc(int64(n) * 20); err != nil {
+	if err := r.mem.Alloc(int64(n) * 20); err != nil {
 		return nil, err
 	}
-	defer l.mem.Free(int64(n) * 20)
 	var buf []graph.VertexID
 	for v := 0; v < n; v++ {
 		labels[v] = int64(v)
 		scores[v] = 1
-		buf = l.g.Neighborhood(graph.VertexID(v), buf[:0])
+		buf = r.g.Neighborhood(graph.VertexID(v), buf[:0])
 		degs[v] = int32(len(buf))
 	}
 	w := algo.NewCDWeights(p.CDPreference, degs)
 
-	e := newEngine[algo.Vote](l, counters, func(algo.Vote) int64 { return 20 }, nil)
+	e := newEngine[algo.Vote](r, func(algo.Vote) int64 { return 20 }, nil)
 	compute := func(c *VCtx[algo.Vote], v graph.VertexID, msgs []algo.Vote) {
 		step := c.Superstep()
 		if step == 0 {
@@ -154,7 +147,7 @@ func (l *loaded) runCD(ctx context.Context, p algo.Params) (*platform.Result, er
 	if err := e.Run(ctx, compute, master); err != nil {
 		return nil, err
 	}
-	return &platform.Result{Output: algo.CDOutput(labels), Counters: *counters}, nil
+	return algo.CDOutput(labels), nil
 }
 
 // ------------------------------ EVO ------------------------------
@@ -170,10 +163,9 @@ type evoAggCand map[uint32][]graph.VertexID
 // fire level: requests travel in one step, the master's cap verdict is
 // published through an aggregator, and approved candidates burn and
 // spread in the next.
-func (l *loaded) runEvo(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
+func (r *run) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, error) {
+	n := r.g.NumVertices()
 	k := p.EvoNewVertices
-	counters := &platform.Counters{}
 
 	// Ambassador map: vertex -> fires it seeds.
 	ambassadors := make(map[graph.VertexID][]uint32)
@@ -184,10 +176,9 @@ func (l *loaded) runEvo(ctx context.Context, p algo.Params) (*platform.Result, e
 
 	burnedBy := make([][]uint32, n) // fires that burned each vertex
 	pending := make([][]uint32, n)  // candidacies awaiting master verdict
-	if err := l.mem.Alloc(int64(n) * 48); err != nil {
-		return nil, err
+	if err := r.mem.Alloc(int64(n) * 48); err != nil {
+		return algo.EvoOutput{}, err
 	}
-	defer l.mem.Free(int64(n) * 48)
 
 	burnedCount := make([]int, k)
 	dead := make([]bool, k)
@@ -195,7 +186,7 @@ func (l *loaded) runEvo(ctx context.Context, p algo.Params) (*platform.Result, e
 		burnedCount[f] = 1 // the ambassador
 	}
 
-	e := newEngine[evoMsg](l, counters, func(evoMsg) int64 { return 4 }, nil)
+	e := newEngine[evoMsg](r, func(evoMsg) int64 { return 4 }, nil)
 	e.AggMerge = map[string]func(a, b any) any{
 		"cand": func(a, b any) any {
 			am, bm := a.(evoAggCand), b.(evoAggCand)
@@ -215,7 +206,7 @@ func (l *loaded) runEvo(ctx context.Context, p algo.Params) (*platform.Result, e
 		return false
 	}
 	spread := func(c *VCtx[evoMsg], v graph.VertexID, f uint32) {
-		picks := algo.FirePicks(l.g, graph.VertexID(n+int(f)), v, p)
+		picks := algo.FirePicks(r.g, graph.VertexID(n+int(f)), v, p)
 		for _, w := range picks {
 			c.Send(w, evoMsg{fire: f})
 		}
@@ -292,7 +283,7 @@ func (l *loaded) runEvo(ctx context.Context, p algo.Params) (*platform.Result, e
 	}
 
 	if err := e.Run(ctx, compute, master); err != nil {
-		return nil, err
+		return algo.EvoOutput{}, err
 	}
 
 	out := algo.EvoOutput{NewVertices: k}
@@ -307,5 +298,5 @@ func (l *loaded) runEvo(ctx context.Context, p algo.Params) (*platform.Result, e
 		}
 		return out.Edges[i][1] < out.Edges[j][1]
 	})
-	return &platform.Result{Output: out, Counters: *counters}, nil
+	return out, nil
 }

@@ -12,7 +12,6 @@ import (
 
 	"graphalytics/internal/algo"
 	"graphalytics/internal/graph"
-	"graphalytics/internal/platform"
 )
 
 // ------------------------------ PR ------------------------------
@@ -23,24 +22,22 @@ import (
 // initializes and scatters, supersteps 1..T update. The dangling mass
 // of iteration t reaches iteration t+1 through the "dangling"
 // aggregator; the sum combiner folds rank contributions sender-side.
-func (l *loaded) runPageRank(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
-	counters := &platform.Counters{}
+func (r *run) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
+	n := r.g.NumVertices()
 	ranks := make(algo.PROutput, n)
-	if err := l.mem.Alloc(int64(n) * 8); err != nil {
+	if err := r.mem.Alloc(int64(n) * 8); err != nil {
 		return nil, err
 	}
-	defer l.mem.Free(int64(n) * 8)
 
 	d := p.PRDamping
 	inv := 1.0 / float64(n)
-	e := newEngine[float64](l, counters, func(float64) int64 { return 8 },
+	e := newEngine[float64](r, func(float64) int64 { return 8 },
 		func(a, b float64) float64 { return a + b })
 	e.AggMerge = map[string]func(a, b any) any{
 		"dangling": func(a, b any) any { return a.(float64) + b.(float64) },
 	}
 	scatter := func(c *VCtx[float64], v graph.VertexID) {
-		if deg := l.g.OutDegree(v); deg > 0 {
+		if deg := r.g.OutDegree(v); deg > 0 {
 			c.SendToOutNeighbors(v, d*ranks[v]/float64(deg))
 		} else {
 			c.Aggregate("dangling", ranks[v])
@@ -71,7 +68,7 @@ func (l *loaded) runPageRank(ctx context.Context, p algo.Params) (*platform.Resu
 	if err := e.Run(ctx, compute, master); err != nil {
 		return nil, err
 	}
-	return &platform.Result{Output: ranks, Counters: *counters}, nil
+	return ranks, nil
 }
 
 // ------------------------------ SSSP ------------------------------
@@ -80,24 +77,22 @@ func (l *loaded) runPageRank(ctx context.Context, p algo.Params) (*platform.Resu
 // 0 and every improvement propagates dist+w along out-edges until the
 // global fixpoint — the weighted generalization of the BFS frontier.
 // The min combiner collapses candidate distances sender-side.
-func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
-	counters := &platform.Counters{}
+func (r *run) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, error) {
+	n := r.g.NumVertices()
 	dist := make(algo.SSSPOutput, n)
 	inf := math.Inf(1)
 	for i := range dist {
 		dist[i] = inf
 	}
-	if err := l.mem.Alloc(int64(n) * 8); err != nil {
+	if err := r.mem.Alloc(int64(n) * 8); err != nil {
 		return nil, err
 	}
-	defer l.mem.Free(int64(n) * 8)
 
-	e := newEngine[float64](l, counters, func(float64) int64 { return 8 },
+	e := newEngine[float64](r, func(float64) int64 { return 8 },
 		func(a, b float64) float64 { return math.Min(a, b) })
 	relax := func(c *VCtx[float64], v graph.VertexID) {
-		adj := l.g.OutNeighbors(v)
-		ws := l.g.OutWeights(v)
+		adj := r.g.OutNeighbors(v)
+		ws := r.g.OutWeights(v)
 		for i, u := range adj {
 			c.Send(u, dist[v]+graph.WeightAt(ws, i))
 		}
@@ -127,7 +122,7 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (*platform.Result, 
 	if err := e.Run(ctx, compute, nil); err != nil {
 		return nil, err
 	}
-	return &platform.Result{Output: dist, Counters: *counters}, nil
+	return dist, nil
 }
 
 // ------------------------------ LCC ------------------------------
@@ -195,27 +190,25 @@ func (s *statsScratch) degree(c *VCtx[statsMsg], v graph.VertexID) int {
 // coefficient. It serves STATS too, whose mean Run folds with
 // algo.StatsFromLCC. The ClosedPairs kernel makes numerators match the
 // reference bit-for-bit.
-func (l *loaded) runLCC(ctx context.Context, p algo.Params) (*platform.Result, error) {
-	n := l.g.NumVertices()
-	counters := &platform.Counters{}
+func (r *run) runLCC(ctx context.Context, p algo.Params) (algo.LCCOutput, error) {
+	n := r.g.NumVertices()
 	lcc := make(algo.LCCOutput, n)
-	if err := l.mem.Alloc(int64(n) * 8); err != nil {
+	if err := r.mem.Alloc(int64(n) * 8); err != nil {
 		return nil, err
 	}
-	defer l.mem.Free(int64(n) * 8)
 
-	e := newEngine[statsMsg](l, counters, statsMsgBytes, nil)
-	scratch := newStatsScratch(l.g, e.Workers)
+	e := newEngine[statsMsg](r, statsMsgBytes, nil)
+	scratch := newStatsScratch(r.g, e.Workers)
 	compute := func(c *VCtx[statsMsg], v graph.VertexID, msgs []statsMsg) {
 		switch c.Superstep() {
 		case 0:
 			// The neighbourhood travels in the messages, so each vertex
 			// needs its own; sized to its bound, it is one allocation.
-			bound := l.g.OutDegree(v)
-			if l.g.Directed() && l.g.HasReverse() {
-				bound += l.g.InDegree(v)
+			bound := r.g.OutDegree(v)
+			if r.g.Directed() && r.g.HasReverse() {
+				bound += r.g.InDegree(v)
 			}
-			nbh := l.g.Neighborhood(v, make([]graph.VertexID, 0, bound))
+			nbh := r.g.Neighborhood(v, make([]graph.VertexID, 0, bound))
 			if len(nbh) >= 2 {
 				for _, u := range nbh {
 					c.Send(u, statsMsg{from: v, nbh: nbh})
@@ -242,5 +235,5 @@ func (l *loaded) runLCC(ctx context.Context, p algo.Params) (*platform.Result, e
 	if err := e.Run(ctx, compute, nil); err != nil {
 		return nil, err
 	}
-	return &platform.Result{Output: lcc, Counters: *counters}, nil
+	return lcc, nil
 }

@@ -1,7 +1,6 @@
 package pregel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -53,8 +52,8 @@ func (p *Platform) StampConfig() string {
 }
 
 // ConcurrencyLimit implements platform.ConcurrencyHinter: a
-// memory-budgeted engine serializes its jobs so concurrent loads do
-// not double-count against one budget.
+// memory-budgeted engine serializes its jobs, because each run checks
+// the budget against the resident graph plus its own bytes only.
 func (p *Platform) ConcurrencyLimit() int {
 	if p.opts.MemoryBudget > 0 {
 		return 1
@@ -65,75 +64,52 @@ func (p *Platform) ConcurrencyLimit() int {
 // LoadGraph implements platform.Platform. The BSP engine keeps the CSR
 // resident; loading fails if it alone exceeds the memory budget.
 func (p *Platform) LoadGraph(g *graph.Graph) (platform.Loaded, error) {
-	mem := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget)
-	if err := mem.Alloc(g.MemoryFootprint()); err != nil {
+	resident := g.MemoryFootprint()
+	if err := platform.NewMemoryTracker(p.Name(), p.opts.MemoryBudget).Alloc(resident); err != nil {
 		return nil, err
 	}
-	return &loaded{p: p, g: g, mem: mem, graphBytes: g.MemoryFootprint()}, nil
+	return &platform.LoadedGraph[*run]{
+		G: g, Platform: p.Name(), Budget: p.opts.MemoryBudget, Resident: resident,
+		NewRun: func(mem *platform.MemoryTracker, c *platform.Counters) (*run, func()) {
+			return &run{p: p, g: g, mem: mem, counters: c}, nil
+		},
+		Kernels: kernels,
+	}, nil
 }
 
-type loaded struct {
-	p          *Platform
-	g          *graph.Graph
-	mem        *platform.MemoryTracker
-	graphBytes int64
+// kernels is the BSP engine's table for the shared run skeleton.
+var kernels = map[algo.Kind]platform.Kernel[*run]{
+	algo.BFS:  platform.KernelOf((*run).runBFS),
+	algo.CONN: platform.KernelOf((*run).runConn),
+	algo.CD:   platform.KernelOf((*run).runCD),
+	algo.EVO:  platform.KernelOf((*run).runEvo),
+	algo.PR:   platform.KernelOf((*run).runPageRank),
+	algo.SSSP: platform.KernelOf((*run).runSSSP),
+	algo.LCC:  platform.KernelOf((*run).runLCC),
 }
 
-// Graph implements platform.Loaded.
-func (l *loaded) Graph() *graph.Graph { return l.g }
-
-// Close implements platform.Loaded.
-func (l *loaded) Close() error {
-	l.mem.Free(l.graphBytes)
-	return nil
-}
-
-// Run implements platform.Loaded.
-func (l *loaded) Run(ctx context.Context, kind algo.Kind, params algo.Params) (*platform.Result, error) {
-	params = params.WithDefaults(l.g.NumVertices())
-	var res *platform.Result
-	var err error
-	switch kind {
-	case algo.BFS:
-		res, err = l.runBFS(ctx, params)
-	case algo.CONN:
-		res, err = l.runConn(ctx, params)
-	case algo.CD:
-		res, err = l.runCD(ctx, params)
-	case algo.STATS:
-		if res, err = l.runLCC(ctx, params); err == nil {
-			res.Output = algo.StatsFromLCC(l.g, res.Output.(algo.LCCOutput))
-		}
-	case algo.EVO:
-		res, err = l.runEvo(ctx, params)
-	case algo.PR:
-		res, err = l.runPageRank(ctx, params)
-	case algo.SSSP:
-		res, err = l.runSSSP(ctx, params)
-	case algo.LCC:
-		res, err = l.runLCC(ctx, params)
-	default:
-		return nil, fmt.Errorf("%w: %s on %s", platform.ErrUnsupported, kind, l.p.Name())
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Counters.PeakMemoryBytes = l.mem.Peak()
-	return res, nil
+// run is one algorithm execution: the platform and graph, and the run's
+// own memory scope and counters. The scope ends with the run, so a
+// kernel does not free what it holds until it returns.
+type run struct {
+	p        *Platform
+	g        *graph.Graph
+	mem      *platform.MemoryTracker
+	counters *platform.Counters
 }
 
 // newEngine builds an engine wired to the platform options.
-func newEngine[M any](l *loaded, counters *platform.Counters, msgBytes func(M) int64, combiner func(a, b M) M) *Engine[M] {
-	if l.p.opts.DisableCombiners {
+func newEngine[M any](r *run, msgBytes func(M) int64, combiner func(a, b M) M) *Engine[M] {
+	if r.p.opts.DisableCombiners {
 		combiner = nil
 	}
 	return &Engine[M]{
-		G:           l.g,
-		Workers:     l.p.opts.Workers,
-		Partitioner: l.p.opts.Partitioner,
+		G:           r.g,
+		Workers:     r.p.opts.Workers,
+		Partitioner: r.p.opts.Partitioner,
 		Combiner:    combiner,
 		MsgBytes:    msgBytes,
-		Mem:         l.mem,
-		Counters:    counters,
+		Mem:         r.mem,
+		Counters:    r.counters,
 	}
 }
