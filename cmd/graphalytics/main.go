@@ -81,7 +81,7 @@ func run() error {
 		algorithms = flag.String("algorithms", "", "comma-separated workloads, names or LDBC aliases (default: every registered workload)")
 		graphsSpec = flag.String("graphs", "social:5000", "comma-separated graph specs (social:N, rmat:SCALE, amazon|youtube|livejournal|patents|wikipedia, or file:PATH.e)")
 		weighted   = flag.Bool("weighted", false, "generate social/rmat graphs with seeded edge weights (SSSP consumes them)")
-		loadWork   = flag.Int("load-workers", 0, "graph ingest workers: parallel parse, interning, and CSR build (0 = all cores, 1 = sequential loader)")
+		loadWork   = flag.Int("load-workers", 0, "graph ingest workers: parallel parse, interning, and CSR build (0 = all cores, 1 = one chunk); the graph is the same at every count")
 		platWork   = flag.Int("platform-workers", 0, "kernel workers per platform: pregel BSP workers, mapreduce slots, dataflow partitions (0 = all cores of this driver, on remote runners too; 1 = sequential kernels; graphdb is single-threaded by design; per-platform override: platform.<name>.workers)")
 		timeout    = flag.Duration("timeout", 5*time.Minute, "per-run timeout")
 		outDir     = flag.String("out", "graphalytics-report", "report output directory")

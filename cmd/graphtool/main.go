@@ -34,7 +34,7 @@ func run() error {
 		graphPath = flag.String("graph", "", "edge list file (.e) to characterize")
 		vertsPath = flag.String("vertices", "", "optional vertex file (.v)")
 		directed  = flag.Bool("directed", false, "treat edges as directed")
-		loadWork  = flag.Int("load-workers", 0, "ingest workers for -graph (0 = all cores, 1 = sequential)")
+		loadWork  = flag.Int("load-workers", 0, "ingest workers for -graph (0 = all cores, 1 = one chunk); the graph is the same at every count")
 		surrName  = flag.String("surrogate", "", "characterize a Table 1 surrogate (amazon, youtube, ...)")
 		scaleDiv  = flag.Int("scale-div", 0, "surrogate downscale divisor (0 = default)")
 		table1    = flag.Bool("table1", false, "print all five Table 1 surrogate rows")

@@ -190,8 +190,9 @@ func LoadGraph(edgePath, vertexPath string, directed bool) (*Graph, error) {
 }
 
 // LoadGraphOpts is LoadGraph with full options: dataset name, self-loop
-// dropping, and ingest parallelism (Workers 0 = all cores, 1 = the
-// sequential loader; both produce byte-identical graphs).
+// dropping, and ingest parallelism (Workers 0 = all cores, 1 = the file
+// parsed as one chunk). Every worker count runs the same loader, which
+// holds the file bytes in memory, and produces a byte-identical graph.
 func LoadGraphOpts(edgePath, vertexPath string, opts LoadOptions) (*Graph, error) {
 	return graph.LoadEdgeList(edgePath, vertexPath, opts)
 }

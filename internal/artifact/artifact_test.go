@@ -14,7 +14,7 @@ func testGraph(name string) *graph.Graph {
 	return graph.FromArcs(name, 5,
 		[]graph.VertexID{0, 1, 2, 3},
 		[]graph.VertexID{1, 2, 3, 4},
-		false)
+		nil, false, 1)
 }
 
 func openCache(t *testing.T) *Cache {

@@ -151,7 +151,7 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	if c.Weighted {
 		ws = edgeWeights(c.Seed, srcs, dsts)
 	}
-	g := graph.FromWeightedArcsWorkers(c.Name, c.Persons, srcs, dsts, ws, false, c.Workers)
+	g := graph.FromArcs(c.Name, c.Persons, srcs, dsts, ws, false, c.Workers)
 	return g, nil
 }
 

@@ -435,7 +435,7 @@ func (st *state) build(orig *graph.Graph) *graph.Graph {
 		srcs = append(srcs, e[0])
 		dsts = append(dsts, e[1])
 	}
-	g := graph.FromArcs(orig.Name(), st.n, srcs, dsts, false)
+	g := graph.FromArcs(orig.Name(), st.n, srcs, dsts, nil, false, 1)
 	return g
 }
 

@@ -109,7 +109,7 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	if c.Weighted {
 		ws = edgeWeights(c.Seed, srcs[:k], dsts[:k])
 	}
-	g := graph.FromWeightedArcsWorkers(c.Name, n, srcs[:k], dsts[:k], ws, false, c.Workers)
+	g := graph.FromArcs(c.Name, n, srcs[:k], dsts[:k], ws, false, c.Workers)
 	return g, nil
 }
 

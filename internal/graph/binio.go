@@ -302,7 +302,7 @@ func ReadBinaryWorkers(r io.Reader, workers int) (*Graph, error) {
 		// without a copy.
 		srcs := make([]VertexID, arcs)
 		fillSources(g.outIndex, srcs, n, workers)
-		g.inIndex, g.inEdges, g.inWeights = buildCSRWP(n, g.outEdges, srcs, g.outWeights, false, workers)
+		g.inIndex, g.inEdges, g.inWeights = buildCSR(n, g.outEdges, srcs, g.outWeights, false, csrWorkers(workers, len(srcs)))
 	}
 	return g, nil
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Builder accumulates edges and produces an immutable CSR Graph.
@@ -261,10 +260,10 @@ func (b *Builder) Build() (*Graph, error) { return b.build(1) }
 
 // BuildParallel is Build with the CSR construction (degree histograms,
 // scatter, per-vertex sort/dedup) fanned out over workers. workers <= 0
-// uses GOMAXPROCS; workers == 1 is exactly the sequential Build. The
-// produced graph is byte-identical to Build's for any worker count.
+// uses GOMAXPROCS. The produced graph is byte-identical to Build's for
+// any worker count.
 func (b *Builder) BuildParallel(workers int) (*Graph, error) {
-	return b.build(buildWorkers(workers))
+	return b.build(workers)
 }
 
 func (b *Builder) build(workers int) (*Graph, error) {
@@ -303,158 +302,48 @@ func (b *Builder) build(workers int) (*Graph, error) {
 		}
 	}
 
-	g := &Graph{name: b.name, directed: b.directed, n: n}
-	if !b.directed {
-		// Symmetrize: append the reversed arcs.
-		m := len(srcs)
-		srcs = append(srcs, dsts[:m]...)
-		dsts = append(dsts, srcs[:m]...)
-		if ws != nil {
-			ws = append(ws, ws[:m]...)
-		}
-	}
-
-	g.outIndex, g.outEdges, g.outWeights = buildCSRWP(n, srcs, dsts, ws, b.dedup || !b.directed, workers)
-	if !b.directed {
-		g.inIndex, g.inEdges = g.outIndex, g.outEdges
-		g.inWeights = g.outWeights
-	} else if b.buildIn {
-		g.inIndex, g.inEdges, g.inWeights = buildCSRWP(n, dsts, srcs, ws, b.dedup, workers)
-	}
-	if b.labels != nil {
-		g.labels = b.labels
-	}
+	g := &Graph{name: b.name, directed: b.directed, n: n, labels: b.labels}
+	g.fillCSR(srcs, dsts, ws, b.dedup, b.buildIn, workers)
 	// Release builder storage.
 	b.srcs, b.dsts, b.weights, b.ext2int = nil, nil, nil, nil
 	return g, nil
 }
 
-// buildCSR builds an unweighted CSR (index, edges) pair; see buildCSRW.
-func buildCSR(n int, srcs, dsts []VertexID, dedup bool) ([]int64, []VertexID) {
-	index, edges, _ := buildCSRW(n, srcs, dsts, nil, dedup)
-	return index, edges
-}
-
-// buildCSRW builds a CSR (index, edges, weights) triple from parallel
-// src/dst/weight arrays using counting sort by source, then sorts each
-// adjacency list (by target, then weight) and optionally deduplicates.
-// A nil ws builds an unweighted CSR (nil weights returned). Duplicate
-// arcs keep the smallest weight.
-func buildCSRW(n int, srcs, dsts []VertexID, ws []float64, dedup bool) ([]int64, []VertexID, []float64) {
-	index := make([]int64, n+1)
-	for _, s := range srcs {
-		index[s+1]++
-	}
-	for i := 0; i < n; i++ {
-		index[i+1] += index[i]
-	}
-	edges := make([]VertexID, len(srcs))
-	var weights []float64
-	if ws != nil {
-		weights = make([]float64, len(srcs))
-	}
-	cursor := make([]int64, n)
-	for i, s := range srcs {
-		at := index[s] + cursor[s]
-		edges[at] = dsts[i]
-		if weights != nil {
-			weights[at] = ws[i]
-		}
-		cursor[s]++
-	}
-	for v := 0; v < n; v++ {
-		lo, hi := index[v], index[v+1]
-		adj := edges[lo:hi]
-		if weights == nil {
-			sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-			continue
-		}
-		wadj := weights[lo:hi]
-		sort.Sort(&edgeWeightSort{adj: adj, ws: wadj})
-	}
-	if !dedup {
-		return index, edges, weights
-	}
-	// In-place dedup per vertex, then compact. Weighted duplicates keep
-	// the first (smallest) weight thanks to the (target, weight) sort.
-	w := int64(0)
-	newIndex := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		start := w
-		var last VertexID
-		first := true
-		for i := index[v]; i < index[v+1]; i++ {
-			u := edges[i]
-			if first || u != last {
-				edges[w] = u
-				if weights != nil {
-					weights[w] = weights[i]
-				}
-				w++
-				last = u
-				first = false
-			}
-		}
-		newIndex[v] = start
-	}
-	newIndex[n] = w
-	// Shift starts: newIndex currently holds start offsets; already correct.
-	if weights != nil {
-		weights = weights[:w:w]
-	}
-	return newIndex, edges[:w:w], weights
-}
-
-// edgeWeightSort sorts an adjacency slice and its parallel weights by
-// (target, weight).
-type edgeWeightSort struct {
-	adj []VertexID
-	ws  []float64
-}
-
-func (s *edgeWeightSort) Len() int { return len(s.adj) }
-func (s *edgeWeightSort) Less(i, j int) bool {
-	if s.adj[i] != s.adj[j] {
-		return s.adj[i] < s.adj[j]
-	}
-	return s.ws[i] < s.ws[j]
-}
-func (s *edgeWeightSort) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
-}
-
-// FromArcs builds a directed graph with reverse adjacency directly from
-// dense arc arrays, taking ownership of the slices. It is the fast path
-// used by generators. n must be at least max(id)+1.
-func FromArcs(name string, n int, srcs, dsts []VertexID, directed bool) *Graph {
-	return FromWeightedArcsWorkers(name, n, srcs, dsts, nil, directed, 1)
-}
-
-// FromWeightedArcs is FromArcs with optional per-arc weights (nil builds
-// an unweighted graph). It takes ownership of all slices.
-func FromWeightedArcs(name string, n int, srcs, dsts []VertexID, ws []float64, directed bool) *Graph {
-	return FromWeightedArcsWorkers(name, n, srcs, dsts, ws, directed, 1)
-}
-
-// FromWeightedArcsWorkers is FromWeightedArcs with the CSR construction
-// fanned out over workers (<= 0 uses GOMAXPROCS, 1 is the sequential
-// path); the result is byte-identical for any worker count.
-func FromWeightedArcsWorkers(name string, n int, srcs, dsts []VertexID, ws []float64, directed bool, workers int) *Graph {
-	g := &Graph{name: name, directed: directed, n: n}
-	if !directed {
+// fillCSR builds g's adjacency from arc arrays with up to workers
+// workers (<= 0 uses GOMAXPROCS; see csrWorkers). An undirected g gets
+// the reversed arcs appended and is deduplicated, and its reverse
+// adjacency aliases the forward arrays; a directed g deduplicates only
+// with dedup and builds reverse adjacency only with reverse. The slices
+// may be appended to.
+func (g *Graph) fillCSR(srcs, dsts []VertexID, ws []float64, dedup, reverse bool, workers int) {
+	if !g.directed {
 		m := len(srcs)
 		srcs = append(srcs, dsts[:m]...)
 		dsts = append(dsts, srcs[:m]...)
 		if ws != nil {
 			ws = append(ws, ws[:m]...)
 		}
-		g.outIndex, g.outEdges, g.outWeights = buildCSRWP(n, srcs, dsts, ws, true, workers)
-		g.inIndex, g.inEdges = g.outIndex, g.outEdges
-		g.inWeights = g.outWeights
-		return g
+		dedup = true
 	}
-	g.outIndex, g.outEdges, g.outWeights = buildCSRWP(n, srcs, dsts, ws, false, workers)
-	g.inIndex, g.inEdges, g.inWeights = buildCSRWP(n, dsts, srcs, ws, false, workers)
+	workers = csrWorkers(workers, len(srcs))
+	g.outIndex, g.outEdges, g.outWeights = buildCSR(g.n, srcs, dsts, ws, dedup, workers)
+	switch {
+	case !g.directed:
+		g.inIndex, g.inEdges, g.inWeights = g.outIndex, g.outEdges, g.outWeights
+	case reverse:
+		g.inIndex, g.inEdges, g.inWeights = buildCSR(g.n, dsts, srcs, ws, dedup, workers)
+	}
+}
+
+// FromArcs builds a graph of n vertices directly from dense arc arrays,
+// taking ownership of the slices; n must be at least max(id)+1. ws is
+// optional per-arc weights (nil builds an unweighted graph). An
+// undirected graph is symmetrized and deduplicated (duplicates keep the
+// smallest weight); a directed one keeps every arc and gets reverse
+// adjacency. The CSR construction fans out over workers (<= 0 uses
+// GOMAXPROCS); the result is byte-identical for any worker count.
+func FromArcs(name string, n int, srcs, dsts []VertexID, ws []float64, directed bool, workers int) *Graph {
+	g := &Graph{name: name, directed: directed, n: n}
+	g.fillCSR(srcs, dsts, ws, false, true, workers)
 	return g
 }

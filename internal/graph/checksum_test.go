@@ -11,7 +11,7 @@ func checksumTestGraph(name string) *Graph {
 	return FromArcs(name, 5,
 		[]VertexID{0, 1, 2, 3, 0},
 		[]VertexID{1, 2, 3, 4, 4},
-		false)
+		nil, false, 1)
 }
 
 func TestChecksummedRoundTrip(t *testing.T) {

@@ -3,14 +3,15 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// FuzzParseEdgeLine fuzzes the shared .e line parser (the single
-// source of truth for both the sequential reader and the parallel
-// chunk workers) and differentially checks the two loaders on a small
-// file built from the line: same error text or byte-identical graph.
+// FuzzParseEdgeLine fuzzes the .e line parser and differentially
+// checks the loader against the reference reader (readByLines) on a
+// small file built from the line: same error text or byte-identical
+// graph, at one and at four workers.
 func FuzzParseEdgeLine(f *testing.F) {
 	for _, seed := range []string{
 		"1 2",
@@ -49,21 +50,12 @@ func FuzzParseEdgeLine(f *testing.F) {
 
 		// Differential: a file of the line repeated (so the second
 		// occurrence also exercises the post-decision path) must load
-		// identically under the sequential and parallel pipelines.
+		// as the reference reader loads it.
 		data := line + "\n" + line + "\n"
-		seq, seqErr := ReadGraph(strings.NewReader(data), nil, LoadOptions{Workers: 1})
-		par, parErr := ReadGraph(strings.NewReader(data), nil, LoadOptions{Workers: 4})
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("outcome mismatch: sequential err %v, parallel err %v", seqErr, parErr)
-		}
-		if seqErr != nil {
-			if seqErr.Error() != parErr.Error() {
-				t.Fatalf("error mismatch:\n  sequential: %v\n  parallel:   %v", seqErr, parErr)
-			}
-			return
-		}
-		if diff := graphDiff(seq, par); diff != "" {
-			t.Fatalf("graph mismatch: %s", diff)
+		want, wantErr := readByLines(strings.NewReader(data), nil, LoadOptions{})
+		for _, workers := range []int{1, 4} {
+			got, gotErr := ReadGraph(strings.NewReader(data), nil, LoadOptions{Workers: workers})
+			sameOutcome(t, fmt.Sprintf("workers=%d", workers), want, wantErr, got, gotErr)
 		}
 	})
 }

@@ -319,22 +319,6 @@ func TestDegreeOrderSorted(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	b := NewBuilder(Directed(true), WithReverse())
-	b.AddEdgeID(0, 1)
-	b.AddEdgeID(1, 2)
-	b.AddEdgeID(2, 3)
-	b.AddEdgeID(3, 0)
-	g := mustBuild(t, b)
-	s := InducedSubgraph(g, func(v VertexID) bool { return v != 3 })
-	if s.NumVertices() != 3 {
-		t.Fatalf("NumVertices = %d, want 3", s.NumVertices())
-	}
-	if s.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2 (edges touching 3 removed)", s.NumEdges())
-	}
-}
-
 func TestAddVerticesAndWithEdges(t *testing.T) {
 	b := NewBuilder(Directed(false))
 	b.AddEdgeID(0, 1)

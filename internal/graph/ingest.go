@@ -11,7 +11,7 @@ import (
 	"graphalytics/internal/telemetry"
 )
 
-// Parallel text ingest (the .v/.e loader's multi-worker path):
+// Text ingest (the .v/.e loader, at every worker count):
 //
 //  1. the file is split into newline-aligned byte chunks, one per
 //     worker, and each chunk is parsed independently into external-ID
@@ -30,27 +30,30 @@ import (
 //     file-order fixup) or through the sharded interner (below);
 //  4. the dense arc arrays feed Builder.AddEdges / BuildParallel.
 //
-// The sharded interner preserves the sequential loader's
-// first-occurrence label order without a global lock: each chunk
-// worker tags every locally-new external ID with its global endpoint
-// position (2*arc+side, i.e. "src before dst"), buckets it by ID hash;
-// each shard worker merges its buckets in chunk order keeping the
-// smallest position per ID; the positions — unique by construction —
-// are sorted once, and an ID's dense vertex number is the rank of its
-// first position. That is exactly the order the sequential map-based
-// interner assigns.
+// The sharded interner assigns dense IDs in first-occurrence order
+// (file order, src before dst) without a global lock: each chunk worker
+// tags every locally-new external ID with its global endpoint position
+// (2*arc+side), buckets it by ID hash; each shard worker merges its
+// buckets in chunk order keeping the smallest position per ID; the
+// positions — unique by construction — are sorted once, and an ID's
+// dense vertex number is the rank of its first position.
+//
+// At one worker the file is one chunk and every fan-out has one part;
+// the steps, and so the graph and the errors, are the same.
 
 // vertexFileError marks an ingest error as originating in the .v file
-// so LoadEdgeList can qualify it with the right path.
+// so LoadEdgeList can qualify it with the right path (ReadGraph unwraps
+// it).
 type vertexFileError struct{ err error }
 
 func (e *vertexFileError) Error() string { return e.err.Error() }
 func (e *vertexFileError) Unwrap() error { return e.err }
 
-// ingest runs the parallel load pipeline into b and builds the graph.
-// vdata is only consulted when haveVerts is true.
-func ingest(b *Builder, edata, vdata []byte, haveVerts bool, workers int) (*Graph, error) {
+// ingest builds the graph of a .e text and, when haveVerts is true, of
+// its .v text vdata: the one body of LoadEdgeList and ReadGraph.
+func ingest(edata, vdata []byte, haveVerts bool, opts LoadOptions) (*Graph, error) {
 	start := time.Now()
+	b, workers := opts.builder(), buildWorkers(opts.Workers)
 	if haveVerts {
 		sp := telemetry.StartSpan("ingest", "parse-vertices")
 		sp.SetAttr("bytes", len(vdata))
@@ -107,8 +110,8 @@ func splitLines(data []byte, parts int) [][]byte {
 	return out
 }
 
-// countLines counts text lines the way the sequential reader does: one
-// per newline, plus a final unterminated line.
+// countLines counts text lines: one per newline, plus a final
+// unterminated line.
 func countLines(data []byte) int {
 	n := bytes.Count(data, []byte{'\n'})
 	if len(data) > 0 && data[len(data)-1] != '\n' {
@@ -255,9 +258,9 @@ func ingestEdges(b *Builder, edata []byte, workers int) error {
 
 	// File-order reconciliation: the first decided chunk fixes the
 	// weighted mode; a disagreeing chunk fails at its first edge line
-	// (before any internal error it may also hold, which is what the
-	// sequential reader would hit first); otherwise the first internal
-	// error wins. Line numbers translate through per-chunk line counts.
+	// (before any internal error it may also hold, which comes later in
+	// the file); otherwise the first internal error wins. Line numbers
+	// translate through per-chunk line counts.
 	var decided, weighted bool
 	lineBase := 0
 	total := 0
@@ -317,7 +320,7 @@ func ingestEdges(b *Builder, edata []byte, workers int) error {
 // populated the interning table: workers resolve endpoints against the
 // frozen table concurrently, and endpoints missing from it (edges
 // naming vertices the .v file omitted) are interned afterwards in
-// file order, exactly as the sequential loader would.
+// file order, as a line-by-line reader would.
 func internFrozen(b *Builder, results []edgeChunk, offsets []int, srcs, dsts []VertexID) {
 	misses := make([][]int, len(results))
 	par.Do(len(results), func(i int) error {
@@ -365,13 +368,13 @@ func shardOf(ext int64, shards int) int {
 }
 
 // internSharded densifies external IDs with per-shard maps while
-// reproducing the sequential first-occurrence order (see the package
+// reproducing the first-occurrence order (see the package
 // comment at the top of this file). It fills srcs/dsts and returns the
 // label table.
 func internSharded(results []edgeChunk, offsets []int, srcs, dsts []VertexID, workers int) []int64 {
 	shards := workers
 	// Phase 1: per-chunk local dedup, bucketed by shard. Positions are
-	// 2*arc+side so src interns before dst, like the sequential loader.
+	// 2*arc+side so src interns before dst.
 	buckets := make([][][]shardPending, len(results))
 	par.Do(len(results), func(i int) error {
 		r := &results[i]

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,38 +12,111 @@ import (
 	"testing"
 )
 
-// loadBoth loads the same in-memory .e/.v pair with the sequential and
-// a parallel loader and requires identical outcomes: equal errors, or
+// readByLines is the reference loader the chunked ingest is checked
+// against: a line-at-a-time bufio.Scanner over each input, one Builder
+// call per line, and a sequential Build. Its errors read like
+// ReadGraph's.
+func readByLines(edges, vertices io.Reader, opts LoadOptions) (*Graph, error) {
+	b := opts.builder()
+	if vertices != nil {
+		err := scanLines(vertices, func(raw []byte) error {
+			id, data, err := parseVertexLine(raw)
+			if data {
+				b.AddVertex(id)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		// Force label mode so edge files with sparse IDs densify.
+		b.useLabels = true
+		b.ext2int = make(map[int64]VertexID)
+	}
+	var decided, weighted bool
+	err := scanLines(edges, func(raw []byte) error {
+		l, err := splitEdgeLine(raw)
+		if err != nil || !l.data {
+			return err
+		}
+		if !decided {
+			decided, weighted = true, l.weightField != nil
+		}
+		switch {
+		case l.weightField == nil && weighted:
+			return fmt.Errorf("edge %q has no weight but earlier edges are weighted", l.text)
+		case l.weightField == nil:
+			b.AddEdge(l.src, l.dst)
+		case !weighted:
+			return fmt.Errorf("edge %q has a weight column but earlier edges do not", l.text)
+		default:
+			w, err := l.weight()
+			if err != nil {
+				return err
+			}
+			b.AddEdgeWeighted(l.src, l.dst, w)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// scanLines calls fn on every line of r and prefixes its first error
+// with the line number.
+func scanLines(r io.Reader, fn func(raw []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 16*1024*1024)
+	line := 0
+	for sc.Scan() {
+		line++
+		if err := fn(sc.Bytes()); err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+	}
+	return sc.Err()
+}
+
+// sameOutcome requires two loads to agree: equal errors, or
 // byte-identical graphs.
-func loadBoth(t *testing.T, edata, vdata string, opts LoadOptions, workers int) (*Graph, *Graph) {
+func sameOutcome(t *testing.T, label string, want *Graph, wantErr error, got *Graph, gotErr error) {
 	t.Helper()
-	read := func(w int) (*Graph, error) {
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: reference err %v, loader err %v", label, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: error mismatch:\n  reference: %v\n  loader:    %v", label, wantErr, gotErr)
+		}
+		return
+	}
+	if diff := graphDiff(want, got); diff != "" {
+		t.Fatalf("%s: %s", label, diff)
+	}
+}
+
+// loadBoth loads the same in-memory .e/.v pair with the reference
+// reader and with ReadGraph at one worker and at workers, and requires
+// identical outcomes. It returns the reference graph (nil on an error).
+func loadBoth(t *testing.T, edata, vdata string, opts LoadOptions, workers int) *Graph {
+	t.Helper()
+	vertices := func() io.Reader {
+		if vdata == "" {
+			return nil
+		}
+		return strings.NewReader(vdata)
+	}
+	want, wantErr := readByLines(strings.NewReader(edata), vertices(), opts)
+	for _, w := range []int{1, workers} {
 		o := opts
 		o.Workers = w
-		var verts *strings.Reader
-		if vdata != "" {
-			verts = strings.NewReader(vdata)
-		}
-		if verts == nil {
-			return ReadGraph(strings.NewReader(edata), nil, o)
-		}
-		return ReadGraph(strings.NewReader(edata), verts, o)
+		got, gotErr := ReadGraph(strings.NewReader(edata), vertices(), o)
+		sameOutcome(t, fmt.Sprintf("workers=%d", w), want, wantErr, got, gotErr)
 	}
-	seq, seqErr := read(1)
-	par, parErr := read(workers)
-	if (seqErr == nil) != (parErr == nil) {
-		t.Fatalf("workers=%d: sequential err %v, parallel err %v", workers, seqErr, parErr)
-	}
-	if seqErr != nil {
-		if seqErr.Error() != parErr.Error() {
-			t.Fatalf("workers=%d: error mismatch:\n  sequential: %v\n  parallel:   %v", workers, seqErr, parErr)
-		}
-		return nil, nil
-	}
-	if diff := graphDiff(seq, par); diff != "" {
-		t.Fatalf("workers=%d: %s", workers, diff)
-	}
-	return seq, par
+	return want
 }
 
 // randomEdgeText synthesizes an .e corpus with the loader's whole
@@ -112,7 +187,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 					if workers%2 == 1 {
 						edata = strings.TrimSuffix(edata, "\n")
 					}
-					g, _ := loadBoth(t, edata, "", LoadOptions{Directed: directed, Name: "rand"}, workers)
+					g := loadBoth(t, edata, "", LoadOptions{Directed: directed, Name: "rand"}, workers)
 					if g.NumVertices() == 0 || g.NumEdges() == 0 {
 						t.Fatal("degenerate corpus")
 					}
@@ -139,12 +214,12 @@ func TestParallelLoadWithVertexFile(t *testing.T) {
 	}
 	eb.WriteString("123456789 0 2.25\n") // endpoint absent from the .v file
 	for _, workers := range []int{2, 5, 8} {
-		g, _ := loadBoth(t, eb.String(), vb.String(), LoadOptions{Directed: true, Name: "vfile"}, workers)
+		g := loadBoth(t, eb.String(), vb.String(), LoadOptions{Directed: true, Name: "vfile"}, workers)
 		if g.NumVertices() != 901 {
 			t.Fatalf("vertices = %d, want 900 listed + 1 interned miss", g.NumVertices())
 		}
 		// The miss interns after every listed vertex, like the
-		// sequential loader.
+		// reference reader.
 		if g.Label(VertexID(900)) != 123456789 {
 			t.Fatalf("label[900] = %d, want the missing endpoint", g.Label(VertexID(900)))
 		}
@@ -153,7 +228,7 @@ func TestParallelLoadWithVertexFile(t *testing.T) {
 
 func TestShardedInternFirstOccurrenceOrder(t *testing.T) {
 	// Without a .v file, labels must densify in first-occurrence order
-	// (src before dst, file order) — the sequential interner's order.
+	// (src before dst, file order) — a line-by-line interner's order.
 	edata := "500 7\n7 -3\n-3 500\n900 901\n"
 	for _, workers := range []int{1, 2, 4, 8} {
 		g, err := ReadGraph(strings.NewReader(edata), nil, LoadOptions{Directed: true, Workers: workers})
@@ -256,24 +331,21 @@ func TestLoadEdgeListWrapsBuildError(t *testing.T) {
 }
 
 func TestLoadEdgeListParallelFiles(t *testing.T) {
-	// End-to-end through real files: LoadEdgeList with and without a
-	// .v file, sequential vs parallel, byte-identical.
+	// End-to-end through real files: LoadEdgeList at one and at four
+	// workers, byte-identical to the reference reader.
 	dir := t.TempDir()
 	edata := randomEdgeText(42, 4000, true)
 	epath := filepath.Join(dir, "g.e")
 	if err := os.WriteFile(epath, []byte(edata), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := LoadEdgeList(epath, "", LoadOptions{Directed: true, Workers: 1})
+	want, err := readByLines(strings.NewReader(edata), nil, LoadOptions{Directed: true, Name: "g"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := LoadEdgeList(epath, "", LoadOptions{Directed: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := graphDiff(seq, par); diff != "" {
-		t.Fatal(diff)
+	for _, workers := range []int{1, 4} {
+		got, err := LoadEdgeList(epath, "", LoadOptions{Directed: true, Workers: workers})
+		sameOutcome(t, fmt.Sprintf("workers=%d", workers), want, nil, got, err)
 	}
 	// Vertex-file errors stay qualified with the vertex path.
 	vpath := filepath.Join(dir, "g.v")
@@ -283,5 +355,37 @@ func TestLoadEdgeListParallelFiles(t *testing.T) {
 	_, err = LoadEdgeList(epath, vpath, LoadOptions{Workers: 8})
 	if err == nil || !strings.Contains(err.Error(), vpath) {
 		t.Fatalf("vertex error not qualified with the .v path: %v", err)
+	}
+}
+
+// TestLongLineLoadsAtEveryWorkerCount loads a .e file whose first edge
+// line holds 17 MiB of spaces — longer than any fixed line buffer — at
+// every worker count from one to eight, through both entry points.
+func TestLongLineLoadsAtEveryWorkerCount(t *testing.T) {
+	edata := "1" + strings.Repeat(" ", 17<<20) + "2\n3 1\n"
+	epath := filepath.Join(t.TempDir(), "long.e")
+	if err := os.WriteFile(epath, []byte(edata), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first *Graph
+	for workers := 1; workers <= 8; workers++ {
+		read, err := ReadGraph(strings.NewReader(edata), nil, LoadOptions{Name: "long", Workers: workers})
+		if err != nil {
+			t.Fatalf("ReadGraph workers=%d: %v", workers, err)
+		}
+		loaded, err := LoadEdgeList(epath, "", LoadOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("LoadEdgeList workers=%d: %v", workers, err)
+		}
+		for _, g := range []*Graph{read, loaded} {
+			if g.NumVertices() != 3 || g.NumEdges() != 2 {
+				t.Fatalf("workers=%d: %d vertices, %d edges; want 3, 2", workers, g.NumVertices(), g.NumEdges())
+			}
+			if first == nil {
+				first = g
+			} else if diff := graphDiff(first, g); diff != "" {
+				t.Fatalf("workers=%d: %s", workers, diff)
+			}
+		}
 	}
 }

@@ -28,25 +28,23 @@ import (
 // or carrying malformed or negative/non-finite weights, are rejected
 // with a line-numbered error.
 //
-// Loading is a parallel ingest pipeline by default (see ingest.go):
-// newline-aligned byte chunks parsed by a worker pool, concurrent
-// interning, and parallel CSR construction. Workers == 1 selects the
-// original streaming sequential loader; both paths produce
-// byte-identical graphs and identical (first-in-file-order,
-// line-numbered) errors.
+// Loading reads the files into memory and runs them through the
+// chunked ingest pipeline (see ingest.go): newline-aligned byte chunks
+// parsed by a worker pool, concurrent interning, and parallel CSR
+// construction. There is one loader at every worker count; the worker
+// count changes neither the graph (byte-identical) nor the errors
+// (first in file order, line-numbered). The loader holds the file
+// bytes for the whole load, so its peak memory is the file size plus
+// the parsed arcs.
 
 // LoadOptions configures graph loading.
 type LoadOptions struct {
 	Directed  bool   // interpret edges as directed arcs
 	Name      string // dataset name; defaults to the file base name
 	DropLoops bool   // drop self-loop edges
-	// Workers sets ingest parallelism: chunked parsing, concurrent
-	// interning, and parallel CSR construction. 0 selects GOMAXPROCS;
-	// 1 selects the sequential streaming loader. The parallel path
-	// reads the whole file into memory (chunk workers need random
-	// access); when peak memory matters more than load time — e.g. an
-	// edge file near the machine's RAM — use Workers: 1, which streams
-	// through a fixed-size buffer.
+	// Workers sets ingest parallelism: the number of chunks parsed at
+	// once, interning shards, and CSR build workers. 0 selects
+	// GOMAXPROCS; 1 parses the file as one chunk.
 	Workers int
 }
 
@@ -62,129 +60,52 @@ func (opts LoadOptions) builder() *Builder {
 }
 
 // LoadEdgeList reads a graph from edgePath (.e format) and, if vertexPath
-// is non-empty, the vertex file (.v format).
+// is non-empty, the vertex file (.v format). Errors are qualified with
+// the path of the file they come from.
 func LoadEdgeList(edgePath, vertexPath string, opts LoadOptions) (*Graph, error) {
 	if opts.Name == "" {
 		opts.Name = strings.TrimSuffix(filepath.Base(edgePath), filepath.Ext(edgePath))
 	}
-	workers := buildWorkers(opts.Workers)
-	b := opts.builder()
-
-	if workers > 1 {
-		var vdata []byte
-		if vertexPath != "" {
-			var err error
-			if vdata, err = os.ReadFile(vertexPath); err != nil {
-				return nil, fmt.Errorf("graph: open vertex file: %w", err)
-			}
-		}
-		edata, err := os.ReadFile(edgePath)
-		if err != nil {
-			return nil, fmt.Errorf("graph: open edge file: %w", err)
-		}
-		g, err := ingest(b, edata, vdata, vertexPath != "", workers)
-		return wrapLoadErr(g, err, edgePath, vertexPath)
-	}
-
+	var vdata []byte
 	if vertexPath != "" {
-		vf, err := os.Open(vertexPath)
-		if err != nil {
+		var err error
+		if vdata, err = os.ReadFile(vertexPath); err != nil {
 			return nil, fmt.Errorf("graph: open vertex file: %w", err)
 		}
-		defer vf.Close()
-		if err := readVertices(vf, b); err != nil {
-			return nil, fmt.Errorf("graph: %s: %w", vertexPath, err)
-		}
-	} else {
-		// Force label mode so edge files with sparse IDs densify.
-		b.useLabels = true
-		b.ext2int = make(map[int64]VertexID)
 	}
-
-	ef, err := os.Open(edgePath)
+	edata, err := os.ReadFile(edgePath)
 	if err != nil {
 		return nil, fmt.Errorf("graph: open edge file: %w", err)
 	}
-	defer ef.Close()
-	if err := readEdges(ef, b); err != nil {
-		return nil, fmt.Errorf("graph: %s: %w", edgePath, err)
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("graph: %s: %w", edgePath, err)
-	}
-	return g, nil
-}
-
-// wrapLoadErr qualifies an ingest error with the file it came from:
-// vertex errors with the vertex path, everything else (edge parse,
-// interning, Build) with the edge path.
-func wrapLoadErr(g *Graph, err error, edgePath, vertexPath string) (*Graph, error) {
+	g, err := ingest(edata, vdata, vertexPath != "", opts)
 	if err == nil {
 		return g, nil
 	}
-	var verr *vertexFileError
-	if vertexPath != "" && errors.As(err, &verr) {
+	if verr := (*vertexFileError)(nil); errors.As(err, &verr) {
 		return nil, fmt.Errorf("graph: %s: %w", vertexPath, verr.err)
 	}
 	return nil, fmt.Errorf("graph: %s: %w", edgePath, err)
 }
 
 // ReadGraph parses a graph from in-memory readers (vertices may be nil).
+// Errors carry line numbers but no file name.
 func ReadGraph(edges io.Reader, vertices io.Reader, opts LoadOptions) (*Graph, error) {
-	workers := buildWorkers(opts.Workers)
-	b := opts.builder()
-	if workers > 1 {
-		var vdata []byte
-		if vertices != nil {
-			var err error
-			if vdata, err = io.ReadAll(vertices); err != nil {
-				return nil, err
-			}
-		}
-		edata, err := io.ReadAll(edges)
-		if err != nil {
-			return nil, err
-		}
-		g, err := ingest(b, edata, vdata, vertices != nil, workers)
-		if err != nil {
-			var verr *vertexFileError
-			if errors.As(err, &verr) {
-				return nil, verr.err
-			}
-			return nil, err
-		}
-		return g, nil
-	}
+	var vdata []byte
 	if vertices != nil {
-		if err := readVertices(vertices, b); err != nil {
+		var err error
+		if vdata, err = io.ReadAll(vertices); err != nil {
 			return nil, err
 		}
-	} else {
-		b.useLabels = true
-		b.ext2int = make(map[int64]VertexID)
 	}
-	if err := readEdges(edges, b); err != nil {
+	edata, err := io.ReadAll(edges)
+	if err != nil {
 		return nil, err
 	}
-	return b.Build()
-}
-
-func readVertices(r io.Reader, b *Builder) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		id, data, err := parseVertexLine(sc.Bytes())
-		if err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		if data {
-			b.AddVertex(id)
-		}
+	g, err := ingest(edata, vdata, vertices != nil, opts)
+	if verr := (*vertexFileError)(nil); errors.As(err, &verr) {
+		return nil, verr.err
 	}
-	return sc.Err()
+	return g, err
 }
 
 // parseVertexLine parses one .v line: the leading field is the vertex
@@ -204,58 +125,6 @@ func parseVertexLine(raw []byte) (id int64, data bool, err error) {
 		return 0, false, fmt.Errorf("bad vertex id %q", text)
 	}
 	return id, true, nil
-}
-
-// edgeReader tracks the weighted/unweighted decision made on the first
-// edge line so later lines that disagree produce a clear error.
-type edgeReader struct {
-	b        *Builder
-	decided  bool
-	weighted bool
-}
-
-func readEdges(r io.Reader, b *Builder) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 16*1024*1024)
-	er := &edgeReader{b: b}
-	line := 0
-	for sc.Scan() {
-		line++
-		if err := er.parseEdgeLine(sc.Bytes(), line); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}
-
-func (er *edgeReader) parseEdgeLine(raw []byte, line int) error {
-	l, err := splitEdgeLine(raw)
-	if err != nil {
-		return fmt.Errorf("line %d: %w", line, err)
-	}
-	if !l.data {
-		return nil
-	}
-	if !er.decided {
-		er.decided = true
-		er.weighted = l.weightField != nil
-	}
-	if l.weightField == nil {
-		if er.weighted {
-			return fmt.Errorf("line %d: edge %q has no weight but earlier edges are weighted", line, l.text)
-		}
-		er.b.AddEdge(l.src, l.dst)
-		return nil
-	}
-	if !er.weighted {
-		return fmt.Errorf("line %d: edge %q has a weight column but earlier edges do not", line, l.text)
-	}
-	w, err := l.weight()
-	if err != nil {
-		return fmt.Errorf("line %d: %w", line, err)
-	}
-	er.b.AddEdgeWeighted(l.src, l.dst, w)
-	return nil
 }
 
 // edgeLine is the mode-independent parse of one .e line: the weight

@@ -2,41 +2,44 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 
 	"graphalytics/internal/par"
 	"graphalytics/internal/telemetry"
 )
 
-// Parallel CSR construction: the multi-worker counterpart of buildCSRW.
-//
-// The pipeline is the textbook parallel counting sort, kept bit-exact
-// with the sequential builder:
+// CSR construction: the one builder behind Builder.Build, FromArcs, the
+// text loader and the reverse rebuild of a GALB read, at every worker
+// count. It is the textbook parallel counting sort:
 //
 //  1. the arc array is split into one contiguous chunk per worker and
 //     each worker builds a private degree histogram;
-//  2. the histograms are merged into the global prefix-sum index, and
-//     in the same pass each worker's histogram is turned into its
-//     exclusive within-vertex offset, giving every (worker, vertex)
-//     pair a disjoint scatter region;
+//  2. the histograms are merged into the prefix-sum index, and each
+//     worker's histogram becomes its first scatter position per vertex,
+//     giving every (worker, vertex) pair a disjoint region;
 //  3. workers scatter their chunk's arcs (and weights) into the shared
 //     edge array without synchronization — regions never overlap;
 //  4. vertices are partitioned into arc-balanced ranges and each range
-//     worker sorts its adjacency lists by (target, weight), exactly the
-//     sequential comparator;
-//  5. with dedup, each range worker compacts duplicates in place and a
-//     final parallel pass copies the surviving prefix of every vertex
-//     into freshly sized arrays.
+//     worker sorts its adjacency lists by (target, weight) and, with
+//     dedup, compacts each list in place to the first entry of every
+//     target, which is its smallest weight;
+//  5. with dedup, one ascending pass moves each vertex's survivors down
+//     to the vertex's new start. A move never overwrites a run not yet
+//     read, because a vertex's new start is at most its old one.
 //
-// Scatter order differs from the sequential builder, but the per-vertex
-// sort normalizes it (equal keys are identical values), and dedup keeps
-// the first entry of each equal-target run — the smallest weight, same
-// as the sequential path — so index/edges/weights come out byte-identical.
+// Chunks are contiguous and their regions follow chunk order, so every
+// adjacency list holds its arcs in input order before the sort, whatever
+// the worker count: index, edges and weights come out byte-identical for
+// any worker count.
+//
+// Counts and positions are int64, so a build of 2³¹ arcs or more (or a
+// vertex of that degree) runs the same code without overflow; the price
+// is 8 instead of 4 bytes per vertex and worker in the histograms.
 
-// parallelArcThreshold is the arc count below which buildCSRWP falls
-// back to the sequential builder: fan-out overhead dominates under it.
-// A var so tests can force the parallel path onto tiny graphs.
-var parallelArcThreshold = 1 << 15
+// arcsPerWorker is the fewest arcs a CSR build gives each worker: below
+// it, starting a worker costs more than its share of the work saves.
+const arcsPerWorker = 1 << 13
 
 // buildWorkers resolves a worker-count option: <= 0 means GOMAXPROCS.
 func buildWorkers(workers int) int {
@@ -46,31 +49,31 @@ func buildWorkers(workers int) int {
 	return workers
 }
 
-// buildCSRWP is buildCSRW executed by a worker pool. workers <= 0 uses
-// GOMAXPROCS; workers == 1, tiny inputs, and inputs too large for the
-// int32 scatter offsets take the sequential path unchanged.
-func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers int) ([]int64, []VertexID, []float64) {
-	workers = buildWorkers(workers)
-	if m := len(srcs); workers > m/(parallelArcThreshold/4+1) {
-		workers = m / (parallelArcThreshold/4 + 1)
-	}
-	if workers <= 1 || n == 0 || len(srcs) < parallelArcThreshold || int64(len(srcs)) >= 1<<31 {
-		return buildCSRW(n, srcs, dsts, ws, dedup)
-	}
-	m := len(srcs)
+// csrWorkers is the worker count of a build of arcs arcs under the
+// worker-count option workers: at most one worker per arcsPerWorker
+// arcs, and at least one.
+func csrWorkers(workers, arcs int) int {
+	return max(1, min(buildWorkers(workers), arcs/arcsPerWorker))
+}
 
+// buildCSR builds a CSR (index, edges, weights) triple from parallel
+// src/dst/weight arrays with exactly workers (>= 1) workers; callers size
+// it with csrWorkers. A nil ws builds an unweighted CSR (nil weights
+// returned). Each adjacency list is sorted by (target, weight); with
+// dedup, duplicate arcs keep the smallest weight. The inputs are only
+// read.
+func buildCSR(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers int) ([]int64, []VertexID, []float64) {
+	m := len(srcs)
 	hsp := telemetry.StartSpan("ingest", "csr-histogram")
 	hsp.SetAttr("arcs", m)
 	hsp.SetAttr("workers", workers)
 	// 1. Per-worker degree histograms over contiguous arc chunks.
-	// int32 is enough: a within-vertex offset is bounded by the arc
-	// count, which the gate above keeps under 1<<31.
-	counts := make([][]int32, workers)
-	for w := range counts {
-		counts[w] = make([]int32, n)
+	next := make([][]int64, workers)
+	for w := range next {
+		next[w] = make([]int64, n)
 	}
 	par.Ranges(m, workers, func(w, lo, hi int) error {
-		hist := counts[w]
+		hist := next[w]
 		for _, s := range srcs[lo:hi] {
 			hist[s]++
 		}
@@ -78,13 +81,13 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 	})
 
 	// 2. Merge histograms into the prefix-sum index, then rewrite each
-	// histogram into the worker's exclusive within-vertex offset.
+	// histogram into the worker's first scatter position per vertex.
 	index := make([]int64, n+1)
 	par.Ranges(n, workers, func(_, lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			var t int64
-			for w := 0; w < workers; w++ {
-				t += int64(counts[w][v])
+			for w := range next {
+				t += next[w][v]
 			}
 			index[v+1] = t
 		}
@@ -95,19 +98,18 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 	}
 	par.Ranges(n, workers, func(_, lo, hi int) error {
 		for v := lo; v < hi; v++ {
-			var run int32
-			for w := 0; w < workers; w++ {
-				c := counts[w][v]
-				counts[w][v] = run
-				run += c
+			at := index[v]
+			for w := range next {
+				c := next[w][v]
+				next[w][v] = at
+				at += c
 			}
 		}
 		return nil
 	})
-
 	hsp.End()
 
-	// 3. Parallel scatter: worker w owns [index[v]+off, …) per vertex.
+	// 3. Parallel scatter: worker w owns [next[w][v], …) per vertex.
 	ssp := telemetry.StartSpan("ingest", "csr-scatter")
 	edges := make([]VertexID, m)
 	var weights []float64
@@ -115,31 +117,49 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 		weights = make([]float64, m)
 	}
 	par.Ranges(m, workers, func(w, lo, hi int) error {
-		off, wsPart := counts[w], wsSlice(ws, lo, hi)
-		for i, s := range srcs[lo:hi] {
-			at := index[s] + int64(off[s])
-			off[s]++
-			edges[at] = dsts[lo+i]
+		at := next[w]
+		for i := lo; i < hi; i++ {
+			p := at[srcs[i]]
+			at[srcs[i]] = p + 1
+			edges[p] = dsts[i]
 			if weights != nil {
-				weights[at] = wsPart[i]
+				weights[p] = ws[i]
 			}
 		}
 		return nil
 	})
 	ssp.End()
 
-	// 4. Per-vertex adjacency sort over arc-balanced vertex ranges.
+	// 4. Per-vertex sort, and in-place compaction with dedup, over
+	// arc-balanced vertex ranges. The histograms are dead after the
+	// scatter; the first one holds each vertex's surviving degree.
 	sosp := telemetry.StartSpan("ingest", "csr-sort")
+	kept := next[0]
 	ranges := balancedVertexRanges(index, n, workers)
 	par.Do(len(ranges), func(r int) error {
+		var byWeight edgeWeightSort
 		for v := ranges[r][0]; v < ranges[r][1]; v++ {
 			s, e := index[v], index[v+1]
-			adj := edges[s:e]
 			if weights == nil {
-				sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+				slices.Sort(edges[s:e])
+			} else {
+				byWeight.adj, byWeight.ws = edges[s:e], weights[s:e]
+				sort.Sort(&byWeight)
+			}
+			if !dedup {
 				continue
 			}
-			sort.Sort(&edgeWeightSort{adj: adj, ws: weights[s:e]})
+			k := s
+			for i := s; i < e; i++ {
+				if i == s || edges[i] != edges[k-1] {
+					edges[k] = edges[i]
+					if weights != nil {
+						weights[k] = weights[i]
+					}
+					k++
+				}
+			}
+			kept[v] = k - s
 		}
 		return nil
 	})
@@ -148,64 +168,45 @@ func buildCSRWP(n int, srcs, dsts []VertexID, ws []float64, dedup bool, workers 
 		return index, edges, weights
 	}
 
+	// 5. Move each vertex's survivors down to its new start.
 	dsp := telemetry.StartSpan("ingest", "csr-dedup")
 	defer dsp.End()
-	// 5. Parallel dedup: compact each adjacency in place recording the
-	// surviving degree, prefix-sum the new index, then copy survivors
-	// into exactly sized arrays. (In-place global compaction would let
-	// one range's writes overrun its neighbor's reads.)
-	newDeg := make([]int32, n)
-	par.Do(len(ranges), func(r int) error {
-		for v := ranges[r][0]; v < ranges[r][1]; v++ {
-			s, e := index[v], index[v+1]
-			k := s
-			var last VertexID
-			first := true
-			for i := s; i < e; i++ {
-				u := edges[i]
-				if first || u != last {
-					edges[k] = u
-					if weights != nil {
-						weights[k] = weights[i]
-					}
-					k++
-					last = u
-					first = false
-				}
-			}
-			newDeg[v] = int32(k - s)
-		}
-		return nil
-	})
-	newIndex := make([]int64, n+1)
+	var at int64
 	for v := 0; v < n; v++ {
-		newIndex[v+1] = newIndex[v] + int64(newDeg[v])
-	}
-	kept := newIndex[n]
-	outEdges := make([]VertexID, kept)
-	var outWeights []float64
-	if weights != nil {
-		outWeights = make([]float64, kept)
-	}
-	par.Do(len(ranges), func(r int) error {
-		for v := ranges[r][0]; v < ranges[r][1]; v++ {
-			s, d, deg := index[v], newIndex[v], int64(newDeg[v])
-			copy(outEdges[d:d+deg], edges[s:s+deg])
+		s, k := index[v], kept[v]
+		if at != s {
+			copy(edges[at:at+k], edges[s:s+k])
 			if weights != nil {
-				copy(outWeights[d:d+deg], weights[s:s+deg])
+				copy(weights[at:at+k], weights[s:s+k])
 			}
 		}
-		return nil
-	})
-	return newIndex, outEdges, outWeights
+		index[v] = at
+		at += k
+	}
+	index[n] = at
+	if weights != nil {
+		weights = weights[:at:at]
+	}
+	return index, edges[:at:at], weights
 }
 
-// wsSlice slices a possibly-nil weight array.
-func wsSlice(ws []float64, lo, hi int) []float64 {
-	if ws == nil {
-		return nil
+// edgeWeightSort sorts an adjacency slice and its parallel weights by
+// (target, weight).
+type edgeWeightSort struct {
+	adj []VertexID
+	ws  []float64
+}
+
+func (s *edgeWeightSort) Len() int { return len(s.adj) }
+func (s *edgeWeightSort) Less(i, j int) bool {
+	if s.adj[i] != s.adj[j] {
+		return s.adj[i] < s.adj[j]
 	}
-	return ws[lo:hi]
+	return s.ws[i] < s.ws[j]
+}
+func (s *edgeWeightSort) Swap(i, j int) {
+	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
+	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
 }
 
 // balancedVertexRanges partitions [0, n) into up to parts contiguous

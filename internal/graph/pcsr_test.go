@@ -4,12 +4,81 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
-// The acceptance oracle of the parallel builder: buildCSRWP must
-// produce byte-identical index/edges/weights arrays to buildCSRW for
-// every worker count, on every input shape.
+// The oracle of the CSR builder: buildCSR must produce byte-identical
+// index/edges/weights arrays to buildCSRW, an independent sequential
+// counting sort, for every worker count, on every input shape.
+
+// buildCSRW builds a CSR (index, edges, weights) triple from parallel
+// src/dst/weight arrays using counting sort by source, then sorts each
+// adjacency list (by target, then weight) and optionally deduplicates.
+// A nil ws builds an unweighted CSR (nil weights returned). Duplicate
+// arcs keep the smallest weight.
+func buildCSRW(n int, srcs, dsts []VertexID, ws []float64, dedup bool) ([]int64, []VertexID, []float64) {
+	index := make([]int64, n+1)
+	for _, s := range srcs {
+		index[s+1]++
+	}
+	for i := 0; i < n; i++ {
+		index[i+1] += index[i]
+	}
+	edges := make([]VertexID, len(srcs))
+	var weights []float64
+	if ws != nil {
+		weights = make([]float64, len(srcs))
+	}
+	cursor := make([]int64, n)
+	for i, s := range srcs {
+		at := index[s] + cursor[s]
+		edges[at] = dsts[i]
+		if weights != nil {
+			weights[at] = ws[i]
+		}
+		cursor[s]++
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := index[v], index[v+1]
+		adj := edges[lo:hi]
+		if weights == nil {
+			sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+			continue
+		}
+		sort.Sort(&edgeWeightSort{adj: adj, ws: weights[lo:hi]})
+	}
+	if !dedup {
+		return index, edges, weights
+	}
+	// In-place dedup per vertex, then compact. Weighted duplicates keep
+	// the first (smallest) weight thanks to the (target, weight) sort.
+	w := int64(0)
+	newIndex := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		start := w
+		var last VertexID
+		first := true
+		for i := index[v]; i < index[v+1]; i++ {
+			u := edges[i]
+			if first || u != last {
+				edges[w] = u
+				if weights != nil {
+					weights[w] = weights[i]
+				}
+				w++
+				last = u
+				first = false
+			}
+		}
+		newIndex[v] = start
+	}
+	newIndex[n] = w
+	if weights != nil {
+		weights = weights[:w:w]
+	}
+	return newIndex, edges[:w:w], weights
+}
 
 func randomArcs(t *testing.T, n, m int, seed int64, weighted bool) ([]VertexID, []VertexID, []float64) {
 	t.Helper()
@@ -60,25 +129,21 @@ func TestParallelCSRMatchesSequential(t *testing.T) {
 		{"sparse", 20000, 40000, false, true},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{2, 3, 7, 16} {
+		for _, workers := range []int{1, 2, 3, 7, 16} {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
 				srcs, dsts, ws := randomArcs(t, c.n, c.m, int64(c.n+c.m+workers), c.weighted)
 				wi, we, ww := buildCSRW(c.n, slices.Clone(srcs), slices.Clone(dsts), slices.Clone(ws), c.dedup)
-				gi, ge, gw := buildCSRWP(c.n, srcs, dsts, ws, c.dedup, workers)
+				gi, ge, gw := buildCSR(c.n, srcs, dsts, ws, c.dedup, workers)
 				csrIdentical(t, c.name, wi, we, ww, gi, ge, gw)
 			})
 		}
 	}
 }
 
-// TestParallelCSRSmallShapes forces the parallel path onto inputs below
-// the fan-out threshold to exercise its edge shapes: hub vertices,
-// empty adjacencies, all-duplicate arcs.
+// TestParallelCSRSmallShapes runs the builder at several worker counts
+// on inputs far below arcsPerWorker to exercise its edge shapes: hub
+// vertices, empty adjacencies, all-duplicate arcs.
 func TestParallelCSRSmallShapes(t *testing.T) {
-	old := parallelArcThreshold
-	parallelArcThreshold = 0
-	defer func() { parallelArcThreshold = old }()
-
 	type arcs struct {
 		srcs, dsts []VertexID
 		ws         []float64
@@ -105,11 +170,13 @@ func TestParallelCSRSmallShapes(t *testing.T) {
 		}, true},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			wi, we, ww := buildCSRW(c.n, slices.Clone(c.a.srcs), slices.Clone(c.a.dsts), slices.Clone(c.a.ws), c.dedup)
-			gi, ge, gw := buildCSRWP(c.n, slices.Clone(c.a.srcs), slices.Clone(c.a.dsts), slices.Clone(c.a.ws), c.dedup, 4)
-			csrIdentical(t, c.name, wi, we, ww, gi, ge, gw)
-		})
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				wi, we, ww := buildCSRW(c.n, slices.Clone(c.a.srcs), slices.Clone(c.a.dsts), slices.Clone(c.a.ws), c.dedup)
+				gi, ge, gw := buildCSR(c.n, slices.Clone(c.a.srcs), slices.Clone(c.a.dsts), slices.Clone(c.a.ws), c.dedup, workers)
+				csrIdentical(t, c.name, wi, we, ww, gi, ge, gw)
+			})
+		}
 	}
 }
 
@@ -130,11 +197,11 @@ func TestBalancedVertexRanges(t *testing.T) {
 	}
 }
 
-func TestFromWeightedArcsWorkersMatchesSequential(t *testing.T) {
+func TestFromArcsWorkersMatchSequential(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		srcs, dsts, ws := randomArcs(t, 400, 60000, 99, true)
-		seq := FromWeightedArcs("seq", 400, slices.Clone(srcs), slices.Clone(dsts), slices.Clone(ws), directed)
-		par := FromWeightedArcsWorkers("seq", 400, srcs, dsts, ws, directed, 8)
+		seq := FromArcs("seq", 400, slices.Clone(srcs), slices.Clone(dsts), slices.Clone(ws), directed, 1)
+		par := FromArcs("seq", 400, srcs, dsts, ws, directed, 8)
 		if diff := graphDiff(seq, par); diff != "" {
 			t.Fatalf("directed=%v: %s", directed, diff)
 		}

@@ -3,7 +3,10 @@ package graph
 import "sort"
 
 // Undirect returns an undirected (symmetrized, deduplicated) view of g as
-// a new graph. If g is already undirected it is returned unchanged.
+// a new graph, without self loops. If g is already undirected it is
+// returned unchanged. The result is unweighted even when g is weighted:
+// the arcs u→v and v→u may carry different weights, and no single rule
+// for merging them suits every caller.
 func Undirect(g *Graph) *Graph {
 	if !g.directed {
 		return g
@@ -16,15 +19,16 @@ func Undirect(g *Graph) *Graph {
 			dsts = append(dsts, v)
 		}
 	})
-	out := FromArcs(g.name, g.n, srcs, dsts, false)
+	out := FromArcs(g.name, g.n, srcs, dsts, nil, false, 1)
 	out.labels = g.labels
 	return out
 }
 
 // Remap returns a new graph whose vertex v is the old vertex perm[v];
 // that is, perm is the new-order listing of old IDs (a permutation).
-// External labels follow their vertices. Remapping is used by the
-// access-locality ablation (§2.1 "poor access locality").
+// External labels follow their vertices, and weights their edges.
+// Remapping is used by the access-locality ablation (§2.1 "poor access
+// locality").
 func Remap(g *Graph, perm []VertexID) *Graph {
 	if len(perm) != g.n {
 		panic("graph: Remap permutation has wrong length")
@@ -33,22 +37,7 @@ func Remap(g *Graph, perm []VertexID) *Graph {
 	for newID, oldID := range perm {
 		inv[oldID] = VertexID(newID)
 	}
-	srcs := make([]VertexID, 0, g.NumArcs())
-	dsts := make([]VertexID, 0, g.NumArcs())
-	g.Arcs(func(u, v VertexID) {
-		srcs = append(srcs, inv[u])
-		dsts = append(dsts, inv[v])
-	})
-	var out *Graph
-	if g.directed {
-		out = FromArcs(g.name, g.n, srcs, dsts, true)
-	} else {
-		// Arcs already contain both directions; rebuild directly to avoid
-		// re-symmetrizing.
-		out = &Graph{name: g.name, directed: false, n: g.n}
-		out.outIndex, out.outEdges = buildCSR(g.n, srcs, dsts, true)
-		out.inIndex, out.inEdges = out.outIndex, out.outEdges
-	}
+	out := rebuild(g, g.n, inv, nil, nil)
 	if g.labels != nil {
 		labels := make([]int64, g.n)
 		for newID, oldID := range perm {
@@ -126,65 +115,11 @@ func RandomOrder(g *Graph, seed uint64) []VertexID {
 	return perm
 }
 
-// InducedSubgraph returns the subgraph induced by keep (a vertex
-// predicate). Kept vertices are renumbered densely in ascending old-ID
-// order; labels follow.
-func InducedSubgraph(g *Graph, keep func(VertexID) bool) *Graph {
-	newID := make([]VertexID, g.n)
-	n := 0
-	for v := 0; v < g.n; v++ {
-		if keep(VertexID(v)) {
-			newID[v] = VertexID(n)
-			n++
-		} else {
-			newID[v] = NoVertex
-		}
-	}
-	var srcs, dsts []VertexID
-	g.Arcs(func(u, v VertexID) {
-		if newID[u] != NoVertex && newID[v] != NoVertex {
-			srcs = append(srcs, newID[u])
-			dsts = append(dsts, newID[v])
-		}
-	})
-	var out *Graph
-	if g.directed {
-		out = FromArcs(g.name, n, srcs, dsts, true)
-	} else {
-		out = &Graph{name: g.name, directed: false, n: n}
-		out.outIndex, out.outEdges = buildCSR(n, srcs, dsts, true)
-		out.inIndex, out.inEdges = out.outIndex, out.outEdges
-	}
-	if g.labels != nil {
-		labels := make([]int64, 0, n)
-		for v := 0; v < g.n; v++ {
-			if newID[v] != NoVertex {
-				labels = append(labels, g.labels[v])
-			}
-		}
-		out.labels = labels
-	}
-	return out
-}
-
 // AddVertices returns a copy of g with extra isolated vertices appended
 // (used by the EVO forest-fire algorithm to grow the graph).
 func AddVertices(g *Graph, extra int) *Graph {
-	srcs := make([]VertexID, 0, g.NumArcs())
-	dsts := make([]VertexID, 0, g.NumArcs())
-	g.Arcs(func(u, v VertexID) {
-		srcs = append(srcs, u)
-		dsts = append(dsts, v)
-	})
 	n := g.n + extra
-	var out *Graph
-	if g.directed {
-		out = FromArcs(g.name, n, srcs, dsts, true)
-	} else {
-		out = &Graph{name: g.name, directed: false, n: n}
-		out.outIndex, out.outEdges = buildCSR(n, srcs, dsts, true)
-		out.inIndex, out.inEdges = out.outIndex, out.outEdges
-	}
+	out := rebuild(g, n, nil, nil, nil)
 	if g.labels != nil {
 		labels := make([]int64, n)
 		copy(labels, g.labels)
@@ -205,28 +140,44 @@ func AddVertices(g *Graph, extra int) *Graph {
 
 // WithEdges returns a copy of g with the given extra arcs added (dense
 // IDs; targets may reference vertices up to n-1 of g). For undirected
-// graphs pass each new edge once.
+// graphs pass each new edge once. In a weighted g the new edges weigh 1,
+// as unweighted adds do in a Builder.
 func WithEdges(g *Graph, srcs, dsts []VertexID) *Graph {
-	as := make([]VertexID, 0, int(g.NumArcs())+2*len(srcs))
-	ad := make([]VertexID, 0, int(g.NumArcs())+2*len(srcs))
-	g.Arcs(func(u, v VertexID) {
-		as = append(as, u)
-		ad = append(ad, v)
-	})
-	as = append(as, srcs...)
-	ad = append(ad, dsts...)
-	if !g.directed {
-		as = append(as, dsts...)
-		ad = append(ad, srcs...)
-	}
-	var out *Graph
-	if g.directed {
-		out = FromArcs(g.name, g.n, as, ad, true)
-	} else {
-		out = &Graph{name: g.name, directed: false, n: g.n}
-		out.outIndex, out.outEdges = buildCSR(g.n, as, ad, true)
-		out.inIndex, out.inEdges = out.outIndex, out.outEdges
-	}
+	out := rebuild(g, g.n, nil, srcs, dsts)
 	out.labels = g.labels
 	return out
+}
+
+// rebuild returns a graph of n vertices (n >= g's) with g's edges and
+// weights, endpoints mapped through to (nil keeps them), plus the extra
+// edges at weight 1. It reads each undirected edge once and lets
+// FromArcs symmetrize it again, so the result's arrays are those a
+// Builder makes of the same edges. Labels are left to the caller.
+func rebuild(g *Graph, n int, to []VertexID, extraSrcs, extraDsts []VertexID) *Graph {
+	// Room for FromArcs to append the reversed arcs of an undirected g.
+	m := int(g.NumArcs()) + 2*len(extraSrcs)
+	srcs := make([]VertexID, 0, m)
+	dsts := make([]VertexID, 0, m)
+	var ws []float64
+	if g.Weighted() {
+		ws = make([]float64, 0, m)
+	}
+	g.EdgesW(func(u, v VertexID, w float64) {
+		if to != nil {
+			u, v = to[u], to[v]
+		}
+		srcs = append(srcs, u)
+		dsts = append(dsts, v)
+		if ws != nil {
+			ws = append(ws, w)
+		}
+	})
+	srcs = append(srcs, extraSrcs...)
+	dsts = append(dsts, extraDsts...)
+	if ws != nil {
+		for range extraSrcs {
+			ws = append(ws, 1)
+		}
+	}
+	return FromArcs(g.name, n, srcs, dsts, ws, g.directed, 1)
 }

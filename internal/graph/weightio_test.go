@@ -215,3 +215,42 @@ func TestSaveFilesWeightedRoundTrip(t *testing.T) {
 	}
 	sameWeightedGraph(t, back, g)
 }
+
+// TestTransformsKeepWeights pins that Remap, AddVertices and WithEdges
+// carry a weighted graph's weights, that the edges WithEdges adds weigh
+// 1, and that Undirect drops the weights.
+func TestTransformsKeepWeights(t *testing.T) {
+	arcWeights := func(g *Graph) map[[2]int64]float64 {
+		m := map[[2]int64]float64{}
+		g.ArcsW(func(u, v VertexID, w float64) { m[[2]int64{g.Label(u), g.Label(v)}] = w })
+		return m
+	}
+	for _, directed := range []bool{true, false} {
+		g := buildWeighted(t, directed)
+		want := arcWeights(g)
+		grown := AddVertices(g, 1)
+		added := WithEdges(grown, []VertexID{0}, []VertexID{3})
+		for name, h := range map[string]*Graph{
+			"Remap":       Remap(g, []VertexID{2, 0, 1}),
+			"AddVertices": grown,
+			"WithEdges":   added,
+		} {
+			if !h.Weighted() {
+				t.Fatalf("directed=%v: %s dropped the weights", directed, name)
+			}
+			got := arcWeights(h)
+			for arc, w := range want {
+				if got[arc] != w {
+					t.Fatalf("directed=%v: %s: arc %v weighs %v, want %v", directed, name, arc, got[arc], w)
+				}
+			}
+		}
+		newArc := [2]int64{g.Label(0), grown.Label(3)}
+		if w, ok := arcWeights(added)[newArc]; !ok || w != 1 {
+			t.Fatalf("directed=%v: added arc %v weighs %v (present %v), want 1", directed, newArc, w, ok)
+		}
+		if directed && Undirect(g).Weighted() {
+			t.Fatal("Undirect kept the weights")
+		}
+	}
+}

@@ -92,7 +92,7 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestOfGraphMatchesContent(t *testing.T) {
 	mk := func(name string) *graph.Graph {
-		return graph.FromArcs(name, 4, []graph.VertexID{0, 1, 2}, []graph.VertexID{1, 2, 3}, false)
+		return graph.FromArcs(name, 4, []graph.VertexID{0, 1, 2}, []graph.VertexID{1, 2, 3}, nil, false, 1)
 	}
 	a, err := OfGraph(mk("g"))
 	if err != nil {
