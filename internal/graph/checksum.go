@@ -45,18 +45,14 @@ func (g *Graph) WriteBinaryChecksummed(w io.Writer) ([32]byte, error) {
 }
 
 // SaveBinaryChecksummed writes the graph to path in the checksummed
-// binary format and returns the payload's SHA-256.
-func (g *Graph) SaveBinaryChecksummed(path string) ([32]byte, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	sum, err := g.WriteBinaryChecksummed(f)
-	if err != nil {
-		f.Close()
-		return sum, err
-	}
-	return sum, f.Close()
+// binary format and returns the payload's SHA-256. The file appears
+// under path only once it is complete (see writeFileAtomic).
+func (g *Graph) SaveBinaryChecksummed(path string) (sum [32]byte, err error) {
+	err = writeFileAtomic(path, func(w io.Writer) (err error) {
+		sum, err = g.WriteBinaryChecksummed(w)
+		return err
+	})
+	return sum, err
 }
 
 // splitChecksummed separates a checksummed binary image into payload

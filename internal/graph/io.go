@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -9,8 +8,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+
+	"graphalytics/internal/par"
 )
 
 // The Graphalytics on-disk format is a pair of text files:
@@ -36,6 +39,14 @@ import (
 // (first in file order, line-numbered). The loader holds the file
 // bytes for the whole load, so its peak memory is the file size plus
 // the parsed arcs.
+//
+// Writing cuts the vertex range into blocks of about edgeBlockArcs
+// arcs. Batches of blocks are formatted in parallel, each into its
+// worker's buffer, and written in block order, so the .e file is the
+// same bytes at any worker count and the writer holds one block per
+// worker, not the file. SaveFiles writes each file under a temporary
+// name and renames it into place once complete, so a failed or killed
+// write never leaves a truncated file that would load as another graph.
 
 // LoadOptions configures graph loading.
 type LoadOptions struct {
@@ -207,66 +218,142 @@ func cutInt(s []byte) (int64, []byte, bool) {
 	return v, s[i:], true
 }
 
+// edgeBlockArcs is about the number of stored arcs one block of the
+// .e writer covers. A block holds whole vertices, so a vertex of higher
+// degree is a block of its own.
+const edgeBlockArcs = 1 << 16
+
 // WriteEdgeList writes the graph to w in .e format (one logical edge per
-// line, external labels). Undirected graphs write each edge once.
+// line, external labels). Undirected graphs write each edge once (u ≤ v).
 // Weighted graphs write the weight as a third column, so weighted
-// graphs round-trip through the text format.
+// graphs round-trip through the text format. Blocks are formatted on
+// GOMAXPROCS workers; the bytes are the same at any worker count.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var err error
-	if g.Weighted() {
-		g.EdgesW(func(u, v VertexID, wt float64) {
-			if err != nil {
-				return
-			}
-			_, err = fmt.Fprintf(bw, "%d %d %s\n", g.Label(u), g.Label(v),
-				strconv.FormatFloat(wt, 'g', -1, 64))
+	return g.writeEdgeList(w, runtime.GOMAXPROCS(0))
+}
+
+// writeEdgeList formats batches of up to workers blocks in parallel,
+// each block into its worker's reused buffer, and writes every batch to
+// w in block order before formatting the next.
+func (g *Graph) writeEdgeList(w io.Writer, workers int) error {
+	cuts := g.edgeBlocks()
+	blocks := len(cuts) - 1
+	workers = max(1, min(workers, blocks))
+	bufs := make([][]byte, workers)
+	for first := 0; first < blocks; first += workers {
+		batch := min(workers, blocks-first)
+		par.Do(batch, func(i int) error {
+			bufs[i] = g.appendEdges(bufs[i][:0], cuts[first+i], cuts[first+i+1])
+			return nil
 		})
-	} else {
-		g.Edges(func(u, v VertexID) {
-			if err != nil {
-				return
+		for _, buf := range bufs[:batch] {
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
-			_, err = fmt.Fprintf(bw, "%d %d\n", g.Label(u), g.Label(v))
-		})
+		}
 	}
-	if err != nil {
-		return err
+	return nil
+}
+
+// edgeBlocks cuts the vertex range into blocks of at least
+// edgeBlockArcs arcs each (the last may hold fewer) and returns the
+// block boundaries: block i is vertices [cuts[i], cuts[i+1]).
+func (g *Graph) edgeBlocks() []int {
+	cuts := []int{0}
+	for v := 1; v <= g.n; v++ {
+		if v == g.n || g.outIndex[v]-g.outIndex[cuts[len(cuts)-1]] >= edgeBlockArcs {
+			cuts = append(cuts, v)
+		}
 	}
-	return bw.Flush()
+	return cuts
+}
+
+// appendEdges appends the .e lines of the edges leaving vertices
+// [lo, hi) to buf.
+func (g *Graph) appendEdges(buf []byte, lo, hi int) []byte {
+	var src []byte // "<label(u)> "
+	for u := lo; u < hi; u++ {
+		adj := g.OutNeighbors(VertexID(u))
+		ws := g.OutWeights(VertexID(u))
+		first := 0
+		if !g.directed {
+			first, _ = slices.BinarySearch(adj, VertexID(u))
+		}
+		if first == len(adj) {
+			continue
+		}
+		src = append(strconv.AppendInt(src[:0], g.Label(VertexID(u)), 10), ' ')
+		for i := first; i < len(adj); i++ {
+			buf = append(buf, src...)
+			buf = strconv.AppendInt(buf, g.Label(adj[i]), 10)
+			if ws != nil {
+				buf = append(buf, ' ')
+				buf = strconv.AppendFloat(buf, ws[i], 'g', -1, 64)
+			}
+			buf = append(buf, '\n')
+		}
+	}
+	return buf
 }
 
 // WriteVertexList writes the graph's vertex set to w in .v format.
 func (g *Graph) WriteVertexList(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	for v := 0; v < g.n; v++ {
-		if _, err := fmt.Fprintf(bw, "%d\n", g.Label(VertexID(v))); err != nil {
-			return err
+	const flushAt = 1 << 16
+	buf := make([]byte, 0, flushAt+32)
+	for v := range g.n {
+		buf = append(strconv.AppendInt(buf, g.Label(VertexID(v)), 10), '\n')
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// SaveFiles writes <prefix>.v and <prefix>.e files for the graph.
+// SaveFiles writes <prefix>.v and <prefix>.e files for the graph. Each
+// file appears under its name only once it is complete (see
+// writeFileAtomic).
 func (g *Graph) SaveFiles(prefix string) error {
-	vf, err := os.Create(prefix + ".v")
+	if err := writeFileAtomic(prefix+".v", g.WriteVertexList); err != nil {
+		return err
+	}
+	return writeFileAtomic(prefix+".e", g.WriteEdgeList)
+}
+
+// writeFileAtomic writes path through write: into a temporary file in
+// path's directory that is renamed onto path once write and Close have
+// succeeded. On any error the temporary file is removed and a file
+// already at path is left as it was, so a failed write never leaves a
+// partial file under the final name, and a killed process leaves at
+// most a stray "<name>.tmp*" beside it. There is no fsync: the
+// guarantee does not cover a power loss or an operating-system crash.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := g.WriteVertexList(vf); err != nil {
-		vf.Close()
+	// CreateTemp makes the file private (0600); a saved graph gets the
+	// mode os.Create gives under the common umask 022.
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
 		return err
 	}
-	if err := vf.Close(); err != nil {
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
 		return err
 	}
-	ef, err := os.Create(prefix + ".e")
-	if err != nil {
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
-	if err := g.WriteEdgeList(ef); err != nil {
-		ef.Close()
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
-	return ef.Close()
+	return nil
 }
