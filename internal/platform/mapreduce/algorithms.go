@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"graphalytics/internal/algo"
@@ -41,82 +42,144 @@ func errCapped(kind algo.Kind, maxJobs int) error {
 	return fmt.Errorf("mapreduce: %s did not converge within MaxJobs=%d jobs", kind, maxJobs)
 }
 
-// ------------------------------ BFS ------------------------------
-
-// BFS state value: [tagState][updated][zigzag depth][out-adjacency].
-// Msg value: [tagMsg][varint depth].
-func bfsState(updated bool, depth int64, adj []graph.VertexID) []byte {
-	buf := []byte{tagState, 0}
-	if updated {
-		buf[1] = 1
-	}
-	buf = appendVarint(buf, depth)
-	return appendVertexList(buf, adj)
+// scratch is one slot's buffers, reused from record to record and, on a
+// chain taken again from its loaded graph's free list, from run to run:
+// the value under construction (emit copies it), decoded vertex lists
+// and weights, and the per-key state of CD, LCC and EVO reducers.
+type scratch struct {
+	val     []byte
+	vs, vs2 []graph.VertexID
+	ws      []float64
+	votes   []algo.Vote
+	asks    [][]byte
+	fires   []uint32 // EVO burn requests
+	burned  []uint32
+	pairs   *algo.ClosedPairs
 }
 
-// bfsJob is one BFS level: every vertex passes its state through, and a
-// vertex reached last round sends depth+1 to its out-neighbors.
-func bfsJob() Job {
-	return Job{
-		Name: "bfs-iter",
-		Map: func(tc *TaskCtx, r Record, emit Emit) {
-			buf := r.Value[2:]
-			depth, buf := readVarint(buf)
-			adj, _ := readVertexList(buf)
-			emit(r.Key, r.Value)
-			if r.Value[1] == 1 { // updated last round: expand frontier
-				msg := appendVarint([]byte{tagMsg}, depth+1)
-				for _, u := range adj {
-					emit(int64(u), msg)
-				}
-				tc.Inc("traversed", int64(len(adj)))
-			}
-		},
-		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-			var depth int64 = -1
-			var adj []graph.VertexID
-			candidate := int64(-1)
-			for _, v := range values {
-				switch v[0] {
-				case tagState:
-					buf := v[2:]
-					depth, buf = readVarint(buf)
-					adj, _ = readVertexList(buf)
-				case tagMsg:
-					d, _ := readVarint(v[1:])
-					if candidate == -1 || d < candidate {
-						candidate = d
-					}
-				}
-			}
-			updated := false
-			if depth == -1 && candidate != -1 {
-				depth = candidate
-				updated = true
-				tc.Inc("updates", 1)
-			}
-			emit(key, bfsState(updated, depth, adj))
-		},
+// scratches holds one scratch per slot of a Cluster.
+type scratches []scratch
+
+// of returns the scratch of the slot running tc's task.
+func (s scratches) of(tc *TaskCtx) *scratch { return &s[tc.Slot()] }
+
+// closedPairs returns the slot's closed-pair counter over n vertices,
+// built on its first use.
+func (s *scratch) closedPairs(n int) *algo.ClosedPairs {
+	if s.pairs == nil {
+		s.pairs = algo.NewClosedPairs(n)
 	}
+	return s.pairs
 }
 
-// bfsInput is the state of every vertex of g before the first level.
-func bfsInput(g *graph.Graph, source graph.VertexID) []Record {
+// inputOf builds a chain's first input: one record per vertex of g,
+// whose value state appends to buf. The values are carved from 64 KiB
+// blocks: neither one allocation per vertex nor one buffer that grows
+// by copying.
+func inputOf(g *graph.Graph, state func(buf []byte, v graph.VertexID) []byte) []Record {
 	input := make([]Record, g.NumVertices())
+	var rec, arena []byte
 	for v := range input {
-		depth := int64(-1)
-		updated := false
-		if graph.VertexID(v) == source {
-			depth, updated = 0, true
+		rec = state(rec[:0], graph.VertexID(v))
+		if cap(arena)-len(arena) < len(rec) {
+			arena = make([]byte, 0, max(len(rec), 64<<10))
 		}
-		input[v] = Record{Key: int64(v), Value: bfsState(updated, depth, g.OutNeighbors(graph.VertexID(v)))}
+		start := len(arena)
+		arena = append(arena, rec...)
+		input[v] = Record{Key: int64(v), Value: arena[start:len(arena):len(arena)]}
 	}
 	return input
 }
 
+// ------------------------------ BFS, CONN ------------------------------
+
+// BFS state value: [tagState][updated][zigzag depth][out-adjacency].
+// CONN state value: [tagState][updated][varint label][neighborhood].
+// Msg value: [tagMsg][varint depth or label].
+
+// flaggedState appends the first two bytes of a BFS, CONN or SSSP
+// state value: [tagState][updated].
+func flaggedState(buf []byte, updated bool) []byte {
+	if updated {
+		return append(buf, tagState, 1)
+	}
+	return append(buf, tagState, 0)
+}
+
+// flaggedHead appends the head of a BFS or CONN state value:
+// [tagState][updated][varint x], where x is the depth or the label.
+// The vertex list follows it.
+func flaggedHead(buf []byte, updated bool, x int64) []byte {
+	return appendVarint(flaggedState(buf, updated), x)
+}
+
+// minJob is one round of BFS or CONN, which are the same job on
+// different state: every vertex passes its state through, a vertex
+// updated last round sends msg(x) to the vertices of its list, and a
+// vertex takes the least x it receives when that is less than its own
+// or it has none (x = -1, a BFS vertex not reached yet).
+func minJob(name string, sc scratches, msg func(x int64) int64) Job {
+	return Job{
+		Name: name,
+		Map: func(tc *TaskCtx, r Record, emit Emit) {
+			emit(r.Key, r.Value)
+			if r.Value[1] != 1 {
+				return
+			}
+			x, buf := readVarint(r.Value[2:])
+			s := sc.of(tc)
+			s.vs, _ = readVertexList(s.vs, buf)
+			s.val = appendVarint(append(s.val[:0], tagMsg), msg(x))
+			for _, u := range s.vs {
+				emit(int64(u), s.val)
+			}
+			tc.Inc("traversed", int64(len(s.vs)))
+		},
+		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
+			x, list := int64(-1), emptyList
+			candidate := int64(-1)
+			for _, v := range values {
+				switch v[0] {
+				case tagState:
+					x, list = readVarint(v[2:])
+				case tagMsg:
+					m, _ := readVarint(v[1:])
+					if candidate == -1 || m < candidate {
+						candidate = m
+					}
+				}
+			}
+			updated := candidate != -1 && (x == -1 || candidate < x)
+			if updated {
+				x = candidate
+				tc.Inc("updates", 1)
+			}
+			s := sc.of(tc)
+			s.val = append(flaggedHead(s.val[:0], updated, x), list...)
+			emit(key, s.val)
+		},
+	}
+}
+
+// bfsJob is one BFS level: a vertex reached last round sends depth+1
+// to its out-neighbors.
+func bfsJob(sc scratches) Job {
+	return minJob("bfs-iter", sc, func(depth int64) int64 { return depth + 1 })
+}
+
+// bfsInput is the state of every vertex of g before the first level.
+func bfsInput(g *graph.Graph, source graph.VertexID) []Record {
+	return inputOf(g, func(buf []byte, v graph.VertexID) []byte {
+		if v == source {
+			return appendVertexList(flaggedHead(buf, true, 0), g.OutNeighbors(v))
+		}
+		return appendVertexList(flaggedHead(buf, false, -1), g.OutNeighbors(v))
+	})
+}
+
 func (c *chain) runBFS(ctx context.Context, p algo.Params) (algo.BFSOutput, error) {
 	n := c.g.NumVertices()
-	output, err := c.iterate(ctx, algo.BFS, bfsInput(c.g, p.Source), bfsJob())
+	output, err := c.iterate(ctx, algo.BFS, bfsInput(c.g, p.Source), bfsJob(c.scratch))
 	if err != nil {
 		return nil, err
 	}
@@ -132,68 +195,15 @@ func (c *chain) runBFS(ctx context.Context, p algo.Params) (algo.BFSOutput, erro
 	return depths, nil
 }
 
-// ------------------------------ CONN ------------------------------
-
-// CONN state value: [tagState][updated][varint label][neighborhood].
-func connState(updated bool, label int64, adj []graph.VertexID) []byte {
-	buf := []byte{tagState, 0}
-	if updated {
-		buf[1] = 1
-	}
-	buf = appendVarint(buf, label)
-	return appendVertexList(buf, adj)
-}
-
 func (c *chain) runConn(ctx context.Context, p algo.Params) (algo.ConnOutput, error) {
 	n := c.g.NumVertices()
-	nbh := c.neighborhoods()
-	input := make([]Record, n)
-	for v := 0; v < n; v++ {
-		input[v] = Record{Key: int64(v), Value: connState(true, int64(v), nbh[v])}
-	}
+	var nb []graph.VertexID
+	input := inputOf(c.g, func(buf []byte, v graph.VertexID) []byte {
+		nb = c.g.Neighborhood(v, nb[:0])
+		return appendVertexList(flaggedHead(buf, true, int64(v)), nb)
+	})
 
-	job := Job{
-		Name: "conn-iter",
-		Map: func(tc *TaskCtx, r Record, emit Emit) {
-			buf := r.Value[2:]
-			label, buf := readVarint(buf)
-			adj, _ := readVertexList(buf)
-			emit(r.Key, r.Value)
-			if r.Value[1] == 1 {
-				msg := appendVarint([]byte{tagMsg}, label)
-				for _, u := range adj {
-					emit(int64(u), msg)
-				}
-				tc.Inc("traversed", int64(len(adj)))
-			}
-		},
-		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-			var label int64 = -1
-			var adj []graph.VertexID
-			candidate := int64(-1)
-			for _, v := range values {
-				switch v[0] {
-				case tagState:
-					buf := v[2:]
-					label, buf = readVarint(buf)
-					adj, _ = readVertexList(buf)
-				case tagMsg:
-					m, _ := readVarint(v[1:])
-					if candidate == -1 || m < candidate {
-						candidate = m
-					}
-				}
-			}
-			updated := false
-			if candidate != -1 && candidate < label {
-				label = candidate
-				updated = true
-				tc.Inc("updates", 1)
-			}
-			emit(key, connState(updated, label, adj))
-		},
-	}
-
+	job := minJob("conn-iter", c.scratch, func(label int64) int64 { return label })
 	output, err := c.iterate(ctx, algo.CONN, input, job)
 	if err != nil {
 		return nil, err
@@ -211,60 +221,58 @@ func (c *chain) runConn(ctx context.Context, p algo.Params) (algo.ConnOutput, er
 
 // CD state value: [tagState][varint label][float score][uvarint degree][neighborhood].
 // Vote msg: [tagMsg][varint label][float score][uvarint degree].
-func cdState(label int64, score float64, degree int, adj []graph.VertexID) []byte {
-	buf := []byte{tagState}
-	buf = appendVarint(buf, label)
+func cdHead(buf []byte, label int64, score float64, degree uint64) []byte {
+	buf = appendVarint(append(buf, tagState), label)
 	buf = appendFloat(buf, score)
-	buf = appendUvarint(buf, uint64(degree))
-	return appendVertexList(buf, adj)
+	return appendUvarint(buf, degree)
 }
 
 func (c *chain) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error) {
 	n := c.g.NumVertices()
-	nbh := c.neighborhoods()
-	input := make([]Record, n)
 	degs := make([]int32, n)
-	for v := 0; v < n; v++ {
-		input[v] = Record{Key: int64(v), Value: cdState(int64(v), 1, len(nbh[v]), nbh[v])}
-		degs[v] = int32(len(nbh[v]))
-	}
+	var nb []graph.VertexID
+	input := inputOf(c.g, func(buf []byte, v graph.VertexID) []byte {
+		nb = c.g.Neighborhood(v, nb[:0])
+		degs[v] = int32(len(nb))
+		return appendVertexList(cdHead(buf, int64(v), 1, uint64(len(nb))), nb)
+	})
 	w := algo.NewCDWeights(p.CDPreference, degs)
 
+	sc := c.scratch
 	job := Job{
 		Name: "cd-iter",
 		Map: func(tc *TaskCtx, r Record, emit Emit) {
-			buf := r.Value[1:]
-			label, buf := readVarint(buf)
-			score, buf := readFloat(buf)
-			degree, buf := readUvarint(buf)
-			adj, _ := readVertexList(buf)
 			emit(r.Key, r.Value)
-			if len(adj) == 0 {
+			buf := r.Value[1:]
+			_, buf = readVarint(buf)
+			_, buf = readFloat(buf)
+			_, buf = readUvarint(buf)
+			s := sc.of(tc)
+			s.vs, _ = readVertexList(s.vs, buf)
+			if len(s.vs) == 0 {
 				return
 			}
-			msg := []byte{tagMsg}
-			msg = appendVarint(msg, label)
-			msg = appendFloat(msg, score)
-			msg = appendUvarint(msg, degree)
-			for _, u := range adj {
-				emit(int64(u), msg)
+			// The vote is the state's label, score and degree as they are.
+			s.val = append(append(s.val[:0], tagMsg), r.Value[1:len(r.Value)-len(buf)]...)
+			for _, u := range s.vs {
+				emit(int64(u), s.val)
 			}
-			tc.Inc("traversed", int64(len(adj)))
+			tc.Inc("traversed", int64(len(s.vs)))
 		},
 		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
 			var label int64
 			var score float64
 			var degree uint64
-			var adj []graph.VertexID
-			votes := make([]algo.Vote, 0, len(values))
+			adj := emptyList
+			s := sc.of(tc)
+			votes := s.votes[:0]
 			for _, v := range values {
 				switch v[0] {
 				case tagState:
 					buf := v[1:]
 					label, buf = readVarint(buf)
 					score, buf = readFloat(buf)
-					degree, buf = readUvarint(buf)
-					adj, _ = readVertexList(buf)
+					degree, adj = readUvarint(buf)
 				case tagMsg:
 					buf := v[1:]
 					vl, buf := readVarint(buf)
@@ -273,17 +281,18 @@ func (c *chain) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error)
 					votes = append(votes, algo.Vote{Label: vl, Score: vs, Degree: int32(vd)})
 				}
 			}
+			s.votes = votes
 			if win, maxScore, ok := algo.TallyVotes(votes, w); ok {
-				s := maxScore
 				if win != label {
-					s -= p.CDDelta
+					maxScore -= p.CDDelta
 				}
-				if s < 0 {
-					s = 0
+				if maxScore < 0 {
+					maxScore = 0
 				}
-				label, score = win, s
+				label, score = win, maxScore
 			}
-			emit(key, cdState(label, score, int(degree), adj))
+			s.val = append(cdHead(s.val[:0], label, score, degree), adj...)
+			emit(key, s.val)
 		},
 	}
 
@@ -310,29 +319,33 @@ func (c *chain) runCD(ctx context.Context, p algo.Params) (algo.CDOutput, error)
 // EVO state: [tagState][out-adjacency][in-adjacency][burned fires list].
 // Burn request msg: [tagMsg][uvarint fire].
 // Candidate output record: key = -(2+fire), value = [uvarint vertex].
-func evoState(out, in []graph.VertexID, burned []uint32) []byte {
-	buf := []byte{tagState}
-	buf = appendVertexList(buf, out)
-	buf = appendVertexList(buf, in)
-	buf = appendUvarint(buf, uint64(len(burned)))
-	for _, f := range burned {
-		buf = appendUvarint(buf, uint64(f))
-	}
-	return buf
+
+// evoInput appends the state of a vertex that no fire has burned yet.
+func evoInput(buf []byte, out, in []graph.VertexID) []byte {
+	buf = appendVertexList(append(buf, tagState), out)
+	return append(appendVertexList(buf, in), 0)
 }
 
-func readEvoState(v []byte) (out, in []graph.VertexID, burned []uint32) {
-	buf := v[1:]
-	out, buf = readVertexList(buf)
-	in, buf = readVertexList(buf)
-	nb, buf := readUvarint(buf)
-	burned = make([]uint32, nb)
-	for i := range burned {
+// evoFires splits an EVO state value after its two adjacency lists: it
+// returns the head up to there, the number of burned fires and the
+// bytes that encode them.
+func evoFires(v []byte) (head []byte, nb uint64, fires []byte) {
+	buf, _ := skipVertexList(v[1:])
+	buf, _ = skipVertexList(buf)
+	nb, fires = readUvarint(buf)
+	return v[:len(v)-len(buf)], nb, fires
+}
+
+// readBurned decodes the burned fires of an EVO state value into dst[:0].
+func readBurned(dst []uint32, v []byte) []uint32 {
+	_, nb, buf := evoFires(v)
+	dst = dst[:0]
+	for range nb {
 		var f uint64
 		f, buf = readUvarint(buf)
-		burned[i] = uint32(f)
+		dst = append(dst, uint32(f))
 	}
-	return out, in, burned
+	return dst
 }
 
 func (c *chain) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, error) {
@@ -349,18 +362,15 @@ func (c *chain) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, erro
 		burnedCount[f] = 1
 	}
 
-	input := make([]Record, n)
-	for v := 0; v < n; v++ {
-		var in []graph.VertexID
-		out := c.g.OutNeighbors(graph.VertexID(v))
+	input := inputOf(c.g, func(buf []byte, v graph.VertexID) []byte {
+		out := c.g.OutNeighbors(v)
 		if c.g.Directed() && c.g.HasReverse() {
-			in = c.g.InNeighbors(graph.VertexID(v))
-		} else {
-			in = out
+			return evoInput(buf, out, c.g.InNeighbors(v))
 		}
-		input[v] = Record{Key: int64(v), Value: evoState(out, in, nil)}
-	}
+		return evoInput(buf, out, out)
+	})
 
+	sc := c.scratch
 	output := input
 	for round := 0; round < c.maxJobs; round++ {
 		if len(allowed) == 0 {
@@ -370,24 +380,36 @@ func (c *chain) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, erro
 		job := Job{
 			Name: fmt.Sprintf("evo-level-%d", round),
 			Map: func(tc *TaskCtx, r Record, emit Emit) {
-				out, in, burned := readEvoState(r.Value)
 				newly := roundAllowed[graph.VertexID(r.Key)]
-				if len(newly) > 0 {
-					burned = append(burned, newly...)
-					for _, f := range newly {
-						picks := algo.FirePicksFromLists(graph.VertexID(n+int(f)), graph.VertexID(r.Key), out, in, p)
-						msg := appendUvarint([]byte{tagMsg}, uint64(f))
-						for _, w := range picks {
-							emit(int64(w), msg)
-						}
-						tc.Inc("traversed", int64(len(picks)))
-					}
+				if len(newly) == 0 {
+					emit(r.Key, r.Value)
+					return
 				}
-				emit(r.Key, evoState(out, in, burned))
+				s := sc.of(tc)
+				buf := r.Value[1:]
+				s.vs, buf = readVertexList(s.vs, buf)
+				s.vs2, _ = readVertexList(s.vs2, buf)
+				for _, f := range newly {
+					picks := algo.FirePicksFromLists(graph.VertexID(n+int(f)), graph.VertexID(r.Key), s.vs, s.vs2, p)
+					s.val = appendUvarint(append(s.val[:0], tagMsg), uint64(f))
+					for _, w := range picks {
+						emit(int64(w), s.val)
+					}
+					tc.Inc("traversed", int64(len(picks)))
+				}
+				// The state gains the newly burned fires after its own.
+				head, nb, fires := evoFires(r.Value)
+				s.val = appendUvarint(append(s.val[:0], head...), nb+uint64(len(newly)))
+				s.val = append(s.val, fires...)
+				for _, f := range newly {
+					s.val = appendUvarint(s.val, uint64(f))
+				}
+				emit(r.Key, s.val)
 			},
 			Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
 				var state []byte
-				var requests []uint32
+				s := sc.of(tc)
+				requests := s.fires[:0]
 				for _, v := range values {
 					switch v[0] {
 					case tagState:
@@ -397,26 +419,20 @@ func (c *chain) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, erro
 						requests = append(requests, uint32(f))
 					}
 				}
+				s.fires = requests
 				emit(key, state)
 				if len(requests) == 0 {
 					return
 				}
-				_, _, burned := readEvoState(state)
-				has := func(f uint32) bool {
-					for _, x := range burned {
-						if x == f {
-							return true
-						}
+				// Each fire asking to burn key and not burned there yet
+				// makes key one candidate of that fire.
+				slices.Sort(requests)
+				s.burned = readBurned(s.burned, state)
+				for _, f := range slices.Compact(requests) {
+					if !slices.Contains(s.burned, f) {
+						s.val = appendUvarint(s.val[:0], uint64(key))
+						emit(-(2 + int64(f)), s.val)
 					}
-					return false
-				}
-				emitted := map[uint32]bool{}
-				for _, f := range requests {
-					if has(f) || emitted[f] {
-						continue
-					}
-					emitted[f] = true
-					emit(-(2 + int64(f)), appendUvarint(nil, uint64(key)))
 				}
 			},
 		}
@@ -476,8 +492,9 @@ func (c *chain) runEvo(ctx context.Context, p algo.Params) (algo.EvoOutput, erro
 	}
 
 	evo := algo.EvoOutput{NewVertices: k}
+	var burned []uint32
 	for _, r := range output {
-		_, _, burned := readEvoState(r.Value)
+		burned = readBurned(burned, r.Value)
 		for _, f := range burned {
 			evo.Edges = append(evo.Edges, [2]graph.VertexID{graph.VertexID(n + int(f)), graph.VertexID(r.Key)})
 		}

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"graphalytics/internal/graph"
 )
@@ -11,7 +12,10 @@ import (
 // buffers, plus the primitive encoders the algorithm jobs use for their
 // record values. All integers are varints; vertex lists are
 // delta-encoded, which is both realistic (Hadoop graph formats
-// delta-compress adjacency) and cheap to decode.
+// delta-compress adjacency) and cheap to decode. The encoding is
+// canonical (minimal varints), so a job passes a list it does not
+// change through as bytes: decoding and encoding it again would give
+// the same bytes.
 
 // appendRecord frames (key, value) onto buf.
 func appendRecord(buf []byte, key int64, value []byte) []byte {
@@ -69,10 +73,11 @@ func appendVertexList(buf []byte, vs []graph.VertexID) []byte {
 	return buf
 }
 
-// readVertexList decodes a delta-encoded vertex list.
-func readVertexList(buf []byte) ([]graph.VertexID, []byte) {
+// readVertexList decodes a delta-encoded vertex list into dst[:0], so
+// that a caller decoding one list per record reuses one buffer.
+func readVertexList(dst []graph.VertexID, buf []byte) ([]graph.VertexID, []byte) {
 	n, buf := readUvarint(buf)
-	out := make([]graph.VertexID, n)
+	out := slices.Grow(dst[:0], int(n))[:n]
 	prev := uint64(0)
 	for i := range out {
 		var d uint64
@@ -82,6 +87,20 @@ func readVertexList(buf []byte) ([]graph.VertexID, []byte) {
 	}
 	return out, buf
 }
+
+// skipVertexList returns the bytes that follow the vertex list at the
+// head of buf, and the list's length.
+func skipVertexList(buf []byte) ([]byte, int) {
+	n, buf := readUvarint(buf)
+	for range n {
+		_, buf = readUvarint(buf)
+	}
+	return buf, int(n)
+}
+
+// emptyList and emptyWeightedList encode an empty vertex list and an
+// empty list with unit weights.
+var emptyList, emptyWeightedList = []byte{0}, []byte{0, 0}
 
 // appendWeightedList delta-encodes a sorted vertex list followed by its
 // parallel float64 weights (the weighted-adjacency record of SSSP). A
@@ -98,16 +117,17 @@ func appendWeightedList(buf []byte, vs []graph.VertexID, ws []float64) []byte {
 	return buf
 }
 
-// readWeightedList decodes a weighted adjacency record. ws is nil when
-// the record was written with unit weights.
-func readWeightedList(buf []byte) ([]graph.VertexID, []float64, []byte) {
-	vs, buf := readVertexList(buf)
+// readWeightedList decodes a weighted adjacency record into vs[:0] and
+// ws[:0]. The weights are nil when the record was written with unit
+// weights.
+func readWeightedList(vs []graph.VertexID, ws []float64, buf []byte) ([]graph.VertexID, []float64, []byte) {
+	vs, buf = readVertexList(vs, buf)
 	flag := buf[0]
 	buf = buf[1:]
 	if flag == 0 {
 		return vs, nil, buf
 	}
-	ws := make([]float64, len(vs))
+	ws = slices.Grow(ws[:0], len(vs))[:len(vs)]
 	for i := range ws {
 		ws[i], buf = readFloat(buf)
 	}

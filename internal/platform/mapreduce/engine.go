@@ -20,15 +20,23 @@
 //     does not crash", §3.3).
 //
 // What is not modelled is harness overhead. A reduce partition is
-// sorted as pointer-free entries that index the spill buffers in place:
-// a stable LSD radix pass over the key, then a bytewise order of the
-// values within each key (the Hadoop sort order, key then value bytes).
-// Spill buffers, sort entries and the reducer's values slice belong to
-// the Cluster and are reused by the next job of the same chain, the way
-// a Hadoop task reuses its buffers and value objects. STATS and LCC
-// reducers count closed pairs against one algo.ClosedPairs bitset per
-// slot (indexed by TaskCtx.Slot), n/8 bytes of real memory each that
-// no counter models.
+// sorted by key only, as pointer-free entries that index the spill
+// buffers in place, with a stable LSD radix pass: the Hadoop shuffle
+// order, which leaves the values of a key unordered. Each reducer reads
+// the mappers' buffers in mapper order and each mapper takes a
+// contiguous split of the input, so a key's values arrive in emission
+// order (input-record order, then the order of the emits within Map)
+// at every worker count. The job output alone is sorted by key, then by
+// value bytes, so that a chain's next input is the same however the
+// keys were partitioned. Spill buffers, sort entries and the reducer's
+// values slice belong to the Cluster and are reused by the next job,
+// the way a Hadoop task reuses its buffers and value objects; a loaded
+// graph keeps its idle Clusters, so the next run on it reuses them too.
+// Each job charges the bytes it holds (input records, spill, sort
+// entries, output) to the run's memory tracker, so a cell's peak memory
+// is its largest job, with no budget. STATS and LCC reducers count
+// closed pairs against one algo.ClosedPairs bitset per slot (indexed by
+// TaskCtx.Slot), n/8 bytes of real memory each that no counter models.
 package mapreduce
 
 import (
@@ -36,6 +44,7 @@ import (
 	"runtime"
 	"slices"
 	"time"
+	"unsafe"
 
 	"graphalytics/internal/par"
 	"graphalytics/internal/platform"
@@ -76,12 +85,14 @@ type Job struct {
 	Name string
 	// Map is invoked once per input record.
 	Map func(tc *TaskCtx, r Record, emit Emit)
-	// Reduce is invoked once per distinct key with all values for it
-	// (sorted bytewise). values and the bytes it points at are valid
-	// only during the call: the engine reuses the slice for the next
-	// key and the spill buffers for the next job, as Hadoop reuses its
-	// value objects. Emit copies what it is given; anything else Reduce
-	// keeps must be decoded or copied.
+	// Reduce is invoked once per distinct key with all values for it,
+	// in emission order: the order of the input records that emitted
+	// them, then the order of the emits within one Map call. The order
+	// is the same at every worker count. values and the bytes it
+	// points at are valid only during the call: the engine reuses the
+	// slice for the next key and the spill buffers for the next job, as
+	// Hadoop reuses its value objects. Emit copies what it is given;
+	// anything else Reduce keeps must be decoded or copied.
 	Reduce func(tc *TaskCtx, key int64, values [][]byte, emit Emit)
 }
 
@@ -101,6 +112,8 @@ type Cluster struct {
 	RoundOverhead time.Duration
 	// Counters accumulates engine metrics across jobs of one algorithm.
 	Counters *platform.Counters
+	// mem, when not nil, is charged the bytes each job holds.
+	mem *platform.MemoryTracker
 
 	slots []slot
 	// Job output sort: every reducer's output buffer and the entries
@@ -121,9 +134,11 @@ type slot struct {
 	values [][]byte // one key group, reused across groups
 	busy   time.Duration
 
-	out                        []byte // reducer output, the next job's input
-	outRecs                    int
-	spilled, network, shuffled int64
+	out     []byte // reducer output, the next job's input
+	outRecs int
+	outHint int // next output's capacity: a chain's jobs write outputs of like size
+
+	input, spilled, network, shuffled int64 // bytes, bytes, bytes, records
 }
 
 // workers returns the number of slots a job runs on.
@@ -175,6 +190,14 @@ func (c *Cluster) Run(ctx context.Context, input []Record, job Job) (*JobResult,
 		c.Counters.SpilledBytes += s.spilled
 		c.Counters.NetworkBytes += s.network
 	}
+	if c.mem != nil {
+		// A job's data only grows until it returns, so its peak is
+		// what it holds now. The tracker has no budget (MapReduce
+		// streams, §3.3), so Alloc cannot fail.
+		live := c.liveBytes(len(output))
+		_ = c.mem.Alloc(live)
+		c.mem.Free(live)
+	}
 	sp.SetAttr("records_out", len(output))
 	return &JobResult{Output: output, Counters: counters}, nil
 }
@@ -201,8 +224,25 @@ func (c *Cluster) reset(workers int) {
 		}
 		clear(s.counts)
 		clear(s.tc.counters)
-		s.spilled, s.network, s.shuffled = 0, 0, 0
+		s.input, s.spilled, s.network, s.shuffled = 0, 0, 0, 0
 	}
+}
+
+// The in-memory sizes of a sort entry and of a Record header.
+const entrySize, recordSize = int64(unsafe.Sizeof(entry{})), int64(unsafe.Sizeof(Record{}))
+
+// liveBytes is what a job holds once it has produced its output
+// records: the input records and their values, the spill buffers and
+// reducer outputs, and the sort entries and output records. It counts
+// lengths, not capacities, so that what a reused Cluster grew for an
+// earlier job does not count.
+func (c *Cluster) liveBytes(outputs int) int64 {
+	var live int64
+	for i := range c.slots {
+		s := &c.slots[i]
+		live += s.input + s.spilled + 2*entrySize*s.shuffled // es and radix scratch
+	}
+	return live + int64(outputs)*(2*entrySize+recordSize)
 }
 
 // collect merges the task counters of the phase just run into counters
@@ -244,6 +284,7 @@ func (c *Cluster) mapPhase(ctx context.Context, input []Record, job Job) error {
 			if i%platform.CheckStride == 0 && ctx.Err() != nil {
 				return platform.CheckContextPhase(ctx, "mapreduce/map")
 			}
+			s.input += recordSize + int64(len(rec.Value))
 			job.Map(&s.tc, rec, emit)
 		}
 		return nil
@@ -259,9 +300,9 @@ func partition(key int64, workers int) int {
 }
 
 // reduce is reducer r's task: fetch its spill buffer from every mapper
-// (cross-worker fetches count as network traffic), decode and sort the
-// records, and reduce each key group into a fresh output buffer (the
-// HDFS write the next job reads).
+// (cross-worker fetches count as network traffic), decode the records
+// in mapper order and sort them by key, and reduce each key group into
+// a fresh output buffer (the HDFS write the next job reads).
 func (c *Cluster) reduce(ctx context.Context, r int, job Job) error {
 	s := &c.slots[r]
 	start := time.Now()
@@ -289,9 +330,9 @@ func (c *Cluster) reduce(ctx context.Context, r int, job Job) error {
 	}
 	s.t = slices.Grow(s.t[:0], n)
 	s.es = es
-	es = sortEntries(es, s.t, s.bufs)
+	es = sortByKey(es, s.t)
 
-	var out []byte
+	out := make([]byte, 0, s.outHint)
 	s.outRecs = 0
 	emit := func(key int64, value []byte) {
 		out = appendRecord(out, key, value)
@@ -311,6 +352,7 @@ func (c *Cluster) reduce(ctx context.Context, r int, job Job) error {
 	}
 	s.values = values
 	s.out = out
+	s.outHint = len(out) + len(out)/16
 	s.spilled += int64(len(out))
 	s.shuffled = int64(len(es))
 	return nil

@@ -19,20 +19,17 @@ import (
 
 // PR state value: [tagState][float rank][out-adjacency].
 // Contribution msg: [tagMsg][float rank/outdeg].
-func prState(rank float64, adj []graph.VertexID) []byte {
-	buf := []byte{tagState}
-	buf = appendFloat(buf, rank)
-	return appendVertexList(buf, adj)
+func prHead(buf []byte, rank float64) []byte {
+	return appendFloat(append(buf, tagState), rank)
 }
 
 func (c *chain) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
 	n := c.g.NumVertices()
 	d := p.PRDamping
 	inv := 1.0 / float64(n)
-	input := make([]Record, n)
-	for v := 0; v < n; v++ {
-		input[v] = Record{Key: int64(v), Value: prState(inv, c.g.OutNeighbors(graph.VertexID(v)))}
-	}
+	input := inputOf(c.g, func(buf []byte, v graph.VertexID) []byte {
+		return appendVertexList(prHead(buf, inv), c.g.OutNeighbors(v))
+	})
 
 	// danglingOf sums the rank of sink vertices in a state record set —
 	// the driver-side scalar each iteration's reducer needs.
@@ -50,40 +47,44 @@ func (c *chain) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, 
 		return sum
 	}
 
+	sc := c.scratch
 	output := input
 	for iter := 0; iter < p.PRIterations; iter++ {
 		dangling := danglingOf(output)
 		job := Job{
 			Name: "pagerank-iter",
 			Map: func(tc *TaskCtx, r Record, emit Emit) {
-				rank, buf := readFloat(r.Value[1:])
-				adj, _ := readVertexList(buf)
 				emit(r.Key, r.Value)
-				if len(adj) == 0 {
+				rank, buf := readFloat(r.Value[1:])
+				s := sc.of(tc)
+				s.vs, _ = readVertexList(s.vs, buf)
+				if len(s.vs) == 0 {
 					return
 				}
-				msg := appendFloat([]byte{tagMsg}, rank/float64(len(adj)))
-				for _, u := range adj {
-					emit(int64(u), msg)
+				s.val = appendFloat(append(s.val[:0], tagMsg), rank/float64(len(s.vs)))
+				for _, u := range s.vs {
+					emit(int64(u), s.val)
 				}
-				tc.Inc("traversed", int64(len(adj)))
+				tc.Inc("traversed", int64(len(s.vs)))
 			},
+			// The contributions are summed in emission order, which is
+			// the same at every worker count.
 			Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-				var adj []graph.VertexID
+				adj := emptyList
 				var sum float64
 				for _, v := range values {
 					switch v[0] {
 					case tagState:
-						buf := v[1:]
-						_, buf = readFloat(buf)
-						adj, _ = readVertexList(buf)
+						adj = v[1+8:]
 					case tagMsg:
 						contrib, _ := readFloat(v[1:])
 						sum += contrib
 					}
 				}
 				rank := (1-d)*inv + d*dangling*inv + d*sum
-				emit(key, prState(rank, adj))
+				s := sc.of(tc)
+				s.val = append(prHead(s.val[:0], rank), adj...)
+				emit(key, s.val)
 			},
 		}
 		res, err := c.Run(ctx, output, job)
@@ -106,53 +107,46 @@ func (c *chain) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, 
 
 // SSSP state value: [tagState][updated][float dist][weighted adjacency].
 // Candidate msg: [tagMsg][float dist].
-func ssspState(updated bool, dist float64, adj []graph.VertexID, ws []float64) []byte {
-	buf := []byte{tagState, 0}
-	if updated {
-		buf[1] = 1
-	}
-	buf = appendFloat(buf, dist)
-	return appendWeightedList(buf, adj, ws)
+func ssspHead(buf []byte, updated bool, dist float64) []byte {
+	return appendFloat(flaggedState(buf, updated), dist)
 }
 
 func (c *chain) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, error) {
 	n := c.g.NumVertices()
 	inf := math.Inf(1)
-	input := make([]Record, n)
-	for v := 0; v < n; v++ {
-		dist, updated := inf, false
-		if graph.VertexID(v) == p.Source {
-			dist, updated = 0, true
+	input := inputOf(c.g, func(buf []byte, v graph.VertexID) []byte {
+		if v == p.Source {
+			buf = ssspHead(buf, true, 0)
+		} else {
+			buf = ssspHead(buf, false, inf)
 		}
-		input[v] = Record{Key: int64(v), Value: ssspState(updated, dist,
-			c.g.OutNeighbors(graph.VertexID(v)), c.g.OutWeights(graph.VertexID(v)))}
-	}
+		return appendWeightedList(buf, c.g.OutNeighbors(v), c.g.OutWeights(v))
+	})
 
+	sc := c.scratch
 	job := Job{
 		Name: "sssp-iter",
 		Map: func(tc *TaskCtx, r Record, emit Emit) {
-			buf := r.Value[2:]
-			dist, buf := readFloat(buf)
-			adj, ws, _ := readWeightedList(buf)
 			emit(r.Key, r.Value)
-			if r.Value[1] == 1 { // improved last round: relax out-arcs
-				for i, u := range adj {
-					emit(int64(u), appendFloat([]byte{tagMsg}, dist+graph.WeightAt(ws, i)))
-				}
-				tc.Inc("traversed", int64(len(adj)))
+			if r.Value[1] != 1 { // not improved last round
+				return
 			}
+			dist, buf := readFloat(r.Value[2:])
+			s := sc.of(tc)
+			s.vs, s.ws, _ = readWeightedList(s.vs, s.ws, buf)
+			for i, u := range s.vs {
+				s.val = appendFloat(append(s.val[:0], tagMsg), dist+graph.WeightAt(s.ws, i))
+				emit(int64(u), s.val)
+			}
+			tc.Inc("traversed", int64(len(s.vs)))
 		},
 		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-			dist := math.Inf(1)
-			var adj []graph.VertexID
-			var ws []float64
+			dist, adj := math.Inf(1), emptyWeightedList
 			candidate := math.Inf(1)
 			for _, v := range values {
 				switch v[0] {
 				case tagState:
-					buf := v[2:]
-					dist, buf = readFloat(buf)
-					adj, ws, _ = readWeightedList(buf)
+					dist, adj = readFloat(v[2:])
 				case tagMsg:
 					d, _ := readFloat(v[1:])
 					if d < candidate {
@@ -160,13 +154,14 @@ func (c *chain) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, er
 					}
 				}
 			}
-			updated := false
-			if candidate < dist {
+			updated := candidate < dist
+			if updated {
 				dist = candidate
-				updated = true
 				tc.Inc("updates", 1)
 			}
-			emit(key, ssspState(updated, dist, adj, ws))
+			s := sc.of(tc)
+			s.val = append(ssspHead(s.val[:0], updated, dist), adj...)
+			emit(key, s.val)
 		},
 	}
 
@@ -188,90 +183,67 @@ func (c *chain) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, er
 
 // ------------------------------ LCC ------------------------------
 
-// slotPairs holds one closed-pair counter per slot of a Cluster,
-// indexed by TaskCtx.Slot and built on the slot's first use.
-type slotPairs struct {
-	n  int
-	cp []*algo.ClosedPairs
-}
-
-func newSlotPairs(c *Cluster, n int) *slotPairs {
-	return &slotPairs{n: n, cp: make([]*algo.ClosedPairs, c.workers())}
-}
-
-func (s *slotPairs) of(tc *TaskCtx) *algo.ClosedPairs {
-	if s.cp[tc.Slot()] == nil {
-		s.cp[tc.Slot()] = algo.NewClosedPairs(s.n)
-	}
-	return s.cp[tc.Slot()]
-}
-
 // runLCC serves both LCC and STATS, whose mean Run folds with
 // algo.StatsFromLCC. Job 1 exchanges neighborhoods and closed-pair
-// counts, job 2 emits each vertex's own coefficient.
+// counts, job 2 emits each vertex's own coefficient. Each slot counts
+// closed pairs against its own algo.ClosedPairs.
 // Job 1 state: [tagState][out-adjacency][neighborhood].
 // Neighborhood msg: [tagMsg][varint from][vertex list].
+// Job 1 output state: [tagState][empty list][neighborhood].
 // Job 1 output count msg: [tagMsg][varint count].
 // Job 2 output: [tagMsg][float lcc_v].
 func (c *chain) runLCC(ctx context.Context, p algo.Params) (algo.LCCOutput, error) {
 	n := c.g.NumVertices()
-	nbh := c.neighborhoods()
-	input := make([]Record, n)
-	for v := 0; v < n; v++ {
-		buf := []byte{tagState}
-		buf = appendVertexList(buf, c.g.OutNeighbors(graph.VertexID(v)))
-		buf = appendVertexList(buf, nbh[v])
-		input[v] = Record{Key: int64(v), Value: buf}
-	}
-	pairs := newSlotPairs(c.Cluster, n)
+	var nb []graph.VertexID
+	input := inputOf(c.g, func(buf []byte, v graph.VertexID) []byte {
+		nb = c.g.Neighborhood(v, nb[:0])
+		return appendVertexList(appendVertexList(append(buf, tagState), c.g.OutNeighbors(v)), nb)
+	})
 
+	sc := c.scratch
 	job1 := Job{
 		Name: "lcc-exchange",
 		Map: func(tc *TaskCtx, r Record, emit Emit) {
-			buf := r.Value[1:]
-			_, buf = readVertexList(buf) // out-adjacency (unused by mapper)
-			adjN, _ := readVertexList(buf)
 			emit(r.Key, r.Value)
-			if len(adjN) < 2 {
+			nbh, _ := skipVertexList(r.Value[1:]) // the neighborhood ends the state
+			s := sc.of(tc)
+			s.vs, _ = readVertexList(s.vs, nbh)
+			if len(s.vs) < 2 {
 				return
 			}
-			msg := appendVarint([]byte{tagMsg}, r.Key)
-			msg = appendVertexList(msg, adjN)
-			for _, u := range adjN {
-				emit(int64(u), msg)
+			s.val = append(appendVarint(append(s.val[:0], tagMsg), r.Key), nbh...)
+			for _, u := range s.vs {
+				emit(int64(u), s.val)
 			}
-			tc.Inc("traversed", int64(len(adjN)))
+			tc.Inc("traversed", int64(len(s.vs)))
 		},
 		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-			var out, adjN []graph.VertexID
-			type ask struct {
-				from int64
-				nbh  []graph.VertexID
-			}
-			var asks []ask
+			state := []byte{tagState, 0, 0} // no out-adjacency, empty neighborhood
+			s := sc.of(tc)
+			asks := s.asks[:0]
 			for _, v := range values {
 				switch v[0] {
 				case tagState:
-					buf := v[1:]
-					out, buf = readVertexList(buf)
-					adjN, _ = readVertexList(buf)
+					state = v
 				case tagMsg:
-					buf := v[1:]
-					from, buf := readVarint(buf)
-					nb, _ := readVertexList(buf)
-					asks = append(asks, ask{from: from, nbh: nb})
+					asks = append(asks, v)
 				}
 			}
-			// Pass the state through so job 2 still has |N(v)|.
-			st := []byte{tagState}
-			st = appendVertexList(st, nil) // out-adjacency no longer needed
-			st = appendVertexList(st, adjN)
-			emit(key, st)
+			s.asks = asks
+			// Pass the neighborhood through so job 2 still has |N(v)|;
+			// the out-adjacency is no longer needed.
+			nbh, _ := skipVertexList(state[1:])
+			s.val = append(append(s.val[:0], tagState, 0), nbh...)
+			emit(key, s.val)
 			// out(v) is marked once and each received N(w) probes it.
-			cp := pairs.of(tc)
-			cp.Mark(out)
+			cp := s.closedPairs(n)
+			s.vs, _ = readVertexList(s.vs, state[1:])
+			cp.Mark(s.vs)
 			for _, a := range asks {
-				emit(a.from, appendVarint([]byte{tagMsg}, cp.Count(a.nbh, graph.VertexID(key))))
+				from, buf := readVarint(a[1:])
+				s.vs, _ = readVertexList(s.vs, buf)
+				s.val = appendVarint(append(s.val[:0], tagMsg), cp.Count(s.vs, graph.VertexID(key)))
+				emit(from, s.val)
 			}
 		},
 	}
@@ -287,25 +259,25 @@ func (c *chain) runLCC(ctx context.Context, p algo.Params) (algo.LCCOutput, erro
 			emit(r.Key, r.Value)
 		},
 		Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
-			var adjN []graph.VertexID
+			var deg uint64
 			var links int64
 			for _, v := range values {
 				switch v[0] {
 				case tagState:
-					buf := v[1:]
-					_, buf = readVertexList(buf)
-					adjN, _ = readVertexList(buf)
+					nbh, _ := skipVertexList(v[1:])
+					deg, _ = readUvarint(nbh)
 				case tagMsg:
 					cnt, _ := readVarint(v[1:])
 					links += cnt
 				}
 			}
-			d := float64(len(adjN))
-			if d >= 2 {
-				emit(key, appendFloat([]byte{tagMsg}, float64(links)/(d*(d-1))))
-			} else {
-				emit(key, appendFloat([]byte{tagMsg}, 0))
+			lcc := 0.0
+			if d := float64(deg); d >= 2 {
+				lcc = float64(links) / (d * (d - 1))
 			}
+			s := sc.of(tc)
+			s.val = appendFloat(append(s.val[:0], tagMsg), lcc)
+			emit(key, s.val)
 		},
 	}
 	res2, err := c.Run(ctx, res1.Output, job2)

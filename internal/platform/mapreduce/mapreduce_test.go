@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platform/platformtest"
+	"graphalytics/internal/workload"
 )
 
 // fast returns a platform with no per-job scheduling overhead, for tests.
@@ -22,6 +24,66 @@ func TestConformance(t *testing.T) {
 
 func TestConformanceSingleWorker(t *testing.T) {
 	platformtest.Conformance(t, New(Options{Workers: 1, RoundOverhead: -1}))
+}
+
+// TestOutputsSameBitsAtEveryWorkerCount runs every workload at Workers
+// 1, 2, 3 and 8 on every conformance graph. Every output, PR's
+// included, must be bit-identical to the single-worker run: a key's
+// values reach the reducer in emission order, which is the same at
+// every worker count, so PR sums its contributions in one order. Each
+// workload runs on one load shared by the whole sweep, after the other
+// workloads have run on it and beside another run on it, so it reuses
+// a chain from the load's free list or builds a second one; a run on a
+// fresh load must give the same output.
+func TestOutputsSameBitsAtEveryWorkerCount(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range platformtest.Graphs(t) {
+		params := algo.Params{Source: 0, Seed: 99, EvoNewVertices: 6}.WithDefaults(g.NumVertices())
+		var kinds []algo.Kind
+		for _, spec := range workload.All() {
+			if spec.Supports(g) == nil {
+				kinds = append(kinds, spec.Kind)
+			}
+		}
+		base := map[algo.Kind]any{}
+		for _, w := range []int{1, 2, 3, 8} {
+			p := New(Options{Workers: w, RoundOverhead: -1})
+			shared, err := p.LoadGraph(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range kinds {
+				beside := make(chan error)
+				go func() {
+					_, err := shared.Run(ctx, algo.LCC, params)
+					beside <- err
+				}()
+				res, err := shared.Run(ctx, kind, params)
+				if berr := <-beside; berr != nil {
+					t.Fatalf("%s workers=%d LCC beside %s: %v", g.Name(), w, kind, berr)
+				}
+				if err != nil {
+					t.Fatalf("%s workers=%d %s: %v", g.Name(), w, kind, err)
+				}
+				fresh, err := p.LoadGraph(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Run(ctx, kind, params)
+				if err != nil {
+					t.Fatalf("%s workers=%d %s on a fresh load: %v", g.Name(), w, kind, err)
+				}
+				if !reflect.DeepEqual(res.Output, want.Output) {
+					t.Errorf("%s workers=%d %s: a run on a shared load differs from a fresh load's", g.Name(), w, kind)
+				}
+				if w == 1 {
+					base[kind] = want.Output
+				} else if !reflect.DeepEqual(want.Output, base[kind]) {
+					t.Errorf("%s %s: workers=%d output is not bit-identical to workers=1", g.Name(), kind, w)
+				}
+			}
+		}
+	}
 }
 
 func TestCountersPopulated(t *testing.T) {
@@ -69,7 +131,7 @@ func TestVertexListCodec(t *testing.T) {
 			in[i] = graph.VertexID(x)
 		}
 		buf := appendVertexList(nil, in)
-		out, rest := readVertexList(buf)
+		out, rest := readVertexList(nil, buf)
 		if len(rest) != 0 {
 			t.Fatalf("trailing bytes for %v", l)
 		}
@@ -175,6 +237,34 @@ func TestSpillAccounting(t *testing.T) {
 	if c.SpilledBytes < g.NumArcs()*2 {
 		t.Errorf("spill volume %d suspiciously low for %d arcs over %d jobs",
 			c.SpilledBytes, g.NumArcs(), c.Supersteps)
+	}
+}
+
+// TestPeakMemoryIsTheLargestJob runs BFS at two worker counts: a run's
+// peak memory is the bytes its largest job holds, so it is at least the
+// mean job's spill and output, and, since it counts lengths that do not
+// depend on the partitioning, the same at every worker count.
+func TestPeakMemoryIsTheLargestJob(t *testing.T) {
+	g, err := datagen.Generate(datagen.Config{Persons: 500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peaks []int64
+	for _, w := range []int{1, 3} {
+		loaded, _ := New(Options{Workers: w, RoundOverhead: -1}).LoadGraph(g)
+		res, err := loaded.Run(context.Background(), algo.BFS, algo.Params{Source: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Counters
+		if c.PeakMemoryBytes < c.SpilledBytes/c.Supersteps {
+			t.Errorf("workers=%d: peak %d bytes, below the mean job's %d spilled bytes",
+				w, c.PeakMemoryBytes, c.SpilledBytes/c.Supersteps)
+		}
+		peaks = append(peaks, c.PeakMemoryBytes)
+	}
+	if peaks[0] != peaks[1] {
+		t.Errorf("peak %d bytes at workers=1, %d at workers=3", peaks[0], peaks[1])
 	}
 }
 

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"graphalytics/internal/algo"
@@ -57,12 +58,35 @@ func (p *Platform) StampConfig() string {
 // LoadGraph implements platform.Platform. MapReduce streams state
 // through spill buffers, so there is no memory budget to enforce: ETL
 // never fails for capacity reasons (§3.3).
+//
+// The loaded graph keeps a free list of idle chains. A run takes one,
+// or builds one when every chain is busy, and puts it back when its
+// kernel returns, so the runs on one load reuse their Cluster's spill
+// buffers and sort entries and their slots' scratch instead of growing
+// new ones. Concurrent runs each hold their own chain.
 func (p *Platform) LoadGraph(g *graph.Graph) (platform.Loaded, error) {
+	var mu sync.Mutex
+	var idle []*chain
 	return &platform.LoadedGraph[*chain]{
 		G: g, Platform: p.Name(),
-		NewRun: func(_ *platform.MemoryTracker, c *platform.Counters) (*chain, func()) {
-			cluster := &Cluster{Workers: p.opts.Workers, RoundOverhead: p.opts.RoundOverhead, Counters: c}
-			return &chain{Cluster: cluster, g: g, maxJobs: p.opts.MaxJobs}, nil
+		NewRun: func(mem *platform.MemoryTracker, c *platform.Counters) (*chain, func()) {
+			mu.Lock()
+			var ch *chain
+			if len(idle) > 0 {
+				ch, idle = idle[len(idle)-1], idle[:len(idle)-1]
+			}
+			mu.Unlock()
+			if ch == nil {
+				cluster := &Cluster{Workers: p.opts.Workers, RoundOverhead: p.opts.RoundOverhead}
+				ch = &chain{Cluster: cluster, g: g, maxJobs: p.opts.MaxJobs, scratch: make(scratches, cluster.workers())}
+			}
+			ch.Counters, ch.mem = c, mem
+			return ch, func() {
+				ch.Counters, ch.mem = nil, nil
+				mu.Lock()
+				idle = append(idle, ch)
+				mu.Unlock()
+			}
 		},
 		Kernels: kernels,
 	}, nil
@@ -79,22 +103,11 @@ var kernels = map[algo.Kind]platform.Kernel[*chain]{
 	algo.LCC:  platform.KernelOf((*chain).runLCC),
 }
 
-// chain is one algorithm execution: the job chain of one run, on a
-// fresh cluster whose counters are the run's.
+// chain runs the job chains of one run at a time on its Cluster, whose
+// counters and memory tracker are the run's.
 type chain struct {
 	*Cluster
 	g       *graph.Graph
 	maxJobs int
-}
-
-// neighborhoods precomputes N(v) for every vertex (the CD/CONN/STATS
-// neighborhood). This is input preparation, analogous to reading the
-// graph's HDFS input format at the head of a job chain.
-func (c *chain) neighborhoods() [][]graph.VertexID {
-	n := c.g.NumVertices()
-	out := make([][]graph.VertexID, n)
-	for v := 0; v < n; v++ {
-		out[v] = c.g.Neighborhood(graph.VertexID(v), nil)
-	}
-	return out
+	scratch scratches
 }

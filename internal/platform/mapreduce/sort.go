@@ -23,15 +23,15 @@ func (e entry) value(bufs [][]byte) []byte {
 	return bufs[e.buf][e.off:end:end]
 }
 
-// sortEntries orders es by key, then by value bytes (the Hadoop
-// sort-shuffle order), and returns the sorted entries, which occupy the
-// front of either es or tmp; cap(tmp) must be at least len(es).
+// sortByKey orders es by key and keeps the order of entries with equal
+// keys (the Hadoop shuffle sort, which orders keys only), and returns
+// the sorted entries, which occupy the front of either es or tmp;
+// cap(tmp) must be at least len(es).
 //
-// Keys are ordered by a stable LSD radix sort over the sign-flipped key,
-// one pass per byte, skipping every byte that all keys share (vertex
-// keys rarely need more than three passes). Each run of equal keys is
-// then ordered bytewise by value.
-func sortEntries(es, tmp []entry, bufs [][]byte) []entry {
+// It is a stable LSD radix sort over the sign-flipped key, one pass per
+// byte, skipping every byte that all keys share (vertex keys rarely
+// need more than three passes).
+func sortByKey(es, tmp []entry) []entry {
 	if len(es) < 2 {
 		return es
 	}
@@ -61,7 +61,15 @@ func sortEntries(es, tmp []entry, bufs [][]byte) []entry {
 		}
 		src, dst = dst, src
 	}
+	return src
+}
 
+// sortEntries orders es by key, then by value bytes, the canonical
+// order of a job's output, and returns the sorted entries as sortByKey
+// does. Each run of equal keys that sortByKey leaves is ordered
+// bytewise by value.
+func sortEntries(es, tmp []entry, bufs [][]byte) []entry {
+	src := sortByKey(es, tmp)
 	byValue := func(a, b entry) int { return bytes.Compare(a.value(bufs), b.value(bufs)) }
 	for i := 0; i < len(src); {
 		j := i + 1
