@@ -49,19 +49,6 @@ func RunSSSP(g *graph.Graph, source graph.VertexID) SSSPOutput {
 	return dist
 }
 
-// SSSPTraversedEdges returns the number of edges examined by the
-// shortest-path computation: the sum of out-degrees of all reached
-// vertices (the weighted-workload TEPS numerator).
-func SSSPTraversedEdges(g *graph.Graph, dist SSSPOutput) int64 {
-	var m int64
-	for v, d := range dist {
-		if !math.IsInf(d, 1) {
-			m += int64(g.OutDegree(graph.VertexID(v)))
-		}
-	}
-	return m
-}
-
 // distItem is one (vertex, tentative distance) heap entry.
 type distItem struct {
 	v graph.VertexID

@@ -139,7 +139,7 @@ type regressionsResponse struct {
 
 func (s *Store) handleRegressions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "method not allowed"})
+		methodNotAllowed(w, "GET")
 		return
 	}
 	q := r.URL.Query()

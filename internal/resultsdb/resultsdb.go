@@ -21,10 +21,13 @@
 // that one insertion path keeps current as each submission is accepted
 // or replayed from the file. Opening a store therefore costs time in
 // proportion to the file, while a read costs the same however many
-// submissions it holds. /results and the submission list read one more
-// view, an index of result rows by (platform, graph, algorithm) and the
-// encoded summaries; the reads bring it up to date with the submissions
-// stored since the last read, so a write does not pay for it.
+// submissions it holds. The store keeps one copy of each submission:
+// its JSON encoding, which GET /submissions/{id} sends as it is and
+// from which /results cuts its rows, so those reads encode nothing per
+// request; the read index finds the rows by (platform, graph,
+// algorithm). The reads encode the submissions stored since the last
+// read and only then drop their decoded reports, so a write does not
+// pay for the encoding.
 //
 // Everything is stdlib net/http + encoding/json; the store is safe for
 // concurrent use.
@@ -75,18 +78,30 @@ type Summary struct {
 type Store struct {
 	mu     sync.RWMutex
 	nextID int64
-	subs   []*Submission // in ID order
-	log    *jsonlog.Log  // nil = memory only
+	log    *jsonlog.Log // nil = memory only
 
-	// Views of subs, written only by add.
-	summaries []Summary                    // summaries[i] describes subs[i]
+	// Views of the submissions, in ID order, written only by add.
+	summaries []Summary                    // summaries[i] describes submission i
 	board     map[cell]map[string]BestCell // (graph, algorithm) → platform → best run
 	history   map[seriesKey][]MetricPoint  // regression series, oldest first
+	// pending holds the submissions the read index does not cover yet:
+	// the only decoded reports the store keeps, until a read encodes them.
+	pending []*Submission
 
-	// The read index of subs[:indexed], written only by catchUp.
-	rows        map[rowKey][]rowRef // result rows, in (submission, result) order
-	summaryJSON [][]byte            // summaryJSON[i] encodes summaries[i]
-	indexed     int
+	// The read index, written only by catchUp: subs[i] is submission i as
+	// the reads serve it, for every submission not pending.
+	subs []stored
+	rows map[rowKey][]rowRef // result rows, in (submission, result) order
+}
+
+// stored is one submission as the reads serve it.
+type stored struct {
+	id        int64
+	submitter string
+	body      []byte   // its JSON and a newline, the answer to GET /submissions/{id}
+	summary   []byte   // the JSON of its Summary
+	rowHead   []byte   // `{"submission_id":<id>,"submitter":<submitter>,"result":`
+	results   [][]byte // results[j], a part of body, is the JSON of Report.Results[j]
 }
 
 // cell identifies one leaderboard.
@@ -95,14 +110,8 @@ type cell struct{ graph, algorithm string }
 // rowKey is the (platform, graph, algorithm) of a result row.
 type rowKey struct{ platform, graph, algorithm string }
 
-// rowRef locates a result row: subs[sub].Report.Results[res].
+// rowRef locates a result row: subs[sub].results[res].
 type rowRef struct{ sub, res int32 }
-
-// row is the ResultRow that ref locates in subs.
-func (ref rowRef) row(subs []*Submission) ResultRow {
-	sub := subs[ref.sub]
-	return ResultRow{SubmissionID: sub.ID, Submitter: sub.Submitter, Result: sub.Report.Results[ref.res]}
-}
 
 // NewStore returns an empty in-memory store.
 func NewStore() *Store {
@@ -114,10 +123,10 @@ func NewStore() *Store {
 
 // add appends a validated submission whose ID exceeds every stored one
 // and brings every view up to date with it. It is the only writer of
-// subs and the views; the caller holds the write lock (or, while
-// OpenStore replays the file, the only reference to the store).
+// the views; the caller holds the write lock (or, while OpenStore
+// replays the file, the only reference to the store).
 func (s *Store) add(sub *Submission) {
-	s.subs = append(s.subs, sub)
+	s.pending = append(s.pending, sub)
 	s.nextID = sub.ID + 1
 
 	sm := Summary{
@@ -247,9 +256,10 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // A file-backed store appends it to the log first: memory takes the
 // submission (and the ID is consumed) only once the disk has it.
 //
-// The store takes ownership of sub.Report: Get returns it and the read
-// views are derived from it, so the caller must not modify it after
-// the call.
+// The store takes ownership of sub.Report: it keeps the report until
+// the next read encodes it, so the caller must not modify it after the
+// call. Get and Results return copies decoded from that encoding, so
+// what JSON does not carry (RunResult.Monitor) is not kept.
 func (s *Store) Submit(sub Submission) (int64, error) {
 	if err := validate(&sub); err != nil {
 		return 0, err
@@ -274,14 +284,26 @@ func (s *Store) Submit(sub Submission) (int64, error) {
 	return sub.ID, nil
 }
 
-// Get returns the submission with the given ID.
+// Get returns the submission with the given ID, decoded afresh from
+// the JSON the store serves for it: the caller's own copy.
 func (s *Store) Get(id int64) (*Submission, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	body, ok := s.body(id)
+	if !ok {
+		return nil, false
+	}
+	sub := new(Submission)
+	// The store encoded body from a Submission, so it decodes.
+	_ = json.Unmarshal(body, sub)
+	return sub, true
+}
+
+// body returns the JSON of submission id, which may not be modified.
+func (s *Store) body(id int64) ([]byte, bool) {
+	subs := s.indexed()
 	// IDs strictly increase along subs.
-	i := sort.Search(len(s.subs), func(i int) bool { return s.subs[i].ID >= id })
-	if i < len(s.subs) && s.subs[i].ID == id {
-		return s.subs[i], true
+	i := sort.Search(len(subs), func(i int) bool { return subs[i].id >= id })
+	if i < len(subs) && subs[i].id == id {
+		return subs[i].body, true
 	}
 	return nil, false
 }
@@ -314,7 +336,8 @@ type ResultRow struct {
 	Result       report.RunResult `json:"result"`
 }
 
-// Results returns all result rows matching f, nil if none does.
+// Results returns all result rows matching f, nil if none does. Each
+// row is decoded afresh from the JSON the store serves for it.
 func (s *Store) Results(f Filter) []ResultRow {
 	subs, refs := s.selectRows(f)
 	if len(refs) == 0 {
@@ -322,18 +345,21 @@ func (s *Store) Results(f Filter) []ResultRow {
 	}
 	out := make([]ResultRow, len(refs))
 	for i, ref := range refs {
-		out[i] = ref.row(subs)
+		st := &subs[ref.sub]
+		out[i].SubmissionID, out[i].Submitter = st.id, st.submitter
+		// The store encoded each result from a RunResult, so it decodes.
+		_ = json.Unmarshal(st.results[ref.res], &out[i].Result)
 	}
 	return out
 }
 
 // rlockIndexed takes the read lock with the read index covering every
 // submission stored before the call. A submission stored between the
-// catch-up and the read lock may be missing from the index, so its
-// readers stop at s.indexed, not at len(s.subs).
+// catch-up and the read lock is pending, so the readers, which read
+// only s.subs, do not see it.
 func (s *Store) rlockIndexed() {
 	s.mu.RLock()
-	if s.indexed == len(s.subs) {
+	if len(s.pending) == 0 {
 		return
 	}
 	s.mu.RUnlock()
@@ -343,30 +369,65 @@ func (s *Store) rlockIndexed() {
 	s.mu.RLock()
 }
 
-// catchUp adds subs[indexed:] to the read index. The caller holds the
-// write lock.
+// indexed returns the submissions stored before the call, as the reads
+// serve them, oldest first. The slice may not be modified.
+func (s *Store) indexed() []stored {
+	s.rlockIndexed()
+	defer s.mu.RUnlock()
+	return s.subs
+}
+
+// catchUp encodes the pending submissions, adds them to the read index
+// and drops their decoded reports. The caller holds the write lock.
 func (s *Store) catchUp() {
-	for i := s.indexed; i < len(s.subs); i++ {
-		for j := range s.subs[i].Report.Results {
-			r := &s.subs[i].Report.Results[j]
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	// encode returns the JSON of v with the newline Encode ends it with,
+	// in buf until the next call. validate admits only what encodes.
+	encode := func(v any) []byte {
+		buf.Reset()
+		_ = enc.Encode(v)
+		return buf.Bytes()
+	}
+	for _, sub := range s.pending {
+		i := len(s.subs)
+		st := stored{id: sub.ID, submitter: sub.Submitter, body: bytes.Clone(encode(sub))}
+		st.summary, _ = json.Marshal(&s.summaries[i])
+		submitter, _ := json.Marshal(sub.Submitter)
+		st.rowHead = fmt.Appendf(nil, `{"submission_id":%d,"submitter":%s,"result":`, sub.ID, submitter)
+		st.results = make([][]byte, len(sub.Report.Results))
+		// A result is encoded inside body as it is on its own, after the
+		// one before it: no string in body holds an unescaped quote, so
+		// the first match at or after the previous result's end is it.
+		at := 0
+		for j := range sub.Report.Results {
+			r := &sub.Report.Results[j]
 			k := rowKey{r.Platform, r.Graph, string(r.Algorithm)}
 			s.rows[k] = append(s.rows[k], rowRef{int32(i), int32(j)})
+			e := bytes.TrimSuffix(encode(r), []byte("\n"))
+			off := bytes.Index(st.body[at:], e)
+			if off < 0 {
+				// Unreachable while the nested and the standalone
+				// encodings agree; a copy would serve the same bytes.
+				st.results[j] = bytes.Clone(e)
+				continue
+			}
+			at += off + len(e)
+			st.results[j] = st.body[at-len(e) : at : at]
 		}
-		// validate admits only what encodes.
-		b, _ := json.Marshal(&s.summaries[i])
-		s.summaryJSON = append(s.summaryJSON, b)
+		s.subs = append(s.subs, st)
 	}
-	s.indexed = len(s.subs)
+	s.pending = nil
 }
 
 // selectRows locates the rows that match f among the submissions stored
 // before the call: it returns their positions, in (submission, result)
 // order, and the submissions those point into. Neither slice may be
 // modified.
-func (s *Store) selectRows(f Filter) ([]*Submission, []rowRef) {
+func (s *Store) selectRows(f Filter) ([]stored, []rowRef) {
 	s.rlockIndexed()
 	defer s.mu.RUnlock()
-	subs := s.subs[:s.indexed]
+	subs := s.subs
 	if f.Platform != "" && f.Graph != "" && f.Algorithm != "" {
 		return subs, s.rows[rowKey{f.Platform, f.Graph, f.Algorithm}]
 	}
@@ -386,14 +447,6 @@ func (s *Store) selectRows(f Filter) ([]*Submission, []rowRef) {
 		})
 	}
 	return subs, refs
-}
-
-// summaryBodies returns the encoded summaries of the submissions stored
-// before the call, oldest first. The slice may not be modified.
-func (s *Store) summaryBodies() [][]byte {
-	s.rlockIndexed()
-	defer s.mu.RUnlock()
-	return s.summaryJSON[:s.indexed]
 }
 
 // Comparison is the per-platform best successful runtime for one
@@ -446,6 +499,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeBody answers 200 with the JSON in b.
+func writeBody(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+}
+
 // bodies holds the buffers /results and the submission list assemble
 // their answers in; one larger than maxPooledBody is left to the GC.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -454,13 +514,18 @@ const maxPooledBody = 4 << 20
 
 // sendBody answers 200 with the JSON in b, which it returns to bodies.
 func sendBody(w http.ResponseWriter, b *bytes.Buffer) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b.Bytes())
+	writeBody(w, b.Bytes())
 	if b.Cap() <= maxPooledBody {
 		b.Reset()
 		bodies.Put(b)
 	}
+}
+
+// methodNotAllowed answers 405, naming in Allow the methods the
+// endpoint takes.
+func methodNotAllowed(w http.ResponseWriter, allow string) {
+	w.Header().Set("Allow", allow)
+	writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "method not allowed"})
 }
 
 type apiError struct {
@@ -471,11 +536,11 @@ func (s *Store) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		// The bytes writeJSON sends for List().
-		enc := s.summaryBodies()
+		subs := s.indexed()
 		b := bodies.Get().(*bytes.Buffer)
 		b.WriteByte('[')
-		for i := len(enc) - 1; i >= 0; i-- {
-			b.Write(enc[i])
+		for i := len(subs) - 1; i >= 0; i-- {
+			b.Write(subs[i].summary)
 			if i > 0 {
 				b.WriteByte(',')
 			}
@@ -499,14 +564,13 @@ func (s *Store) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusCreated, map[string]int64{"id": id})
 	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "method not allowed"})
+		methodNotAllowed(w, "GET, POST")
 	}
 }
 
 func (s *Store) handleSubmission(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "method not allowed"})
+		methodNotAllowed(w, "GET")
 		return
 	}
 	idStr := strings.TrimPrefix(r.URL.Path, "/api/v1/submissions/")
@@ -515,17 +579,17 @@ func (s *Store) handleSubmission(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad submission id"})
 		return
 	}
-	sub, ok := s.Get(id)
+	body, ok := s.body(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no such submission"})
 		return
 	}
-	writeJSON(w, http.StatusOK, sub)
+	writeBody(w, body)
 }
 
 func (s *Store) handleResults(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "method not allowed"})
+		methodNotAllowed(w, "GET")
 		return
 	}
 	q := r.URL.Query()
@@ -534,20 +598,18 @@ func (s *Store) handleResults(w http.ResponseWriter, r *http.Request) {
 		Graph:     q.Get("graph"),
 		Algorithm: q.Get("algorithm"),
 	})
-	// The bytes writeJSON sends for Results(), "[]" when it is nil:
-	// each row as Encode writes it (validate admits only what encodes)
-	// less the newline Encode ends it with.
+	// The bytes writeJSON sends for Results(), "[]" when it is nil: each
+	// row as encoding/json writes a ResultRow, around its stored result.
 	b := bodies.Get().(*bytes.Buffer)
-	enc := json.NewEncoder(b)
-	var row ResultRow
 	b.WriteByte('[')
 	for i, ref := range refs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		row = ref.row(subs)
-		_ = enc.Encode(&row)
-		b.Truncate(b.Len() - 1)
+		st := &subs[ref.sub]
+		b.Write(st.rowHead)
+		b.Write(st.results[ref.res])
+		b.WriteByte('}')
 	}
 	b.WriteString("]\n")
 	sendBody(w, b)
@@ -555,7 +617,7 @@ func (s *Store) handleResults(w http.ResponseWriter, r *http.Request) {
 
 func (s *Store) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "method not allowed"})
+		methodNotAllowed(w, "GET")
 		return
 	}
 	q := r.URL.Query()

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"graphalytics/internal/algo"
 	"graphalytics/internal/monitor"
@@ -183,6 +184,56 @@ func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
+// asServed is sub as a store serves it once it accepted it under id:
+// what its JSON decodes to.
+func asServed(t testing.TB, id int64, sub Submission) *Submission {
+	t.Helper()
+	sub.ID = id
+	data, err := json.Marshal(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(Submission)
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// submitAll submits subs to s and returns them as s serves them, each
+// under the ID Submit returned. Each must carry its SubmittedAt, which
+// the store stamps only when it is zero.
+func submitAll(t testing.TB, s *Store, subs []Submission) []*Submission {
+	t.Helper()
+	var out []*Submission
+	for _, sub := range subs {
+		id, err := s.Submit(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, asServed(t, id, sub))
+	}
+	return out
+}
+
+// logged decodes the submissions a file store holds from its file.
+func logged(t testing.TB, path string) []*Submission {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*Submission
+	for line := range bytes.Lines(data) {
+		sub := new(Submission)
+		if err := json.Unmarshal(line, sub); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sub)
+	}
+	return out
+}
+
 // record is one store line: submission id by submitter a.
 func record(t *testing.T, id int64) string {
 	t.Helper()
@@ -317,50 +368,40 @@ func TestHTTPSubmitListGet(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	_, srv := newServer(t)
-
-	// Bad JSON.
-	resp, _ := http.Post(srv.URL+"/api/v1/submissions", "application/json", bytes.NewReader([]byte("{")))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad JSON status = %d", resp.StatusCode)
+	invalid, _ := json.Marshal(Submission{Submitter: ""})
+	cases := []struct {
+		name, method, path, body string
+		status                   int
+		allow                    string // the Allow header a 405 must carry
+	}{
+		{"bad JSON", http.MethodPost, "/api/v1/submissions", "{", http.StatusBadRequest, ""},
+		{"invalid submission", http.MethodPost, "/api/v1/submissions", string(invalid), http.StatusUnprocessableEntity, ""},
+		{"missing submission", http.MethodGet, "/api/v1/submissions/42", "", http.StatusNotFound, ""},
+		{"bad id", http.MethodGet, "/api/v1/submissions/zzz", "", http.StatusBadRequest, ""},
+		{"compare without parameters", http.MethodGet, "/api/v1/compare", "", http.StatusBadRequest, ""},
+		{"DELETE submissions", http.MethodDelete, "/api/v1/submissions", "", http.StatusMethodNotAllowed, "GET, POST"},
+		{"DELETE a submission", http.MethodDelete, "/api/v1/submissions/1", "", http.StatusMethodNotAllowed, "GET"},
+		{"POST results", http.MethodPost, "/api/v1/results", "", http.StatusMethodNotAllowed, "GET"},
+		{"POST compare", http.MethodPost, "/api/v1/compare", "", http.StatusMethodNotAllowed, "GET"},
+		{"PUT regressions", http.MethodPut, "/api/v1/regressions", "", http.StatusMethodNotAllowed, "GET"},
 	}
-	resp.Body.Close()
-
-	// Invalid submission.
-	body, _ := json.Marshal(Submission{Submitter: ""})
-	resp, _ = http.Post(srv.URL+"/api/v1/submissions", "application/json", bytes.NewReader(body))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("invalid submission status = %d", resp.StatusCode)
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Errorf("%s: Allow = %q, want %q", tc.name, got, tc.allow)
+		}
 	}
-	resp.Body.Close()
-
-	// Missing submission.
-	resp, _ = http.Get(srv.URL + "/api/v1/submissions/42")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("missing submission status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Bad ID.
-	resp, _ = http.Get(srv.URL + "/api/v1/submissions/zzz")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad id status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Wrong method.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/api/v1/submissions", nil)
-	resp, _ = http.DefaultClient.Do(req)
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("DELETE status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Compare without parameters.
-	resp, _ = http.Get(srv.URL + "/api/v1/compare")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("compare status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
 }
 
 func TestHTTPResultsAndCompare(t *testing.T) {
@@ -625,10 +666,10 @@ func serve(h http.Handler, path string) (int, string) {
 
 // checkIndexedReads asserts that the reads served from the read index —
 // Results, /results and the submission list — equal the oracle's
-// answers from the submission log, the bodies byte for byte.
-func checkIndexedReads(t testing.TB, s *Store, h http.Handler) {
+// answers from subs, the submissions s holds as it serves them, the
+// bodies byte for byte; and that s keeps no decoded report once read.
+func checkIndexedReads(t testing.TB, s *Store, h http.Handler, subs []*Submission) {
 	t.Helper()
-	subs := s.subs
 	expect := func(path, body string) {
 		t.Helper()
 		if code, got := serve(h, path); code != http.StatusOK || got != body {
@@ -650,14 +691,20 @@ func checkIndexedReads(t testing.TB, s *Store, h http.Handler) {
 		t.Fatalf("List = %+v\nwant %+v", got, wantList)
 	}
 	expect("/api/v1/submissions", jsonBody(t, wantList))
+	s.mu.RLock()
+	pending := s.pending
+	s.mu.RUnlock()
+	if pending != nil {
+		t.Fatalf("%d decoded submissions retained after reads", len(pending))
+	}
 }
 
 // checkOracle asserts that every read of s, direct and over HTTP,
-// equals the oracle's answer from the submission log. It returns the
-// number of regressions flagged across regressionOpts.
-func checkOracle(t *testing.T, s *Store) int {
+// equals the oracle's answer from subs, the submissions s holds as it
+// serves them. It returns the number of regressions flagged across
+// regressionOpts.
+func checkOracle(t *testing.T, s *Store, subs []*Submission) int {
 	t.Helper()
-	subs := s.subs
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	expect := func(path string, status int, body string) {
@@ -683,8 +730,8 @@ func checkOracle(t *testing.T, s *Store) int {
 	for _, id := range ids {
 		got, ok := s.Get(id)
 		want, wantOK := oracleGet(subs, id)
-		if got != want || ok != wantOK {
-			t.Fatalf("Get(%d) = %p %t, want %p %t", id, got, ok, want, wantOK)
+		if ok != wantOK || ok && jsonBody(t, got) != jsonBody(t, want) {
+			t.Fatalf("Get(%d) = %+v %t, want %+v %t", id, got, ok, want, wantOK)
 		}
 		path := "/api/v1/submissions/" + strconv.FormatInt(id, 10)
 		if wantOK {
@@ -694,7 +741,7 @@ func checkOracle(t *testing.T, s *Store) int {
 		}
 	}
 
-	checkIndexedReads(t, s, s.Handler())
+	checkIndexedReads(t, s, s.Handler(), subs)
 
 	for _, g := range append([]string{"nope"}, propGraphs...) {
 		for _, a := range []string{"nope", "BFS", "CONN", "PR"} {
@@ -746,14 +793,6 @@ func TestViewsMatchOracle(t *testing.T) {
 			for k := range 16 {
 				subs = append(subs, randomSubmission(rng, k))
 			}
-			submit := func(s *Store, subs []Submission) {
-				t.Helper()
-				for _, sub := range subs {
-					if _, err := s.Submit(sub); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
 			open := func(path string) *Store {
 				t.Helper()
 				s, err := OpenStore(path)
@@ -764,24 +803,23 @@ func TestViewsMatchOracle(t *testing.T) {
 				return s
 			}
 
-			flagged := checkOracle(t, NewStore())
+			flagged := checkOracle(t, NewStore(), nil)
 			mem := NewStore()
-			submit(mem, subs)
-			flagged += checkOracle(t, mem)
+			flagged += checkOracle(t, mem, submitAll(t, mem, subs))
 
 			path := filepath.Join(t.TempDir(), "results.jsonl")
 			written := open(path)
-			submit(written, subs[:10])
-			flagged += checkOracle(t, written)
+			submitAll(t, written, subs[:10])
+			flagged += checkOracle(t, written, logged(t, path))
 			written.log.Close()
 
 			replayed := open(path)
-			flagged += checkOracle(t, replayed)
-			submit(replayed, subs[10:])
-			flagged += checkOracle(t, replayed)
+			flagged += checkOracle(t, replayed, logged(t, path))
+			submitAll(t, replayed, subs[10:])
+			flagged += checkOracle(t, replayed, logged(t, path))
 			replayed.log.Close()
 
-			flagged += checkOracle(t, open(path))
+			flagged += checkOracle(t, open(path), logged(t, path))
 			if flagged == 0 {
 				t.Fatal("no regression flagged: the stores do not exercise judge")
 			}
@@ -789,17 +827,20 @@ func TestViewsMatchOracle(t *testing.T) {
 	}
 }
 
-// Reads hand out copies: changing what List or Compare returned does
-// not change the next answer.
+// Reads hand out copies: changing what List, Compare, Get or Results
+// returned does not change the next answer.
 func TestReadsReturnCopies(t *testing.T) {
 	s := NewStore()
-	s.Submit(Submission{Submitter: "a", Report: sampleReport("pregel", 10)})
-	s.Submit(Submission{Submitter: "b", Report: sampleReport("mapreduce", 500)})
+	at := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	subs := submitAll(t, s, []Submission{
+		{Submitter: "a", SubmittedAt: at, Report: sampleReport("pregel", 10)},
+		{Submitter: "b", SubmittedAt: at, Report: sampleReport("mapreduce", 500)},
+	})
 
 	list := s.List()
 	list[0].Submitter = "x"
 	list[1] = Summary{ID: 7}
-	if got, want := s.List(), oracleList(s.subs); !reflect.DeepEqual(got, want) {
+	if got, want := s.List(), oracleList(subs); !reflect.DeepEqual(got, want) {
 		t.Errorf("List after mutating an earlier answer = %+v, want %+v", got, want)
 	}
 
@@ -807,10 +848,52 @@ func TestReadsReturnCopies(t *testing.T) {
 		cmp := s.Compare(g, "CONN")
 		cmp.Best["pregel"] = BestCell{Submitter: "x"}
 		delete(cmp.Best, "mapreduce")
-		if got, want := s.Compare(g, "CONN"), oracleCompare(s.subs, g, "CONN"); !reflect.DeepEqual(got, want) {
+		if got, want := s.Compare(g, "CONN"), oracleCompare(subs, g, "CONN"); !reflect.DeepEqual(got, want) {
 			t.Errorf("Compare(%s) after mutating an earlier answer = %+v, want %+v", g, got, want)
 		}
 	}
+
+	sub, _ := s.Get(1)
+	sub.Submitter = "x"
+	sub.Report.Results[0].Platform = "x"
+	if sub, _ = s.Get(1); jsonBody(t, sub) != jsonBody(t, subs[0]) {
+		t.Errorf("Get after mutating an earlier answer = %+v, want %+v", sub, subs[0])
+	}
+	rows := s.Results(Filter{})
+	rows[0].Submitter = "x"
+	rows[1].Result.Graph = "x"
+	if got, want := s.Results(Filter{}), oracleResults(subs, Filter{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("Results after mutating an earlier answer = %+v, want %+v", got, want)
+	}
+}
+
+// Once a read has encoded a submission, the store drops the report it
+// decoded: nothing it holds reaches the report any more.
+func TestReadsDropTheDecodedReport(t *testing.T) {
+	s := NewStore()
+	defer runtime.KeepAlive(s) // a dead store would take the report with it
+	submit := func() weak.Pointer[report.Report] {
+		rep := sampleReport("pregel", 10)
+		if _, err := s.Submit(Submission{Submitter: "a", Report: rep}); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(rep)
+	}
+	rep := submit()
+	runtime.GC()
+	if rep.Value() == nil {
+		t.Fatal("the report was collected before any read")
+	}
+	if len(s.Results(Filter{})) != 2 {
+		t.Fatal("Results lost the submission")
+	}
+	for range 3 {
+		runtime.GC()
+		if rep.Value() == nil {
+			return
+		}
+	}
+	t.Fatal("the decoded report is still reachable after a read encoded it")
 }
 
 // Submissions and reads run concurrently (run under -race), and the
@@ -824,6 +907,8 @@ func TestConcurrentSubmitAndReads(t *testing.T) {
 	var acked atomic.Int64 // the highest ID a Submit has returned
 	var reads atomic.Int64 // the readers' finished rounds
 	var writers, readers sync.WaitGroup
+	var mu sync.Mutex
+	var accepted []Submission // what the writers stored, under the IDs Submit returned
 	// indexed checks one index read begun after ID floor was acknowledged:
 	// ids lists, in order, the submission of each row, one CONN row per
 	// submission (from two postings) or one summary each.
@@ -910,11 +995,16 @@ func TestConcurrentSubmitAndReads(t *testing.T) {
 			for i := range perWriter {
 				rep := sampleReport(propPlatforms[w], float64(1+i%7))
 				rep.Results[0].KTEPS = float64(1000 - i)
-				id, err := s.Submit(Submission{Submitter: fmt.Sprint("w", w), Report: rep})
+				sub := Submission{Submitter: fmt.Sprint("w", w), SubmittedAt: time.Date(2024, 1, 1, 0, 0, i, 0, time.UTC), Report: rep}
+				id, err := s.Submit(sub)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				sub.ID = id
+				mu.Lock()
+				accepted = append(accepted, sub)
+				mu.Unlock()
 				for cur := acked.Load(); id > cur && !acked.CompareAndSwap(cur, id); cur = acked.Load() {
 				}
 				// Let a reader's whole round fall between two submissions
@@ -931,7 +1021,12 @@ func TestConcurrentSubmitAndReads(t *testing.T) {
 	if n := len(s.List()); n != 2*perWriter {
 		t.Fatalf("List has %d submissions, want %d", n, 2*perWriter)
 	}
-	checkOracle(t, s)
+	sort.Slice(accepted, func(i, j int) bool { return accepted[i].ID < accepted[j].ID })
+	held := make([]*Submission, len(accepted))
+	for i, sub := range accepted {
+		held[i] = asServed(t, sub.ID, sub)
+	}
+	checkOracle(t, s, held)
 }
 
 // The read index is brought up to date by reads, not by writes. Reads
@@ -945,37 +1040,36 @@ func TestReadIndexCatchUp(t *testing.T) {
 	for k := range 12 {
 		subs = append(subs, randomSubmission(rng, k))
 	}
-	// submitAndRead submits subs, reading after every each-th one.
-	submitAndRead := func(s *Store, subs []Submission, each int) {
+	// submitAndRead submits subs to a store that holds held, reading
+	// after every each-th one.
+	submitAndRead := func(s *Store, held []*Submission, subs []Submission, each int) {
 		t.Helper()
 		h := s.Handler()
-		checkIndexedReads(t, s, h)
+		checkIndexedReads(t, s, h, held)
 		for k, sub := range subs {
-			if _, err := s.Submit(sub); err != nil {
-				t.Fatal(err)
-			}
+			held = append(held, submitAll(t, s, []Submission{sub})...)
 			if (k+1)%each == 0 {
-				checkIndexedReads(t, s, h)
+				checkIndexedReads(t, s, h, held)
 			}
 		}
-		checkIndexedReads(t, s, h)
+		checkIndexedReads(t, s, h, held)
 	}
-	submitAndRead(NewStore(), subs, 1)
-	submitAndRead(NewStore(), subs, 5)
+	submitAndRead(NewStore(), nil, subs, 1)
+	submitAndRead(NewStore(), nil, subs, 5)
 
 	path := filepath.Join(t.TempDir(), "results.jsonl")
 	written, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAndRead(written, subs[:7], 2)
+	submitAndRead(written, nil, subs[:7], 2)
 	written.log.Close()
 	replayed, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer replayed.log.Close()
-	submitAndRead(replayed, subs[7:], 1)
+	submitAndRead(replayed, logged(t, path), subs[7:], 1)
 }
 
 // A float JSON has no token for, or a time RFC 3339 cannot write, is
@@ -1017,10 +1111,11 @@ func TestSubmitRefusesUnencodable(t *testing.T) {
 		if n := failures.Value() - before; n != 0 {
 			t.Errorf("%s store: %d persist failures counted for refused submissions", storeName, n)
 		}
-		if id, err := s.Submit(Submission{Submitter: "a", Report: sampleReport("pregel", 10)}); id != 1 || err != nil {
+		sub := Submission{Submitter: "a", SubmittedAt: time.Now().UTC(), Report: sampleReport("pregel", 10)}
+		if id, err := s.Submit(sub); id != 1 || err != nil {
 			t.Fatalf("%s store: Submit after the refusals = %d, %v; want id 1", storeName, id, err)
 		}
-		checkIndexedReads(t, s, s.Handler())
+		checkIndexedReads(t, s, s.Handler(), []*Submission{asServed(t, 1, sub)})
 	}
 	reopened, err := OpenStore(path)
 	if err != nil {
@@ -1032,17 +1127,18 @@ func TestSubmitRefusesUnencodable(t *testing.T) {
 	}
 }
 
-// BenchmarkReads times every /results filter, the submission list and
-// Results on a 300-submission store, and fails if any answer differs
-// from the oracle's. CI runs it once as a tripwire, with no timing gate.
+// BenchmarkReads times every /results filter, the submission list,
+// every single submission and Results on a 300-submission store, and
+// fails if any answer differs from the oracle's. CI runs it once as a
+// tripwire, with no timing gate.
 func BenchmarkReads(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 7))
 	s := NewStore()
+	var subs []Submission
 	for k := range 300 {
-		if _, err := s.Submit(randomSubmission(rng, k)); err != nil {
-			b.Fatal(err)
-		}
+		subs = append(subs, randomSubmission(rng, k))
 	}
+	held := submitAll(b, s, subs)
 	h := s.Handler()
 	filters := readFilters()
 	var paths []string
@@ -1061,6 +1157,20 @@ func BenchmarkReads(b *testing.B) {
 			serve(h, "/api/v1/submissions")
 		}
 	})
+	gets := make([]string, len(held))
+	for i, sub := range held {
+		gets[i] = jsonBody(b, sub)
+	}
+	b.Run("get", func(b *testing.B) {
+		for range b.N {
+			for i, sub := range held {
+				path := "/api/v1/submissions/" + strconv.FormatInt(sub.ID, 10)
+				if code, body := serve(h, path); code != http.StatusOK || body != gets[i] {
+					b.Fatalf("GET %s = %d %q,\nwant 200 %q", path, code, body, gets[i])
+				}
+			}
+		}
+	})
 	b.Run("Results", func(b *testing.B) {
 		for range b.N {
 			for _, f := range filters {
@@ -1068,5 +1178,87 @@ func BenchmarkReads(b *testing.B) {
 			}
 		}
 	})
-	checkIndexedReads(b, s, h)
+	checkIndexedReads(b, s, h, held)
+}
+
+// FuzzSubmitBody posts a body to a fresh store through its handler. The
+// store refuses it (400, 422) or stores it (201); panics fail. A stored
+// submission is served as encoding/json encodes the submission the body
+// decodes to: GET /submissions/{id}, /results for every row's (platform,
+// graph, algorithm) and unfiltered, and Get, byte for byte. The seeds put
+// HTML characters, invalid UTF-8, U+2028, quotes, backslashes and result
+// encodings in the strings, where the search for a result's bytes in the
+// stored body could go wrong.
+func FuzzSubmitBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"submitter":"a","report":{"results":[{"platform":"p","graph":"g","algorithm":"BFS"}]}}`,
+		`{"submitter":"<a&b>","environment":"</script>","report":{"results":[` +
+			`{"platform":"p<","graph":"g&","algorithm":"BFS","error":"x>y","config":{"<k>":"&v"}}]}}`,
+		"{\"submitter\":\"\xff\xfe\",\"report\":{\"results\":[{\"platform\":\"p\xc3\x28\",\"graph\":\"g\",\"algorithm\":\"BFS\"}]}}",
+		"{\"submitter\":\"a\u2028b\",\"environment\":\"\xe2\x80\xa8\xe2\x80\xa9\",\"report\":{\"results\":[{\"platform\":\"\xe2\x80\xa8\",\"graph\":\"g\",\"algorithm\":\"CONN\"}]}}",
+		`{"submitter":"q\"uo\\te","report":{"results":[{"platform":"\"","graph":"\\","algorithm":"PR","status":"success","kteps":1.5}]}}`,
+		`{"submitter":"{\"platform\":\"p\",\"graph\":\"g\",\"algorithm\":\"BFS\"}","environment":"{\"platform\":\"p\"}",` +
+			`"report":{"results":[{"platform":"p","graph":"g","algorithm":"BFS"},{"platform":"p","graph":"g","algorithm":"BFS"}]}}`,
+		`{"submitter":"a","submitted_at":"2024-01-01T00:00:00+05:30","report":{"started":"2024-01-01T00:00:00Z",` +
+			`"results":[{"platform":"p","graph":"g","algorithm":"SSSP","runtime_ns":5,"counters":{},"reps":{},"resources":{}},` +
+			`{"platform":"q","graph":"g","algorithm":"SSSP","config":{"b":"1","a":"2"}}],"ingests":[{"graph":"g","evps":3}]}}`,
+		`{"submitter":"a","report":{"results":[{"platform":"p","graph":"g","algorithm":"BFS","kteps":1e309}]}}`,
+		`{"submitter":"a","submitted_at":"10000-01-01T00:00:00Z","report":{"results":[{"platform":"p","graph":"g","algorithm":"BFS"}]}}`,
+		`{"submitter":"","report":{"results":[]}}`,
+		`[]`,
+		`{`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		s := NewStore()
+		h := s.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/submissions", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+			return
+		case http.StatusCreated:
+		default:
+			t.Fatalf("POST = %d %q", rec.Code, rec.Body)
+		}
+		if got := rec.Body.String(); got != "{\"id\":1}\n" {
+			t.Fatalf("POST answered 201 %q", got)
+		}
+		var sub Submission
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&sub); err != nil {
+			t.Fatalf("201 for a body that does not decode: %v", err)
+		}
+		// The store assigns the ID and, to a submission without one, the
+		// time; the list view shows which.
+		sub.ID = 1
+		if sub.SubmittedAt.IsZero() {
+			sub.SubmittedAt = s.List()[0].SubmittedAt
+		}
+		expect := func(path, want string) {
+			t.Helper()
+			if code, got := serve(h, path); code != http.StatusOK || got != want {
+				t.Fatalf("GET %s = %d %q,\nwant 200 %q", path, code, got, want)
+			}
+		}
+		expect("/api/v1/submissions/1", jsonBody(t, &sub))
+		if got, _ := s.Get(1); jsonBody(t, got) != jsonBody(t, &sub) {
+			t.Fatalf("Get(1) = %s, want %s", jsonBody(t, got), jsonBody(t, &sub))
+		}
+		var all []ResultRow
+		for _, r := range sub.Report.Results {
+			all = append(all, ResultRow{SubmissionID: 1, Submitter: sub.Submitter, Result: r})
+		}
+		expect("/api/v1/results", jsonBody(t, all))
+		for _, r := range sub.Report.Results {
+			f := Filter{Platform: r.Platform, Graph: r.Graph, Algorithm: string(r.Algorithm)}
+			var rows []ResultRow
+			for _, row := range all {
+				if row.Result.Platform == f.Platform && row.Result.Graph == f.Graph && string(row.Result.Algorithm) == f.Algorithm {
+					rows = append(rows, row)
+				}
+			}
+			expect(resultsPath(f), jsonBody(t, rows))
+		}
+	})
 }

@@ -238,9 +238,6 @@ func StartTrace(w io.Writer) { defaultTracer.Start(w) }
 // array, returning the first sink write error.
 func StopTrace() error { return defaultTracer.Stop() }
 
-// TraceEnabled reports whether the process-wide tracer is recording.
-func TraceEnabled() bool { return defaultTracer.Enabled() }
-
 // StartSpan opens a span on the process-wide tracer (nil when tracing
 // is disabled — all Span methods are nil-safe).
 func StartSpan(cat, name string) *Span { return defaultTracer.StartSpan(cat, name) }
