@@ -25,16 +25,11 @@
 // Every algorithm is specified deterministically (fixed iteration styles,
 // ordered tie-breaking, per-entity seeded randomness) so that all four
 // platform implementations produce byte-identical outputs — the property
-// that makes exact output validation possible. PR and LCC relax this to
-// an epsilon per vertex because platforms sum floats in different orders.
+// that makes exact output validation possible. PR relaxes this to an
+// epsilon per vertex because platforms sum floats in different orders.
 package algo
 
-import (
-	"fmt"
-	"strings"
-
-	"graphalytics/internal/graph"
-)
+import "graphalytics/internal/graph"
 
 // Kind names a workload algorithm.
 type Kind string
@@ -57,18 +52,6 @@ const (
 // (internal/workload) is the authoritative iteration order for the
 // harness; this list only enumerates the Kind constants.
 var Kinds = []Kind{BFS, CD, CONN, EVO, STATS, PR, SSSP, LCC}
-
-// ParseKind converts a string (any case) to a Kind. The workload
-// registry's Parse additionally resolves aliases ("wcc", "pagerank");
-// ParseKind only matches the canonical names.
-func ParseKind(s string) (Kind, error) {
-	for _, k := range Kinds {
-		if strings.EqualFold(string(k), s) {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("algo: unknown algorithm %q", s)
-}
 
 // Params carries per-algorithm parameters. Zero values select the
 // benchmark defaults.

@@ -54,21 +54,6 @@ func randomGraph(tb testing.TB, n, m int, seed int64, dir bool) *graph.Graph {
 	return g
 }
 
-func TestParseKind(t *testing.T) {
-	for _, k := range Kinds {
-		got, err := ParseKind(string(k))
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%s) = %v, %v", k, got, err)
-		}
-	}
-	if k, err := ParseKind("bfs"); err != nil || k != BFS {
-		t.Errorf("lowercase parse failed: %v %v", k, err)
-	}
-	if _, err := ParseKind("pagerank"); err == nil {
-		t.Error("unknown algorithm should fail")
-	}
-}
-
 func TestParamsDefaults(t *testing.T) {
 	p := Params{}.WithDefaults(500)
 	if p.CDIterations != 10 || p.CDDelta != 0.05 || p.CDPreference != 0.1 {
@@ -166,15 +151,6 @@ func TestBFSUndirected(t *testing.T) {
 	want := BFSOutput{2, 1, 0}
 	if !reflect.DeepEqual(d, want) {
 		t.Fatalf("depths = %v, want %v", d, want)
-	}
-}
-
-func TestBFSTraversedEdges(t *testing.T) {
-	g := directed(t, 4, [][2]int{{0, 1}, {1, 2}, {3, 0}})
-	d := RunBFS(g, 0)
-	// Reached: 0,1,2 with out-degrees 1,1,0.
-	if m := BFSTraversedEdges(g, d); m != 2 {
-		t.Errorf("traversed = %d, want 2", m)
 	}
 }
 

@@ -32,16 +32,3 @@ func RunBFS(g *graph.Graph, source graph.VertexID) BFSOutput {
 	}
 	return depth
 }
-
-// BFSTraversedEdges returns the number of edges examined by a BFS from
-// source: the sum of out-degrees of all reached vertices. It is the
-// numerator of the Graph500 TEPS metric.
-func BFSTraversedEdges(g *graph.Graph, depths BFSOutput) int64 {
-	var m int64
-	for v, d := range depths {
-		if d >= 0 {
-			m += int64(g.OutDegree(graph.VertexID(v)))
-		}
-	}
-	return m
-}

@@ -267,15 +267,6 @@ func RunCD(g *graph.Graph, p Params) CDOutput {
 	return CDOutput(labels)
 }
 
-// CommunitySizes returns label -> member count.
-func CommunitySizes(out CDOutput) map[int64]int {
-	sizes := make(map[int64]int)
-	for _, l := range out {
-		sizes[l]++
-	}
-	return sizes
-}
-
 // Modularity computes the Newman modularity of the labeling on the
 // undirected view of g; the Output Validator uses it as the quality
 // measure for CD results. Communities are summed in ascending label

@@ -59,11 +59,6 @@ func TestComponentAndCommunitySizes(t *testing.T) {
 	if NumComponents(conn) != 2 {
 		t.Errorf("components = %d", NumComponents(conn))
 	}
-	cd := CDOutput{7, 7, 7, 1}
-	cs := CommunitySizes(cd)
-	if cs[7] != 3 || cs[1] != 1 {
-		t.Errorf("community sizes = %v", cs)
-	}
 }
 
 func TestFirePicksFromListsMatchesGraphPath(t *testing.T) {

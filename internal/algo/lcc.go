@@ -14,9 +14,10 @@ import (
 // u→w, divided by d(d−1); vertices with d < 2 have LCC 0.
 //
 // Each per-vertex value is an exact int64 triangle count divided by
-// d(d−1), so the reference is deterministic; the Output Validator still
-// compares within an epsilon (the LDBC policy for LCC) to stay robust
-// to platforms that accumulate the numerator in floating point.
+// d(d−1), so the reference is deterministic and the Output Validator
+// compares bit for bit. (The LDBC policy allows an epsilon for LCC, for
+// platforms that accumulate the numerator in floating point; every
+// engine here counts it as an integer.)
 func RunLCC(g *graph.Graph) LCCOutput {
 	n := g.NumVertices()
 	lcc := make(LCCOutput, n)

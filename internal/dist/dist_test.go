@@ -24,6 +24,7 @@ import (
 	"graphalytics/internal/platform/pregel"
 	"graphalytics/internal/report"
 	"graphalytics/internal/stamp"
+	"graphalytics/internal/telemetry"
 )
 
 func testGraph(t *testing.T, n int, name string) *graph.Graph {
@@ -494,6 +495,20 @@ func (f *fakeRunner) awaitLease(t *testing.T) *Lease {
 	return nil
 }
 
+// leaseCounts is the manager's lease accounting as the metrics registry
+// counts it. The dist tests run one at a time, so the difference of two
+// readings taken around a campaign is that campaign's.
+type leaseCounts struct{ Leases, Releases, StaleResults int64 }
+
+func readLeaseCounts() leaseCounts {
+	c := telemetry.Metrics.Snapshot().Counters
+	return leaseCounts{c["dist_leases_total"], c["dist_releases_total"], c["dist_stale_results_total"]}
+}
+
+func (a leaseCounts) since(b leaseCounts) leaseCounts {
+	return leaseCounts{a.Leases - b.Leases, a.Releases - b.Releases, a.StaleResults - b.StaleResults}
+}
+
 // TestRunnerDeathReleasesCell kills a runner mid-lease (connection
 // drop) and asserts the cell is re-leased to a healthy runner and
 // lands in the report exactly once.
@@ -505,6 +520,7 @@ func TestRunnerDeathReleasesCell(t *testing.T) {
 		Algorithms: []algo.Kind{algo.BFS},
 		Validate:   true,
 	}
+	before := readLeaseCounts()
 	mgr := startManager(t, bench.Platforms, bench.Graphs, 0)
 	addr := mgr.Addr().String()
 
@@ -542,8 +558,8 @@ func TestRunnerDeathReleasesCell(t *testing.T) {
 	if r.Status != report.StatusSuccess || !r.Validation.Valid {
 		t.Fatalf("re-leased cell: status %s (%s)", r.Status, r.Err)
 	}
-	if s := mgr.StatsSnapshot(); s.Releases < 1 || s.Leases < 2 {
-		t.Errorf("stats = %+v, want >=1 release and >=2 leases", s)
+	if s := readLeaseCounts().since(before); s.Releases < 1 || s.Leases < 2 {
+		t.Errorf("lease counts = %+v, want >=1 release and >=2 leases", s)
 	}
 }
 
@@ -557,6 +573,7 @@ func TestLeaseTimeoutDropsZombieResult(t *testing.T) {
 		Graphs:     []*graph.Graph{g},
 		Algorithms: []algo.Kind{algo.BFS},
 	}
+	before := readLeaseCounts()
 	mgr := startManager(t, bench.Platforms, bench.Graphs, 300*time.Millisecond)
 	addr := mgr.Addr().String()
 
@@ -595,7 +612,7 @@ func TestLeaseTimeoutDropsZombieResult(t *testing.T) {
 	// The drop is synchronous with the manager's read loop; poll the
 	// counter briefly.
 	deadline := time.Now().Add(5 * time.Second)
-	for mgr.StatsSnapshot().StaleResults == 0 && time.Now().Before(deadline) {
+	for readLeaseCounts().since(before).StaleResults == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
@@ -605,7 +622,7 @@ func TestLeaseTimeoutDropsZombieResult(t *testing.T) {
 	if r := rep.Results[0]; r.Status != report.StatusSuccess || r.Err == "ZOMBIE" {
 		t.Fatalf("zombie result reached the report: %+v", r)
 	}
-	s := mgr.StatsSnapshot()
+	s := readLeaseCounts().since(before)
 	if s.StaleResults < 1 {
 		t.Errorf("stale result was not counted: %+v", s)
 	}
@@ -641,6 +658,7 @@ func TestRunnerReusesCachedGraph(t *testing.T) {
 		Graphs:     []*graph.Graph{g},
 		Algorithms: []algo.Kind{algo.BFS},
 	}
+	before := readLeaseCounts()
 	mgr := startManager(t, bench.Platforms, bench.Graphs, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -659,7 +677,7 @@ func TestRunnerReusesCachedGraph(t *testing.T) {
 		t.Fatalf("warm-cache cell failed: %+v", rep.Results[0])
 	}
 	// The graph was pre-seeded: the manager must not have served it.
-	if n := mgr.StatsSnapshot(); n.Leases != 1 {
+	if n := readLeaseCounts().since(before); n.Leases != 1 {
 		t.Errorf("leases = %d, want 1", n.Leases)
 	}
 }

@@ -70,21 +70,6 @@ type Manager struct {
 	blobs      map[string][]byte       // fingerprint hex → serialized GALB
 	closed     bool
 	waitWarned bool
-	stats      Stats
-}
-
-// Stats is a snapshot of the manager's lease accounting.
-type Stats struct {
-	// Runners is the number of currently connected runners.
-	Runners int
-	// Leases counts leases ever granted (including re-leases).
-	Leases int
-	// Releases counts cells re-queued after a runner died or stalled.
-	Releases int
-	// StaleResults counts results that arrived for a lease no longer
-	// current (a zombie runner finishing after its lease timed out);
-	// they are dropped, never double-recorded.
-	StaleResults int
 }
 
 // task is one cell awaiting (or undergoing) remote execution.
@@ -159,15 +144,6 @@ func (m *Manager) Serve(addr string) error {
 
 // Addr returns the listening address (for tests binding port 0).
 func (m *Manager) Addr() net.Addr { return m.ln.Addr() }
-
-// StatsSnapshot returns the current lease accounting.
-func (m *Manager) StatsSnapshot() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	s.Runners = len(m.runners)
-	return s
-}
 
 // Close stops accepting runners, says goodbye to the connected ones,
 // and fails any still-queued cells. Call it after the campaign ends.
@@ -388,7 +364,6 @@ func (m *Manager) dispatch() {
 		ls.timer = time.AfterFunc(m.opts.LeaseTimeout, func() { m.onLeaseTimeout(rc, id) })
 		rc.leases[id] = ls
 		rc.lastGraph = t.spec.GraphFP.String()
-		m.stats.Leases++
 		lease := m.leaseFor(id, t.spec)
 		runnerName := rc.name
 		m.mu.Unlock()
@@ -454,7 +429,6 @@ func (m *Manager) handleResult(rc *runnerConn, msg *Msg) {
 	m.mu.Lock()
 	ls, ok := rc.leases[msg.LeaseID]
 	if !ok || msg.Result == nil {
-		m.stats.StaleResults++
 		m.mu.Unlock()
 		telemetry.Metrics.Counter("dist_stale_results_total",
 			"results dropped because their lease was no longer current").Inc()
@@ -496,7 +470,6 @@ func (m *Manager) onLeaseTimeout(rc *runnerConn, id uint64) {
 	requeue := !t.finished
 	if requeue {
 		m.queue = append(m.queue, t)
-		m.stats.Releases++
 	}
 	m.mu.Unlock()
 	if !requeue {
@@ -525,7 +498,6 @@ func (m *Manager) dropRunner(rc *runnerConn, cause error) {
 		ls.timer.Stop()
 		if !ls.t.finished {
 			m.queue = append(m.queue, ls.t)
-			m.stats.Releases++
 			requeued++
 		}
 		delete(rc.leases, id)

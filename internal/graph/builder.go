@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Builder accumulates edges and produces an immutable CSR Graph.
 //
@@ -16,6 +13,9 @@ import (
 // weighted mode; unweighted adds before or after contribute weight 1.
 // Duplicate arcs deduplicate to the smallest weight, which is
 // deterministic regardless of input order.
+//
+// The text loader (ingest.go) densifies in bulk and installs the dense
+// arc arrays and the label table in label mode itself.
 //
 // The zero Builder builds a directed graph; use NewBuilder to configure.
 type Builder struct {
@@ -141,75 +141,6 @@ func (b *Builder) AddEdgeIDWeighted(src, dst VertexID, w float64) {
 	b.weights[len(b.weights)-1] = w
 }
 
-// AddEdges appends a batch of dense-ID arcs in one call — the shard
-// feed of the parallel ingest pipeline, and the fast path for
-// generators that already hold whole arc arrays. ws is optional
-// per-arc weights: nil adds unweighted arcs (unit weights if the
-// builder is already weighted); non-nil must be parallel to srcs. On a
-// builder with no buffered edges the slices are adopted, not copied,
-// so callers must not reuse them. ID mode only.
-func (b *Builder) AddEdges(srcs, dsts []VertexID, ws []float64) {
-	if b.useLabels {
-		panic("graph: AddEdges is only valid in ID mode")
-	}
-	if len(srcs) != len(dsts) || (ws != nil && len(ws) != len(srcs)) {
-		panic("graph: AddEdges slice length mismatch")
-	}
-	if len(srcs) == 0 {
-		return
-	}
-	if ws != nil {
-		b.materializeWeights()
-	}
-	if b.srcs == nil {
-		b.srcs, b.dsts = srcs, dsts
-		if ws != nil {
-			b.weights = ws
-		} else if b.weights != nil {
-			// Weighted mode was entered with zero edges buffered;
-			// credit the batch with unit weights.
-			b.weights = make([]float64, len(srcs))
-			for i := range b.weights {
-				b.weights[i] = 1
-			}
-		}
-	} else {
-		b.srcs = append(b.srcs, srcs...)
-		b.dsts = append(b.dsts, dsts...)
-		if ws != nil {
-			b.weights = append(b.weights, ws...)
-		} else if b.weights != nil {
-			for range srcs {
-				b.weights = append(b.weights, 1)
-			}
-		}
-	}
-	b.hasEdges = true
-	for _, v := range srcs {
-		if v > b.maxID {
-			b.maxID = v
-		}
-	}
-	for _, v := range dsts {
-		if v > b.maxID {
-			b.maxID = v
-		}
-	}
-}
-
-// SetLabels installs an externally built label table for a graph
-// assembled in ID mode: internal vertex v gets external label
-// labels[v], and the vertex count becomes len(labels). The parallel
-// loader's sharded interner uses this to hand its densification to the
-// builder. The builder takes ownership of the slice. Panics in label
-// mode (AddEdge/AddVertex interning owns the table there).
-func (b *Builder) SetLabels(labels []int64) {
-	if b.useLabels {
-		panic("graph: SetLabels after AddEdge/AddVertex")
-	}
-	b.labels = labels
-}
-
 // materializeWeights switches the builder into weighted mode, crediting
 // every previously added (unweighted) edge with weight 1.
 func (b *Builder) materializeWeights() {
@@ -234,23 +165,6 @@ func (b *Builder) SetNumVertices(n int) {
 	}
 }
 
-// Grow preallocates capacity for n additional edges.
-func (b *Builder) Grow(n int) {
-	if cap(b.srcs)-len(b.srcs) < n {
-		srcs := make([]VertexID, len(b.srcs), len(b.srcs)+n)
-		copy(srcs, b.srcs)
-		b.srcs = srcs
-		dsts := make([]VertexID, len(b.dsts), len(b.dsts)+n)
-		copy(dsts, b.dsts)
-		b.dsts = dsts
-		if b.weights != nil {
-			ws := make([]float64, len(b.weights), len(b.weights)+n)
-			copy(ws, b.weights)
-			b.weights = ws
-		}
-	}
-}
-
 // ErrEmptyGraph is returned by Build when no vertices were added.
 var ErrEmptyGraph = errors.New("graph: empty graph")
 
@@ -271,12 +185,6 @@ func (b *Builder) build(workers int) (*Graph, error) {
 	switch {
 	case b.useLabels:
 		n = len(b.labels)
-	case b.labels != nil:
-		// SetLabels fixed the vertex count in ID mode.
-		n = len(b.labels)
-		if b.hasEdges && int(b.maxID) >= n {
-			return nil, fmt.Errorf("graph: edge ID %d out of range of %d labels", b.maxID, n)
-		}
 	case b.hasEdges || b.maxID > 0:
 		n = int(b.maxID) + 1
 	}

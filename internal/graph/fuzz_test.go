@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -58,6 +59,41 @@ func FuzzParseEdgeLine(f *testing.F) {
 		for _, workers := range []int{1, 4} {
 			got, gotErr := ReadGraph(strings.NewReader(data), nil, LoadOptions{Workers: workers})
 			sameOutcome(t, fmt.Sprintf("workers=%d", workers), want, wantErr, got, gotErr)
+		}
+	})
+}
+
+// FuzzLoadMatchesReference checks the loader against the reference
+// reader (readByLines) on whole .e texts, with and without a .v text:
+// same error text or byte-identical graph, at workers 1, 2, 3 and 8.
+// Its seeds are .v-less loads whose IDs repeat across chunks, .v files
+// that miss endpoints in several chunks or repeat a line, and a .v ID
+// whose first edge comes late.
+func FuzzLoadMatchesReference(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"500 7\n7 -3\n-3 500\n900 901\n901 42\n7 42\n", "901\n-3\n901\n"},
+		{"1 2\n3 4\n-1 1\n5 -1\n-2 -1\n9 -2\n", "1\n2\n3\n4\n5\n9\n"},
+		{"1 2 0.5\n2 3 1\n3 1 2\n", "3 name\n1\n3\n2\n1\n"},
+		{"1 2\n2 1\n1 1\n2 2\n7 1\n", "1\n2\n7\n"},
+		{"1 2\n# comment\n\n3 4 1.5\n", "1\nbad\n"},
+		{"", "4\n"},
+		{"1 2\n", ""},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, edges, vertices string) {
+		for _, withV := range []bool{false, true} {
+			vr := func() io.Reader {
+				if !withV {
+					return nil
+				}
+				return strings.NewReader(vertices)
+			}
+			want, wantErr := readByLines(strings.NewReader(edges), vr(), LoadOptions{})
+			for _, workers := range []int{1, 2, 3, 8} {
+				got, gotErr := ReadGraph(strings.NewReader(edges), vr(), LoadOptions{Workers: workers})
+				sameOutcome(t, fmt.Sprintf("vertices=%v/workers=%d", withV, workers), want, wantErr, got, gotErr)
+			}
 		}
 	})
 }

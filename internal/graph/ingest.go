@@ -24,19 +24,19 @@ import (
 //     the same line number no matter how many workers parsed the file
 //     (each chunk counts its lines; prefix sums recover absolute
 //     numbers);
-//  3. external IDs densify either through the two-pass dense-ID fast
-//     path (a .v file froze the interning table, workers do read-only
-//     lookups, the rare unlisted endpoint is interned in a sequential
-//     file-order fixup) or through the sharded interner (below);
-//  4. the dense arc arrays feed Builder.AddEdges / BuildParallel.
+//  3. internFirst densifies the external IDs in first-occurrence
+//     order (below);
+//  4. the dense arc arrays and the label table go to the builder, and
+//     BuildParallel builds the CSR.
 //
-// The sharded interner assigns dense IDs in first-occurrence order
-// (file order, src before dst) without a global lock: each chunk worker
-// tags every locally-new external ID with its global endpoint position
-// (2*arc+side), buckets it by ID hash; each shard worker merges its
-// buckets in chunk order keeping the smallest position per ID; the
-// positions — unique by construction — are sorted once, and an ID's
-// dense vertex number is the rank of its first position.
+// internFirst numbers the .v IDs first, in file order, in one map.
+// Each chunk worker then resolves its endpoints (src before dst)
+// against that map, read-only, and numbers the IDs missing from it in
+// the chunk's own first-occurrence order, after the .v IDs. Merging
+// the chunks' new IDs in file order gives them their global numbers:
+// an ID first occurs in the earliest chunk that holds it, so this is
+// the order in which a line-at-a-time reader would number them. A
+// last parallel pass rewrites the chunk-local numbers to global ones.
 //
 // At one worker the file is one chunk and every fan-out has one part;
 // the steps, and so the graph and the errors, are the same.
@@ -54,17 +54,19 @@ func (e *vertexFileError) Unwrap() error { return e.err }
 func ingest(edata, vdata []byte, haveVerts bool, opts LoadOptions) (*Graph, error) {
 	start := time.Now()
 	b, workers := opts.builder(), buildWorkers(opts.Workers)
+	var vids []int64
 	if haveVerts {
 		sp := telemetry.StartSpan("ingest", "parse-vertices")
 		sp.SetAttr("bytes", len(vdata))
-		err := ingestVertices(b, vdata, workers)
+		var err error
+		vids, err = ingestVertices(vdata, workers)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
 	parseStart := time.Now()
-	if err := ingestEdges(b, edata, workers); err != nil {
+	if err := ingestEdges(b, edata, vids, workers); err != nil {
 		return nil, err
 	}
 	parseDur := time.Since(parseStart)
@@ -130,10 +132,9 @@ type vertexChunk struct {
 	errLine int
 }
 
-// ingestVertices parses .v chunks in parallel and interns the IDs
-// sequentially in file order (the interning table must reproduce the
-// file's first-occurrence order exactly).
-func ingestVertices(b *Builder, vdata []byte, workers int) error {
+// ingestVertices parses .v chunks in parallel and returns the IDs in
+// file order, repeats included.
+func ingestVertices(vdata []byte, workers int) ([]int64, error) {
 	chunks := splitLines(vdata, workers)
 	results := make([]vertexChunk, len(chunks))
 	par.Do(len(chunks), func(i int) error {
@@ -141,16 +142,15 @@ func ingestVertices(b *Builder, vdata []byte, workers int) error {
 		return nil
 	})
 	lineBase := 0
-	for _, r := range results {
+	ids := make([][]int64, len(results))
+	for i, r := range results {
 		if r.err != nil {
-			return &vertexFileError{fmt.Errorf("line %d: %w", lineBase+r.errLine, r.err)}
+			return nil, &vertexFileError{fmt.Errorf("line %d: %w", lineBase+r.errLine, r.err)}
 		}
-		for _, id := range r.ids {
-			b.AddVertex(id)
-		}
+		ids[i] = r.ids
 		lineBase += r.lines
 	}
-	return nil
+	return slices.Concat(ids...), nil
 }
 
 func parseVertexChunk(data []byte) vertexChunk {
@@ -242,9 +242,9 @@ func parseEdgeChunk(data []byte) edgeChunk {
 }
 
 // ingestEdges parses .e chunks in parallel, reconciles the chunk
-// outcomes in file order, densifies the external IDs, and hands the
-// arc arrays to the builder.
-func ingestEdges(b *Builder, edata []byte, workers int) error {
+// outcomes in file order, densifies the external IDs after the .v IDs
+// vids, and hands the arc arrays and the label table to the builder.
+func ingestEdges(b *Builder, edata []byte, vids []int64, workers int) error {
 	psp := telemetry.StartSpan("ingest", "parse-edges")
 	psp.SetAttr("bytes", len(edata))
 	psp.SetAttr("workers", workers)
@@ -298,152 +298,95 @@ func ingestEdges(b *Builder, edata []byte, workers int) error {
 	}
 	isp := telemetry.StartSpan("ingest", "intern")
 	isp.SetAttr("arcs", total)
-	if b.useLabels {
-		// The builder is in label mode (a .v file interned vertices):
-		// resolve against the frozen table and install the dense
-		// arrays directly.
-		isp.SetAttr("mode", "frozen")
-		internFrozen(b, results, offsets, srcs, dsts)
-		b.srcs, b.dsts, b.weights = srcs, dsts, ws
-		b.hasEdges = total > 0
-		isp.End()
-		return nil
-	}
-	isp.SetAttr("mode", "sharded")
-	b.SetLabels(internSharded(results, offsets, srcs, dsts, workers))
+	labels := internFirst(vids, results, offsets, srcs, dsts)
 	isp.End()
-	b.AddEdges(srcs, dsts, ws)
+	b.useLabels, b.labels = true, labels
+	b.srcs, b.dsts, b.weights = srcs, dsts, ws
+	b.hasEdges = total > 0
 	return nil
 }
 
-// internFrozen is the two-pass dense-ID fast path used when a .v file
-// populated the interning table: workers resolve endpoints against the
-// frozen table concurrently, and endpoints missing from it (edges
-// naming vertices the .v file omitted) are interned afterwards in
-// file order, as a line-by-line reader would.
-func internFrozen(b *Builder, results []edgeChunk, offsets []int, srcs, dsts []VertexID) {
-	misses := make([][]int, len(results))
-	par.Do(len(results), func(i int) error {
-		r := &results[i]
-		base := offsets[i]
-		m := b.ext2int
-		for j := range r.srcs {
-			if id, ok := m[r.srcs[j]]; ok {
-				srcs[base+j] = id
-			} else {
-				misses[i] = append(misses[i], 2*j)
-			}
-			if id, ok := m[r.dsts[j]]; ok {
-				dsts[base+j] = id
-			} else {
-				misses[i] = append(misses[i], 2*j+1)
-			}
-		}
-		return nil
-	})
-	for i := range results {
-		r := &results[i]
-		for _, p := range misses[i] {
-			j := p / 2
-			if p%2 == 0 {
-				srcs[offsets[i]+j] = b.intern(r.srcs[j])
-			} else {
-				dsts[offsets[i]+j] = b.intern(r.dsts[j])
-			}
+// internFirst densifies external IDs in first-occurrence order: the .v
+// IDs vids first, in file order, then the edge endpoints missing from
+// them, in file order, src before dst (see the comment at the top of
+// this file). It fills srcs and dsts and returns the label table.
+func internFirst(vids []int64, results []edgeChunk, offsets []int, srcs, dsts []VertexID) []int64 {
+	ids := make(map[int64]VertexID, len(vids))
+	labels := make([]int64, 0, len(vids))
+	for _, ext := range vids {
+		if _, ok := ids[ext]; !ok {
+			ids[ext] = VertexID(len(labels))
+			labels = append(labels, ext)
 		}
 	}
-}
+	nv := VertexID(len(labels))
 
-// shardPending is one locally-new external ID tagged with its global
-// first-occurrence endpoint position within the chunk.
-type shardPending struct {
-	ext int64
-	pos int64
-}
-
-func shardOf(ext int64, shards int) int {
-	x := uint64(ext) * 0x9E3779B97F4A7C15
-	x ^= x >> 32
-	return int(x % uint64(shards))
-}
-
-// internSharded densifies external IDs with per-shard maps while
-// reproducing the first-occurrence order (see the package
-// comment at the top of this file). It fills srcs/dsts and returns the
-// label table.
-func internSharded(results []edgeChunk, offsets []int, srcs, dsts []VertexID, workers int) []int64 {
-	shards := workers
-	// Phase 1: per-chunk local dedup, bucketed by shard. Positions are
-	// 2*arc+side so src interns before dst.
-	buckets := make([][][]shardPending, len(results))
+	// Each chunk numbers the IDs ids lacks from nv up, in the chunk's
+	// first-occurrence order; fresh[i] lists them in that order.
+	fresh := make([][]int64, len(results))
 	par.Do(len(results), func(i int) error {
 		r := &results[i]
-		seen := make(map[int64]struct{}, 1024)
-		bk := make([][]shardPending, shards)
-		base := 2 * int64(offsets[i])
-		note := func(ext int64, pos int64) {
-			if _, ok := seen[ext]; ok {
-				return
+		local := make(map[int64]VertexID)
+		resolve := func(ext int64) VertexID {
+			if id, ok := ids[ext]; ok {
+				return id
 			}
-			seen[ext] = struct{}{}
-			s := shardOf(ext, shards)
-			bk[s] = append(bk[s], shardPending{ext: ext, pos: pos})
+			if id, ok := local[ext]; ok {
+				return id
+			}
+			id := nv + VertexID(len(fresh[i]))
+			local[ext] = id
+			fresh[i] = append(fresh[i], ext)
+			return id
 		}
-		for j := range r.srcs {
-			note(r.srcs[j], base+2*int64(j))
-			note(r.dsts[j], base+2*int64(j)+1)
+		s, d := srcs[offsets[i]:][:len(r.srcs)], dsts[offsets[i]:][:len(r.srcs)]
+		for j := range s {
+			s[j] = resolve(r.srcs[j])
+			d[j] = resolve(r.dsts[j])
 		}
-		buckets[i] = bk
 		return nil
 	})
 
-	// Phase 2: per-shard merge in chunk order keeps the smallest
-	// (first-in-file) position per external ID.
-	shardMaps := make([]map[int64]int64, shards)
-	par.Do(shards, func(s int) error {
-		m := make(map[int64]int64)
-		for i := range buckets {
-			for _, p := range buckets[i][s] {
-				if _, ok := m[p.ext]; !ok {
-					m[p.ext] = p.pos
+	// File-order merge: a chunk's new IDs take the next global numbers
+	// unless an earlier chunk numbered them, and global[i] translates
+	// chunk i's numbers. While no earlier chunk has numbered an ID, a
+	// chunk's numbers are already the global ones and need no
+	// translation. No chunk after the last looks its IDs up, so they
+	// stay out of ids.
+	global := make([][]VertexID, len(results))
+	for i, f := range fresh {
+		inPlace := VertexID(len(labels)) == nv
+		g := make([]VertexID, len(f))
+		for k, ext := range f {
+			id, ok := ids[ext]
+			if !ok {
+				id = VertexID(len(labels))
+				labels = append(labels, ext)
+				if i < len(fresh)-1 {
+					ids[ext] = id
 				}
 			}
+			g[k] = id
 		}
-		shardMaps[s] = m
-		return nil
-	})
-
-	// Phase 3: sort the (unique) first positions once; an ID's dense
-	// number is the rank of its first position. Shard maps are
-	// rewritten in place from position to dense ID.
-	nv := 0
-	for _, m := range shardMaps {
-		nv += len(m)
-	}
-	positions := make([]int64, 0, nv)
-	for _, m := range shardMaps {
-		for _, pos := range m {
-			positions = append(positions, pos)
+		if !inPlace {
+			global[i] = g
 		}
 	}
-	slices.Sort(positions)
-	labels := make([]int64, nv)
-	par.Do(shards, func(s int) error {
-		for ext, pos := range shardMaps[s] {
-			rank, _ := slices.BinarySearch(positions, pos)
-			labels[rank] = ext
-			shardMaps[s][ext] = int64(rank)
-		}
-		return nil
-	})
 
-	// Phase 4: map the external arc arrays to dense IDs.
 	par.Do(len(results), func(i int) error {
-		r := &results[i]
-		base := offsets[i]
-		for j := range r.srcs {
-			srcs[base+j] = VertexID(shardMaps[shardOf(r.srcs[j], shards)][r.srcs[j]])
-			dsts[base+j] = VertexID(shardMaps[shardOf(r.dsts[j], shards)][r.dsts[j]])
+		g := global[i]
+		if len(g) == 0 {
+			return nil
+		}
+		n := len(results[i].srcs)
+		s, d := srcs[offsets[i]:][:n], dsts[offsets[i]:][:n]
+		for j := range s {
+			if s[j] >= nv {
+				s[j] = g[s[j]-nv]
+			}
+			if d[j] >= nv {
+				d[j] = g[d[j]-nv]
+			}
 		}
 		return nil
 	})

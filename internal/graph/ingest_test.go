@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -198,48 +199,91 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 }
 
 func TestParallelLoadWithVertexFile(t *testing.T) {
-	// The .v file fixes the interning table (two-pass dense-ID fast
-	// path), including isolated vertices and property columns; one
-	// edge endpoint is deliberately missing from it to exercise the
-	// sequential miss fixup.
+	// The .v file numbers its IDs first, in file order, including
+	// isolated vertices and property columns; endpoints missing from it
+	// are numbered after them in first-occurrence order, src before dst.
 	var vb strings.Builder
 	vb.WriteString("# ids with property columns\n")
 	for i := 0; i < 900; i++ {
 		fmt.Fprintf(&vb, "%d name-%d\n", i*7, i)
 	}
+	vdata := vb.String()
 	r := rand.New(rand.NewSource(7))
-	var eb strings.Builder
-	for i := 0; i < 2500; i++ {
-		fmt.Fprintf(&eb, "%d %d 0.5\n", r.Intn(900)*7, r.Intn(900)*7)
+	// edges draws n weighted edges between the first 899 listed IDs;
+	// the last listed ID, 6293, gets no edge from it.
+	edges := func(n int) string {
+		var eb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&eb, "%d %d 0.5\n", r.Intn(899)*7, r.Intn(899)*7)
+		}
+		return eb.String()
 	}
-	eb.WriteString("123456789 0 2.25\n") // endpoint absent from the .v file
-	for _, workers := range []int{2, 5, 8} {
-		g := loadBoth(t, eb.String(), vb.String(), LoadOptions{Directed: true, Name: "vfile"}, workers)
-		if g.NumVertices() != 901 {
-			t.Fatalf("vertices = %d, want 900 listed + 1 interned miss", g.NumVertices())
-		}
-		// The miss interns after every listed vertex, like the
-		// reference reader.
-		if g.Label(VertexID(900)) != 123456789 {
-			t.Fatalf("label[900] = %d, want the missing endpoint", g.Label(VertexID(900)))
-		}
+	cases := []struct {
+		name         string
+		edata, vdata string
+		tail         []int64 // labels after the first 900
+	}{
+		{"one-miss-at-the-end", edges(2500) + "123456789 0 2.25\n", vdata, []int64{123456789}},
+		{
+			// The same misses recur in later chunks, as src and as dst.
+			"misses-in-several-chunks",
+			edges(600) + "-1 0 1\n" + edges(600) + "7 -2 1\n-1 -3 1\n" + edges(600) + "-3 -2 1\n-4 -1 1\n" + edges(600),
+			vdata, []int64{-1, -2, -3, -4},
+		},
+		{
+			// A repeated .v line keeps the ID's first number; 5 is a new
+			// .v ID after the repeats.
+			"duplicated-vertex-line",
+			edges(2500) + "5 14 1\n",
+			strings.Replace(vdata, "3500 name-500\n", "3500 name-500\n14 again\n", 1) + "0\n5\n",
+			[]int64{5},
+		},
+		{"listed-vertex-first-edge-late", edges(2500) + "6293 0 1.5\n", vdata, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, workers := range []int{2, 5, 8} {
+				g := loadBoth(t, c.edata, c.vdata, LoadOptions{Directed: true, Name: "vfile"}, workers)
+				if g.NumVertices() != 900+len(c.tail) {
+					t.Fatalf("vertices = %d, want 900 listed + %d missing", g.NumVertices(), len(c.tail))
+				}
+				if g.Label(VertexID(899)) != 6293 {
+					t.Fatalf("label[899] = %d, want the last listed ID", g.Label(VertexID(899)))
+				}
+				for k, want := range c.tail {
+					if got := g.Label(VertexID(900 + k)); got != want {
+						t.Fatalf("label[%d] = %d, want %d", 900+k, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
-func TestShardedInternFirstOccurrenceOrder(t *testing.T) {
-	// Without a .v file, labels must densify in first-occurrence order
-	// (src before dst, file order) — a line-by-line interner's order.
-	edata := "500 7\n7 -3\n-3 500\n900 901\n"
-	for _, workers := range []int{1, 2, 4, 8} {
-		g, err := ReadGraph(strings.NewReader(edata), nil, LoadOptions{Directed: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []int64{500, 7, -3, 900, 901}
-		for i, w := range want {
-			if g.Label(VertexID(i)) != w {
-				t.Fatalf("workers=%d: label order %v, want %v at %d",
-					workers, g.Labels(), w, i)
+func TestInternFirstOccurrenceOrder(t *testing.T) {
+	// Labels densify in first-occurrence order (src before dst, file
+	// order) — a line-by-line interner's order — after the .v IDs in
+	// .v file order. The edge lines repeat IDs across chunks.
+	edata := "500 7\n7 -3\n-3 500\n900 901\n901 42\n7 42\n"
+	cases := []struct {
+		vdata string
+		want  []int64
+	}{
+		{"", []int64{500, 7, -3, 900, 901, 42}},
+		{"901\n-3\n901\n", []int64{901, -3, 500, 7, 900, 42}},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2, 4, 8} {
+			var vertices io.Reader
+			if c.vdata != "" {
+				vertices = strings.NewReader(c.vdata)
+			}
+			g, err := ReadGraph(strings.NewReader(edata), vertices, LoadOptions{Directed: true, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(g.Labels(), c.want) {
+				t.Fatalf("vertices %q, workers=%d: label order %v, want %v", c.vdata, workers, g.Labels(), c.want)
 			}
 		}
 	}

@@ -33,7 +33,8 @@ import (
 //
 // Loading reads the files into memory and runs them through the
 // chunked ingest pipeline (see ingest.go): newline-aligned byte chunks
-// parsed by a worker pool, concurrent interning, and parallel CSR
+// parsed by a worker pool, one interner that numbers the .v IDs first
+// and the other endpoints in first-occurrence order, and parallel CSR
 // construction. There is one loader at every worker count; the worker
 // count changes neither the graph (byte-identical) nor the errors
 // (first in file order, line-numbered). The loader holds the file
@@ -53,9 +54,9 @@ type LoadOptions struct {
 	Directed  bool   // interpret edges as directed arcs
 	Name      string // dataset name; defaults to the file base name
 	DropLoops bool   // drop self-loop edges
-	// Workers sets ingest parallelism: the number of chunks parsed at
-	// once, interning shards, and CSR build workers. 0 selects
-	// GOMAXPROCS; 1 parses the file as one chunk.
+	// Workers sets ingest parallelism: the number of chunks parsed and
+	// interned at once, and CSR build workers. 0 selects GOMAXPROCS; 1
+	// parses the file as one chunk.
 	Workers int
 }
 

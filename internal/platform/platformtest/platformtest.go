@@ -5,7 +5,7 @@
 // contract, driven by the workload registry — registering a new
 // workload automatically adds it to every platform's conformance run,
 // under the validation policy its spec declares (exact for the
-// deterministic specifications, epsilon for the float-summing ones).
+// deterministic specifications, epsilon for PageRank's float sums).
 package platformtest
 
 import (

@@ -14,14 +14,12 @@
 // policies the workload registry (internal/workload) binds them with:
 //
 //   - exact: every element must match bit-identically (BFS, CONN, CD,
-//     EVO, SSSP — their specifications are deterministic across
-//     platforms);
+//     EVO, SSSP, LCC, STATS — their specifications are deterministic
+//     across platforms: each LCC value is an integer count divided by
+//     d(d−1), and every engine folds its LCC output into the STATS mean
+//     with algo.StatsFromLCC in vertex order);
 //   - epsilon: float vectors must match within a per-element tolerance
-//     (PR, LCC, STATS MeanLCC — platforms sum floats in different
-//     orders). The bundled engines report STATS with the reference's
-//     bits, since each folds its LCC output with algo.StatsFromLCC in
-//     vertex order; the epsilon stays for platforms that sum in
-//     another order;
+//     (PR — platforms sum floats in different orders);
 //   - rank-tolerant: the ordering induced by a float vector must match
 //     up to ties within a tolerance (a looser PR acceptance criterion,
 //     checked in addition to epsilon).
@@ -39,8 +37,8 @@ import (
 	"graphalytics/internal/graph"
 )
 
-// Epsilon is the floating-point tolerance for STATS MeanLCC, per-vertex
-// LCC, and PageRank values.
+// Epsilon is the floating-point tolerance for PageRank values and CD
+// modularity.
 const Epsilon = 1e-9
 
 // Result is one validation outcome.
@@ -146,10 +144,9 @@ func CheckStats(_ *graph.Graph, got, want algo.StatsOutput) Result {
 	if got.Edges != want.Edges {
 		return fail("edges = %d, want %d", got.Edges, want.Edges)
 	}
-	// Written as !(Δ <= ε) so that a NaN mean, whose comparisons are all
-	// false, is rejected.
-	if d := math.Abs(got.MeanLCC - want.MeanLCC); !(d <= Epsilon) {
-		return fail("mean LCC = %.12f, want %.12f (|Δ| > %g)", got.MeanLCC, want.MeanLCC, Epsilon)
+	// A NaN mean differs from every value, so != rejects it.
+	if got.MeanLCC != want.MeanLCC {
+		return fail("mean LCC = %v, want %v", got.MeanLCC, want.MeanLCC)
 	}
 	return ok()
 }
@@ -257,8 +254,8 @@ func CheckSSSP(g *graph.Graph, got, want algo.SSSPOutput) Result {
 	return ExactFloats(got, want)
 }
 
-// CheckLCC checks an LCC output: per-vertex agreement with the
-// reference within epsilon, and every coefficient in [0, 1].
+// CheckLCC checks an LCC output: every coefficient in [0, 1], and
+// per-vertex bit equality with the reference.
 func CheckLCC(g *graph.Graph, got, want algo.LCCOutput) Result {
 	if len(got) != g.NumVertices() {
 		return fail("output has %d entries, want %d", len(got), g.NumVertices())
@@ -268,5 +265,5 @@ func CheckLCC(g *graph.Graph, got, want algo.LCCOutput) Result {
 			return fail("vertex %d: LCC %v outside [0, 1]", v, c)
 		}
 	}
-	return EpsilonFloats(got, want, Epsilon)
+	return ExactFloats(got, want)
 }

@@ -101,6 +101,12 @@ func TestLCCRejections(t *testing.T) {
 	if r := CheckLCC(g, bad, want); r.Valid {
 		t.Error("perturbed coefficient accepted")
 	}
+	// Coefficients are compared bit for bit: one ulp off is wrong.
+	copy(bad, want)
+	bad[1] = math.Nextafter(want[1], 1)
+	if r := CheckLCC(g, bad, want); r.Valid {
+		t.Error("coefficient one ulp off accepted")
+	}
 }
 
 func TestRankTolerantPolicy(t *testing.T) {
@@ -137,11 +143,11 @@ func TestStatsRejections(t *testing.T) {
 	if r := CheckStats(g, bad, want); r.Valid {
 		t.Error("wrong LCC accepted")
 	}
-	// Tiny float noise within epsilon is fine.
-	near := want
-	near.MeanLCC += 1e-12
-	if r := CheckStats(g, near, want); !r.Valid {
-		t.Errorf("epsilon-close LCC rejected: %s", r.Detail)
+	// The mean is compared bit for bit: one ulp off is wrong.
+	bad = want
+	bad.MeanLCC = math.Nextafter(want.MeanLCC, 1)
+	if r := CheckStats(g, bad, want); r.Valid {
+		t.Error("mean LCC one ulp off accepted")
 	}
 }
 

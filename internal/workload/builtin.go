@@ -57,7 +57,7 @@ func init() {
 	Register(Spec{
 		Kind:         algo.STATS,
 		Description:  "vertex/edge counts and mean local clustering coefficient",
-		Policy:       PolicyEpsilon,
+		Policy:       PolicyExact,
 		NeedsReverse: true,
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunStats(g)
@@ -87,7 +87,7 @@ func init() {
 	Register(Spec{
 		Kind:         algo.LCC,
 		Description:  "per-vertex local clustering coefficient",
-		Policy:       PolicyEpsilon,
+		Policy:       PolicyExact,
 		NeedsReverse: true,
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunLCC(g)
