@@ -25,8 +25,9 @@
 // Every algorithm is specified deterministically (fixed iteration styles,
 // ordered tie-breaking, per-entity seeded randomness) so that all four
 // platform implementations produce byte-identical outputs — the property
-// that makes exact output validation possible. PR relaxes this to an
-// epsilon per vertex because platforms sum floats in different orders.
+// that makes exact output validation possible. PR's float ranks are
+// summed as fixed-point integer mass (PRShare, PRMass), so summation
+// order cannot change them either.
 package algo
 
 import "graphalytics/internal/graph"

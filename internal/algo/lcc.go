@@ -15,9 +15,9 @@ import (
 //
 // Each per-vertex value is an exact int64 triangle count divided by
 // d(d−1), so the reference is deterministic and the Output Validator
-// compares bit for bit. (The LDBC policy allows an epsilon for LCC, for
-// platforms that accumulate the numerator in floating point; every
-// engine here counts it as an integer.)
+// compares bit for bit. (The LDBC specification allows a tolerance for
+// LCC, for platforms that accumulate the numerator in floating point;
+// every engine here counts it as an integer.)
 func RunLCC(g *graph.Graph) LCCOutput {
 	n := g.NumVertices()
 	lcc := make(LCCOutput, n)

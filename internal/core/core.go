@@ -511,12 +511,12 @@ func (c *campaign) pendingCellsFor(pi int, p platform.Platform, gi int, g *graph
 	for ai, a := range c.algs {
 		slot := (pi*len(b.Graphs)+gi)*len(c.algs) + ai
 		fp := c.cellFP(p, g, a)
-		if c.restoreCell(slot, fp) {
+		if c.restoreCell(slot, fp, p.Name(), g.Name(), a) {
 			continue
 		}
 		if b.Stamps != nil {
 			telemetry.Metrics.Counter("stamp_cell_misses_total",
-				"matrix cells whose fingerprint was not in the stamped result store").Inc()
+				"matrix cells the stamped result store held no usable entry for").Inc()
 		}
 		pending = append(pending, pendingCell{slot: slot, alg: a, key: cellKey(p.Name(), g.Name(), a), fp: fp})
 	}
@@ -574,14 +574,19 @@ func (c *campaign) classLimits() map[string]int {
 // result store holds the cell's fingerprint (the cell is UPTODATE: some
 // prior campaign — or an interrupted run of this one — produced this
 // exact result). Restored results carry a provenance mark so reports
-// never pass restored numbers off as fresh measurements. An unreadable
-// entry just re-runs the cell.
-func (c *campaign) restoreCell(slot int, fp stamp.Fingerprint) bool {
+// never pass restored numbers off as fresh measurements. Only a
+// successful result of this very cell restores: an entry that does not
+// decode, carries no value, failed, or names other coordinates (a
+// hand-edited or hostile store) just re-runs the cell.
+func (c *campaign) restoreCell(slot int, fp stamp.Fingerprint, p, g string, a algo.Kind) bool {
 	if c.b.Stamps == nil || fp.IsZero() {
 		return false
 	}
 	var r report.RunResult
 	if ok, err := c.b.Stamps.Get(fp, &r); !ok || err != nil {
+		return false
+	}
+	if r.Status != report.StatusSuccess || r.Platform != p || r.Graph != g || r.Algorithm != a {
 		return false
 	}
 	r.Provenance = report.ProvenanceUptodate

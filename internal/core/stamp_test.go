@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"graphalytics/internal/platform/pregel"
 	"graphalytics/internal/report"
 	"graphalytics/internal/stamp"
+	"graphalytics/internal/telemetry"
 )
 
 // StampConfig forwards the wrapped platform's config stamp, so stamped
@@ -428,5 +430,85 @@ func TestETLCacheCorruptionFallsBackToLive(t *testing.T) {
 	}
 	if r.Provenance != report.ProvenanceLive {
 		t.Errorf("provenance = %q, want live (corrupt blob must not count as a cache hit)", r.Provenance)
+	}
+}
+
+// A stamp entry restores a cell only when it is a successful result of
+// that very cell. The entries a hand-edited or hostile store may hold
+// under a cell's fingerprint — a null value, no value, a failed result,
+// or another cell's result — each re-run the cell and count as misses.
+func TestHostileStampEntriesDoNotRestore(t *testing.T) {
+	g := smokeGraph(t, 150, "hostile")
+	run := func(t *testing.T, path string) (*countingPlatform, *report.Report) {
+		cp := &countingPlatform{Platform: pregel.New(pregel.Options{})}
+		b := &Benchmark{
+			Platforms:     []platform.Platform{cp},
+			Graphs:        []*graph.Graph{g},
+			Validate:      true,
+			Stamps:        openStamps(t, path),
+			BinaryVersion: "v1",
+		}
+		rep, err := b.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp, rep
+	}
+	seeded := filepath.Join(t.TempDir(), "stamps.jsonl")
+	run(t, seeded)
+	data, err := os.ReadFile(seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		FP    string          `json:"fp"`
+		Value json.RawMessage `json:"value"`
+	}
+	var entries []entry
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var e entry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	if len(entries) != len(algo.Kinds) {
+		t.Fatalf("seeded store holds %d entries, want %d", len(entries), len(algo.Kinds))
+	}
+
+	cases := map[string]func(i int) string{
+		"null value": func(i int) string { return fmt.Sprintf(`{"fp":%q,"value":null}`, entries[i].FP) },
+		"no value":   func(i int) string { return fmt.Sprintf(`{"fp":%q}`, entries[i].FP) },
+		"failed":     func(i int) string { return fmt.Sprintf(`{"fp":%q,"value":{"status":"failed"}}`, entries[i].FP) },
+		"other cell": func(i int) string {
+			return fmt.Sprintf(`{"fp":%q,"value":%s}`, entries[i].FP, entries[(i+1)%len(entries)].Value)
+		},
+	}
+	for name, line := range cases {
+		t.Run(name, func(t *testing.T) {
+			var b strings.Builder
+			for i := range entries {
+				b.WriteString(line(i) + "\n")
+			}
+			path := filepath.Join(t.TempDir(), "stamps.jsonl")
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			misses := telemetry.Metrics.Counter("stamp_cell_misses_total", "")
+			before := misses.Value()
+			cp, rep := run(t, path)
+			if got := cp.runs.Load(); got != int64(len(entries)) {
+				t.Errorf("executed %d cells, want %d", got, len(entries))
+			}
+			if got := misses.Value() - before; got != int64(len(entries)) {
+				t.Errorf("stamp_cell_misses_total rose by %d, want %d", got, len(entries))
+			}
+			for _, r := range rep.Results {
+				if r.Provenance != report.ProvenanceLive || r.Status != report.StatusSuccess ||
+					r.Platform != "pregel" || r.Graph != g.Name() || r.Algorithm == "" {
+					t.Errorf("row %s/%s/%s: %s, provenance %q", r.Platform, r.Graph, r.Algorithm, r.Status, r.Provenance)
+				}
+			}
+		})
 	}
 }

@@ -21,15 +21,15 @@ import (
 // ------------------------------ PR ------------------------------
 
 // runPageRank: fixed-iteration LDBC PageRank. Each iteration is one
-// aggregateMessages (rank/outdeg contributions along out-arcs) plus one
+// aggregateMessages (fixed-point d·rank/outdeg shares along out-arcs,
+// summed as integers, so partitioning changes no bit) plus one
 // full dataset materialization; the dangling mass is a driver-side
 // reduction over the current rank dataset, the way a Spark driver
 // collects a scalar between iterations.
 func (env *Env) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
 	n := env.G.NumVertices()
 	d := p.PRDamping
-	inv := 1.0 / float64(n)
-	ranks, err := MapVertices(ctx, env, n, 8, func(graph.VertexID) float64 { return inv })
+	ranks, err := MapVertices(ctx, env, n, 8, func(graph.VertexID) float64 { return 1 / float64(n) })
 	if err != nil {
 		return nil, err
 	}
@@ -38,26 +38,26 @@ func (env *Env) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, 
 			return nil, err
 		}
 		env.Counters.Supersteps++
-		var dangling float64
+		var dangling int64
 		for v := 0; v < n; v++ {
 			if v%platform.CheckStride == 0 && ctx.Err() != nil {
 				return nil, platform.CheckContextPhase(ctx, "dataflow/pr-dangling")
 			}
 			if env.G.OutDegree(graph.VertexID(v)) == 0 {
-				dangling += ranks[v]
+				dangling += algo.PRMass(ranks[v])
 			}
 		}
-		contribs, err := AggregateMessages(ctx, env, ranks, 8, 8,
-			func(c *Ctx[float64], u, v graph.VertexID, du, _ float64) {
-				c.SendToDst(v, du/float64(env.G.OutDegree(u)))
+		shares, err := AggregateMessages(ctx, env, ranks, 8, 8,
+			func(c *Ctx[int64], u, v graph.VertexID, du, _ float64) {
+				c.SendToDst(v, algo.PRShare(d, du, env.G.OutDegree(u)))
 			},
-			func(a, b float64) float64 { return a + b })
+			func(a, b int64) int64 { return a + b })
 		if err != nil {
 			return nil, err
 		}
-		base := (1-d)*inv + d*dangling*inv
+		base := algo.PRBase(d, n, dangling)
 		ranks, err = MapVertices(ctx, env, n, 8, func(v graph.VertexID) float64 {
-			return base + d*contribs.Get(v)
+			return algo.PRRank(base, shares.Get(v))
 		})
 		if err != nil {
 			return nil, err

@@ -18,12 +18,11 @@ import (
 
 // runPageRank: fixed-iteration LDBC PageRank over the store. Out-degrees
 // are gathered once through the relationship chains (a full store scan,
-// like a Cypher aggregation), then each iteration scatters rank shares
-// along out-relationships.
+// like a Cypher aggregation), then each iteration scatters algo's
+// fixed-point rank shares along out-relationships.
 func (l *loaded) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
 	n := l.store.NumNodes()
 	d := p.PRDamping
-	inv := 1.0 / float64(n)
 	outdeg := make([]int, n)
 	for v := 0; v < n; v++ {
 		l.store.Expand(graph.VertexID(v), func(_ graph.VertexID, outgoing bool) {
@@ -34,23 +33,15 @@ func (l *loaded) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput,
 	}
 	ranks := make(algo.PROutput, n)
 	for v := range ranks {
-		ranks[v] = inv
+		ranks[v] = 1 / float64(n)
 	}
-	next := make(algo.PROutput, n)
+	sums := make([]int64, n)
 	for iter := 0; iter < p.PRIterations; iter++ {
 		if err := platform.CheckContextPhase(ctx, "graphdb/pagerank"); err != nil {
 			return nil, err
 		}
-		var dangling float64
-		for v := 0; v < n; v++ {
-			if outdeg[v] == 0 {
-				dangling += ranks[v]
-			}
-		}
-		base := (1-d)*inv + d*dangling*inv
-		for v := range next {
-			next[v] = base
-		}
+		clear(sums)
+		var dangling int64
 		for v := 0; v < n; v++ {
 			if v%platform.CheckStride == 0 && v > 0 {
 				if err := platform.CheckContextPhase(ctx, "graphdb/pagerank"); err != nil {
@@ -58,16 +49,20 @@ func (l *loaded) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput,
 				}
 			}
 			if outdeg[v] == 0 {
+				dangling += algo.PRMass(ranks[v])
 				continue
 			}
-			share := d * ranks[v] / float64(outdeg[v])
+			share := algo.PRShare(d, ranks[v], outdeg[v])
 			l.store.Expand(graph.VertexID(v), func(other graph.VertexID, outgoing bool) {
 				if outgoing {
-					next[other] += share
+					sums[other] += share
 				}
 			})
 		}
-		ranks, next = next, ranks
+		base := algo.PRBase(d, n, dangling)
+		for v := range ranks {
+			ranks[v] = algo.PRRank(base, sums[v])
+		}
 	}
 	return ranks, nil
 }

@@ -35,17 +35,16 @@ func readEntry(buf []byte, off, b int) (entry, int) {
 	return entry{key: key, off: off, n: uint32(l), buf: uint32(b)}, off + int(l)
 }
 
-// appendUvarint / appendVarint / appendFloat primitives.
+// appendUvarint / appendVarint / appendFloat / appendInt64 primitives.
+// Floats and int64s are fixed 8-byte little-endian words.
 
 func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 
 func appendVarint(buf []byte, v int64) []byte { return binary.AppendVarint(buf, v) }
 
-func appendFloat(buf []byte, f float64) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-	return append(buf, tmp[:]...)
-}
+func appendFloat(buf []byte, f float64) []byte { return appendInt64(buf, int64(math.Float64bits(f))) }
+
+func appendInt64(buf []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(buf, uint64(v)) }
 
 func readUvarint(buf []byte) (uint64, []byte) {
 	v, n := binary.Uvarint(buf)
@@ -58,8 +57,12 @@ func readVarint(buf []byte) (int64, []byte) {
 }
 
 func readFloat(buf []byte) (float64, []byte) {
-	v := math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
-	return v, buf[8:]
+	v, rest := readInt64(buf)
+	return math.Float64frombits(uint64(v)), rest
+}
+
+func readInt64(buf []byte) (int64, []byte) {
+	return int64(binary.LittleEndian.Uint64(buf[:8])), buf[8:]
 }
 
 // appendVertexList delta-encodes a sorted vertex list.

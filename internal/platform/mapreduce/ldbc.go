@@ -18,7 +18,7 @@ import (
 // ------------------------------ PR ------------------------------
 
 // PR state value: [tagState][float rank][out-adjacency].
-// Contribution msg: [tagMsg][float rank/outdeg].
+// Share msg: [tagMsg][int64 fixed-point d·rank/outdeg, see algo.PRShare].
 func prHead(buf []byte, rank float64) []byte {
 	return appendFloat(append(buf, tagState), rank)
 }
@@ -26,22 +26,21 @@ func prHead(buf []byte, rank float64) []byte {
 func (c *chain) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
 	n := c.g.NumVertices()
 	d := p.PRDamping
-	inv := 1.0 / float64(n)
 	input := inputOf(c.g, func(buf []byte, v graph.VertexID) []byte {
-		return appendVertexList(prHead(buf, inv), c.g.OutNeighbors(v))
+		return appendVertexList(prHead(buf, 1/float64(n)), c.g.OutNeighbors(v))
 	})
 
-	// danglingOf sums the rank of sink vertices in a state record set —
-	// the driver-side scalar each iteration's reducer needs.
-	danglingOf := func(recs []Record) float64 {
-		var sum float64
+	// danglingOf sums the fixed-point mass of sink vertices in a state
+	// record set — the driver-side scalar each iteration's reducer needs.
+	danglingOf := func(recs []Record) int64 {
+		var sum int64
 		for _, r := range recs {
 			if r.Value[0] != tagState {
 				continue
 			}
 			rank, buf := readFloat(r.Value[1:])
 			if adjLen, _ := readUvarint(buf); adjLen == 0 {
-				sum += rank
+				sum += algo.PRMass(rank)
 			}
 		}
 		return sum
@@ -50,7 +49,7 @@ func (c *chain) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, 
 	sc := c.scratch
 	output := input
 	for iter := 0; iter < p.PRIterations; iter++ {
-		dangling := danglingOf(output)
+		base := algo.PRBase(d, n, danglingOf(output))
 		job := Job{
 			Name: "pagerank-iter",
 			Map: func(tc *TaskCtx, r Record, emit Emit) {
@@ -61,29 +60,28 @@ func (c *chain) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, 
 				if len(s.vs) == 0 {
 					return
 				}
-				s.val = appendFloat(append(s.val[:0], tagMsg), rank/float64(len(s.vs)))
+				s.val = appendInt64(append(s.val[:0], tagMsg), algo.PRShare(d, rank, len(s.vs)))
 				for _, u := range s.vs {
 					emit(int64(u), s.val)
 				}
 				tc.Inc("traversed", int64(len(s.vs)))
 			},
-			// The contributions are summed in emission order, which is
-			// the same at every worker count.
+			// The shares are integers, so their sum is the same in any
+			// order.
 			Reduce: func(tc *TaskCtx, key int64, values [][]byte, emit Emit) {
 				adj := emptyList
-				var sum float64
+				var sum int64
 				for _, v := range values {
 					switch v[0] {
 					case tagState:
 						adj = v[1+8:]
 					case tagMsg:
-						contrib, _ := readFloat(v[1:])
-						sum += contrib
+						share, _ := readInt64(v[1:])
+						sum += share
 					}
 				}
-				rank := (1-d)*inv + d*dangling*inv + d*sum
 				s := sc.of(tc)
-				s.val = append(prHead(s.val[:0], rank), adj...)
+				s.val = append(prHead(s.val[:0], algo.PRRank(base, sum)), adj...)
 				emit(key, s.val)
 			},
 		}

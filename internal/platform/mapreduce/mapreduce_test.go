@@ -27,11 +27,10 @@ func TestConformanceSingleWorker(t *testing.T) {
 }
 
 // TestOutputsSameBitsAtEveryWorkerCount runs every workload at Workers
-// 1, 2, 3 and 8 on every conformance graph. Every output, PR's
-// included, must be bit-identical to the single-worker run: a key's
-// values reach the reducer in emission order, which is the same at
-// every worker count, so PR sums its contributions in one order. Each
-// workload runs on one load shared by the whole sweep, after the other
+// 1, 2, 3 and 8 on every conformance graph. Every output must be
+// bit-identical to the single-worker run: a key's values reach the
+// reducer in emission order, which is the same at every worker count.
+// Each workload runs on one load shared by the whole sweep, after the other
 // workloads have run on it and beside another run on it, so it reuses
 // a chain from the load's free list or builds a second one; a run on a
 // fresh load must give the same output.

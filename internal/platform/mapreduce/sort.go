@@ -28,26 +28,28 @@ func (e entry) value(bufs [][]byte) []byte {
 // the sorted entries, which occupy the front of either es or tmp;
 // cap(tmp) must be at least len(es).
 //
-// It is a stable LSD radix sort over the sign-flipped key, one pass per
-// byte, skipping every byte that all keys share (vertex keys rarely
-// need more than three passes).
+// It is a stable LSD radix sort over the sign-flipped key, one
+// histogram and one scatter pass per byte in which the keys differ. A
+// first pass ORs each key's XOR with the first key, so a byte that all
+// keys share costs nothing (vertex keys rarely differ in more than
+// three bytes).
 func sortByKey(es, tmp []entry) []entry {
 	if len(es) < 2 {
 		return es
 	}
-	var hist [8][256]int
+	first := es[0].key
+	var diff uint64
 	for _, e := range es {
-		k := flipSign(e.key)
-		for b := range hist {
-			hist[b][byte(k>>(8*b))]++
-		}
+		diff |= uint64(e.key ^ first)
 	}
 	src, dst := es, tmp[:len(es)]
-	first := flipSign(es[0].key)
-	for b := range hist {
-		h := &hist[b]
-		if h[byte(first>>(8*b))] == len(es) {
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
 			continue // every key has this byte
+		}
+		var h [256]int
+		for _, e := range src {
+			h[byte(flipSign(e.key)>>shift)]++
 		}
 		sum := 0
 		for d, cnt := range h {
@@ -55,7 +57,7 @@ func sortByKey(es, tmp []entry) []entry {
 			sum += cnt
 		}
 		for _, e := range src {
-			d := byte(flipSign(e.key) >> (8 * b))
+			d := byte(flipSign(e.key) >> shift)
 			dst[h[d]] = e
 			h[d]++
 		}

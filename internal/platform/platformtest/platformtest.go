@@ -4,8 +4,8 @@
 // graphs. This is the executable form of the Output Validator's
 // contract, driven by the workload registry — registering a new
 // workload automatically adds it to every platform's conformance run,
-// under the validation policy its spec declares (exact for the
-// deterministic specifications, epsilon for PageRank's float sums).
+// under the validation policy its spec declares (exact for every
+// built-in workload).
 package platformtest
 
 import (
@@ -150,7 +150,7 @@ func Conformance(t *testing.T, p platform.Platform) {
 // WorkersSweep runs every registered workload at worker counts 1, 2, 3
 // and 8 and asserts each parallel run matches the workers=1 run: every
 // output must pass the spec's check against one reference output per
-// (graph, workload), and every output except PR's must additionally be
+// (graph, workload), and every output must additionally be
 // bit-identical to the single-worker run. factory builds the platform
 // at a given worker count (whatever the engine calls it — BSP workers,
 // map/reduce slots, dataset partitions).
@@ -194,12 +194,6 @@ func WorkersSweep(t *testing.T, factory func(workers int) platform.Platform) {
 				loaded.Close()
 			}
 			for _, spec := range specs {
-				// PageRank's sums still depend on how senders are
-				// partitioned and combined; it joins the bit-identical
-				// check once ROADMAP item 4(a) makes them order-free.
-				if spec.Kind == algo.PR {
-					continue
-				}
 				base, ok := outputs[counts[0]][spec.Kind]
 				if !ok {
 					continue

@@ -21,7 +21,9 @@ import (
 // dangling mass, so even message-less vertices recompute): superstep 0
 // initializes and scatters, supersteps 1..T update. The dangling mass
 // of iteration t reaches iteration t+1 through the "dangling"
-// aggregator; the sum combiner folds rank contributions sender-side.
+// aggregator; the sum combiner folds rank shares sender-side. Shares
+// and the dangling mass are algo's fixed-point int64 mass, so neither
+// the combiner nor the aggregator merge order changes a bit.
 func (r *run) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, error) {
 	n := r.g.NumVertices()
 	ranks := make(algo.PROutput, n)
@@ -30,32 +32,31 @@ func (r *run) runPageRank(ctx context.Context, p algo.Params) (algo.PROutput, er
 	}
 
 	d := p.PRDamping
-	inv := 1.0 / float64(n)
-	e := newEngine[float64](r, func(float64) int64 { return 8 },
-		func(a, b float64) float64 { return a + b })
+	e := newEngine[int64](r, func(int64) int64 { return 8 },
+		func(a, b int64) int64 { return a + b })
 	e.AggMerge = map[string]func(a, b any) any{
-		"dangling": func(a, b any) any { return a.(float64) + b.(float64) },
+		"dangling": func(a, b any) any { return a.(int64) + b.(int64) },
 	}
-	scatter := func(c *VCtx[float64], v graph.VertexID) {
+	scatter := func(c *VCtx[int64], v graph.VertexID) {
 		if deg := r.g.OutDegree(v); deg > 0 {
-			c.SendToOutNeighbors(v, d*ranks[v]/float64(deg))
+			c.SendToOutNeighbors(v, algo.PRShare(d, ranks[v], deg))
 		} else {
-			c.Aggregate("dangling", ranks[v])
+			c.Aggregate("dangling", algo.PRMass(ranks[v]))
 		}
 	}
-	compute := func(c *VCtx[float64], v graph.VertexID, msgs []float64) {
+	compute := func(c *VCtx[int64], v graph.VertexID, msgs []int64) {
 		step := c.Superstep()
 		if step == 0 {
-			ranks[v] = inv
+			ranks[v] = 1 / float64(n)
 			scatter(c, v)
 			return
 		}
-		var sum float64
+		var sum int64
 		for _, m := range msgs {
 			sum += m
 		}
-		dangling, _ := c.AggValue("dangling").(float64)
-		ranks[v] = (1-d)*inv + d*dangling*inv + sum
+		dangling, _ := c.AggValue("dangling").(int64)
+		ranks[v] = algo.PRRank(algo.PRBase(d, n, dangling), sum)
 		if step < p.PRIterations {
 			scatter(c, v)
 		} else {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -215,4 +216,71 @@ func TestStoreOpenErrors(t *testing.T) {
 	if _, err := OpenStore(filepath.Join(file, "stamps.jsonl")); err == nil {
 		t.Error("opening a store under a regular file succeeded")
 	}
+}
+
+// FuzzStampStoreOpen opens a store from arbitrary file bytes, as given
+// (possibly ending in a torn line) and, when framed is set, with a
+// newline appended so every line is complete. Opening never fails or
+// panics, whatever the lines hold. Every fingerprint the store holds
+// answers Get, into a generic and into a typed destination, with a
+// value or a decode error, and a value Get returns survives a Put into
+// a fresh store and a reopen unchanged.
+func FuzzStampStoreOpen(f *testing.F) {
+	fp := Dataset("fuzz", "1").String()
+	for _, seed := range []string{
+		"",
+		fmt.Sprintf(`{"fp":%q,"value":{"runtime":1,"status":"success"}}`+"\n", fp),
+		fmt.Sprintf(`{"fp":%q,"value":null}`+"\n", fp),
+		fmt.Sprintf(`{"fp":%q}`+"\n", fp),
+		fmt.Sprintf(`{"fp":%q,"value":{"status":"failed"}}`+"\n", fp),
+		fmt.Sprintf(`{"fp":%q,"value":"text"}`+"\n"+`{"fp":%q,"value":[1,{"a":null}]}`+"\n", fp, fp),
+		fmt.Sprintf(`{"fp":%q,"value":{"runtime":1e400}}`+"\n", fp),
+		fmt.Sprintf(`{"fp":%q,"value":{"runtime":"7"}}`+"\n"+`{"fp":"de`, fp),
+		`{"fp":"zz","value":1}` + "\n" + `{"fp":12}` + "\nnot json\n",
+	} {
+		f.Add([]byte(seed), false)
+		f.Add([]byte(seed), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
+		if framed {
+			data = append(data, '\n')
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "stamps.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := openTestStore(t, path)
+		for fp := range s.entries {
+			if !s.Has(fp) {
+				t.Fatalf("%s: held but Has is false", fp.Short())
+			}
+			var typed storedResult
+			if ok, _ := s.Get(fp, &typed); !ok {
+				t.Fatalf("%s: held but Get into a struct reports it absent", fp.Short())
+			}
+			var v any
+			ok, err := s.Get(fp, &v)
+			if !ok {
+				t.Fatalf("%s: held but Get reports it absent", fp.Short())
+			}
+			if err != nil {
+				continue
+			}
+			fresh := filepath.Join(dir, "fresh-"+fp.Short()+".jsonl")
+			s2, err := OpenStore(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.Put(fp, v); err != nil {
+				t.Fatalf("%s: Put of the value Get returned: %v", fp.Short(), err)
+			}
+			s2.Close()
+			s3 := openTestStore(t, fresh)
+			var w any
+			if ok, err := s3.Get(fp, &w); !ok || err != nil || !reflect.DeepEqual(v, w) {
+				t.Fatalf("%s: round trip gave %v, %v, %#v; want %#v", fp.Short(), ok, err, w, v)
+			}
+		}
+	})
 }

@@ -68,7 +68,7 @@ func init() {
 		Kind:        algo.PR,
 		Aliases:     []string{"PAGERANK"},
 		Description: "PageRank, damping 0.85, fixed iteration count",
-		Policy:      PolicyEpsilon,
+		Policy:      PolicyExact,
 		Reference: func(g *graph.Graph, p algo.Params) any {
 			return algo.RunPageRank(g, p)
 		},

@@ -25,22 +25,14 @@ import (
 )
 
 // Policy names the output-comparison policy a workload validates under.
-// The policies themselves live in internal/validation; the registry
-// records which one a workload's Check function applies so reports
-// and docs can state the acceptance criterion.
+// The registry records which one a workload's Check function applies so
+// reports and docs can state the acceptance criterion. Every built-in
+// workload is exact; a workload registered from outside may name and
+// check a tolerance of its own.
 type Policy string
 
-// The validation policies.
-const (
-	// PolicyExact: outputs must match the reference bit-identically.
-	PolicyExact Policy = "exact"
-	// PolicyEpsilon: float outputs must match within a per-element
-	// tolerance.
-	PolicyEpsilon Policy = "epsilon"
-	// PolicyRankTolerant: the induced ordering must match up to ties
-	// within a tolerance (applied in addition to epsilon for PR).
-	PolicyRankTolerant Policy = "rank-tolerant"
-)
+// PolicyExact: outputs must match the reference bit-identically.
+const PolicyExact Policy = "exact"
 
 // Spec is one self-describing workload.
 type Spec struct {
