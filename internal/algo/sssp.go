@@ -30,42 +30,44 @@ func RunSSSP(g *graph.Graph, source graph.VertexID) SSSPOutput {
 		return dist
 	}
 	dist[source] = 0
-	pq := &distHeap{{v: source, d: 0}}
+	pq := &DistHeap{{V: source, D: 0}}
 	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.d > dist[it.v] {
+		it := heap.Pop(pq).(DistItem)
+		if it.D > dist[it.V] {
 			continue // stale entry
 		}
-		adj := g.OutNeighbors(it.v)
-		ws := g.OutWeights(it.v)
+		adj := g.OutNeighbors(it.V)
+		ws := g.OutWeights(it.V)
 		for i, u := range adj {
-			nd := it.d + graph.WeightAt(ws, i)
+			nd := it.D + graph.WeightAt(ws, i)
 			if nd < dist[u] {
 				dist[u] = nd
-				heap.Push(pq, distItem{v: u, d: nd})
+				heap.Push(pq, DistItem{V: u, D: nd})
 			}
 		}
 	}
 	return dist
 }
 
-// distItem is one (vertex, tentative distance) heap entry.
-type distItem struct {
-	v graph.VertexID
-	d float64
+// DistItem is one (vertex, tentative distance) entry of a Dijkstra
+// frontier.
+type DistItem struct {
+	V graph.VertexID
+	D float64
 }
 
-// distHeap is a binary min-heap over distance, vertex-ID tie-broken for
-// a deterministic pop order.
-type distHeap []distItem
+// DistHeap is a Dijkstra frontier for container/heap: a binary min-heap
+// over distance, vertex-ID tie-broken for a deterministic pop order.
+// The reference and the graph database's store traversal share it.
+type DistHeap []DistItem
 
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
+func (h DistHeap) Len() int { return len(h) }
+func (h DistHeap) Less(i, j int) bool {
+	if h[i].D != h[j].D {
+		return h[i].D < h[j].D
 	}
-	return h[i].v < h[j].v
+	return h[i].V < h[j].V
 }
-func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)   { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h DistHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *DistHeap) Push(x any)   { *h = append(*h, x.(DistItem)) }
+func (h *DistHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }

@@ -86,10 +86,13 @@ func (c *Cache) LoadGraph(fp stamp.Fingerprint, workers int) (*graph.Graph, bool
 func (c *Cache) StoreGraph(fp stamp.Fingerprint, g *graph.Graph) error {
 	sp := telemetry.StartSpan("artifact", "graph-store:"+fp.Short())
 	defer sp.End()
-	return atomicWrite(c.GraphPath(fp), func(w io.Writer) error {
+	if err := graph.WriteFileAtomic(c.GraphPath(fp), func(w io.Writer) error {
 		_, err := g.WriteBinaryChecksummed(w)
 		return err
-	})
+	}); err != nil {
+		return fmt.Errorf("artifact: storing graph %s: %w", fp.Short(), err)
+	}
+	return nil
 }
 
 // OpenETL fetches the ETL blob stored under fp. Returns (nil, false,
@@ -138,37 +141,17 @@ func (c *Cache) StoreETL(fp stamp.Fingerprint, write func(io.Writer) error) erro
 	defer sp.End()
 	path := etlPath(c.dir, fp)
 	h := sha256.New()
-	if err := atomicWrite(path, func(w io.Writer) error {
+	if err := graph.WriteFileAtomic(path, func(w io.Writer) error {
 		return write(io.MultiWriter(w, h))
 	}); err != nil {
-		return err
+		return fmt.Errorf("artifact: storing ETL %s: %w", fp.Short(), err)
 	}
 	sum := h.Sum(nil)
-	return atomicWrite(path+".sum", func(w io.Writer) error {
+	if err := graph.WriteFileAtomic(path+".sum", func(w io.Writer) error {
 		_, err := io.WriteString(w, hex.EncodeToString(sum))
 		return err
-	})
-}
-
-// atomicWrite writes via a temp file in the target directory and
-// renames into place, so readers never observe a partial artifact.
-func atomicWrite(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("artifact: %w", err)
-	}
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: writing %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: %w", err)
+	}); err != nil {
+		return fmt.Errorf("artifact: storing ETL %s checksum: %w", fp.Short(), err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"errors"
 	"io"
 	"os"
 	"strings"
@@ -85,12 +86,36 @@ func TestETLStoreOpenRoundTrip(t *testing.T) {
 	if _, hit, err := c.OpenETL(fp); hit || err != nil {
 		t.Fatalf("empty cache: hit=%v err=%v", hit, err)
 	}
+	// A failed write leaves nothing under the final name, nor a stray
+	// temporary file beside it.
+	if err := c.StoreETL(fp, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return errors.New("injected write failure")
+	}); err == nil || !strings.HasPrefix(err.Error(), "artifact: ") {
+		t.Fatalf("failed StoreETL: err = %v, want an artifact: error", err)
+	}
+	if left, err := os.ReadDir(c.Dir() + "/etl"); err != nil || len(left) != 0 {
+		t.Fatalf("failed StoreETL left %v (err %v)", left, err)
+	}
+	if _, hit, err := c.OpenETL(fp); hit || err != nil {
+		t.Fatalf("after a failed store: hit=%v err=%v", hit, err)
+	}
 	blob := "platform-defined ETL payload"
 	if err := c.StoreETL(fp, func(w io.Writer) error {
 		_, err := io.WriteString(w, blob)
 		return err
 	}); err != nil {
 		t.Fatal(err)
+	}
+	// Artifacts get the mode saved graphs get, not CreateTemp's 0600.
+	for _, path := range []string{etlPath(c.Dir(), fp), etlPath(c.Dir(), fp) + ".sum"} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode().Perm() != 0o644 {
+			t.Errorf("%s: mode %v, want 0644", path, info.Mode().Perm())
+		}
 	}
 	rc, hit, err := c.OpenETL(fp)
 	if err != nil || !hit {

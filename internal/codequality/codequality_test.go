@@ -1,6 +1,8 @@
 package codequality
 
 import (
+	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,5 +179,33 @@ func TestParseErrorSurfaced(t *testing.T) {
 	dir := writeTree(t, map[string]string{"e/broken.go": "package e\nfunc {"})
 	if _, err := AnalyzeDir(dir); err == nil {
 		t.Error("syntax error should surface")
+	}
+}
+
+// The benchmark core stays split into files of at most 350 lines
+// (collation, plan, execute, restore, the executor seam, the failure
+// taxonomy), so no one file grows back into the whole harness.
+func TestCoreFilesStaySmall(t *testing.T) {
+	const maxLines = 350
+	checked := 0
+	err := filepath.WalkDir("../core", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		checked++
+		if n := bytes.Count(data, []byte("\n")); n > maxLines {
+			t.Errorf("%s has %d lines, want at most %d: split it along the core's seams", path, n, maxLines)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("found no Go files under internal/core")
 	}
 }

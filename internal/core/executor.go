@@ -8,9 +8,7 @@ import (
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/report"
-	"graphalytics/internal/sched"
 	"graphalytics/internal/stamp"
-	"graphalytics/internal/telemetry"
 )
 
 // CellSpec is the self-contained description of one matrix cell handed
@@ -120,56 +118,4 @@ func (s CellSpec) Campaign(p platform.Platform, g *graph.Graph) *Benchmark {
 		BinaryVersion:   s.Binary,
 		GraphStamps:     map[string]stamp.Fingerprint{g.Name(): s.GraphFP},
 	}
-}
-
-// executorJobs plans the pending cells of one (platform, graph) pair as
-// independent executor jobs: no local load job exists — ETL is the
-// executor's concern (a remote runner amortizes it through its own
-// artifact cache) — and cells only depend on the executor having
-// capacity, which it expresses by blocking ExecuteCell.
-func (c *campaign) executorJobs(p platform.Platform, g *graph.Graph, pending []pendingCell) []sched.Job {
-	jobs := make([]sched.Job, 0, len(pending))
-	for _, cell := range pending {
-		cell := cell
-		spec := c.cellSpec(p, g, cell.alg, cell.fp)
-		jobs = append(jobs, sched.Job{
-			ID:    cell.key,
-			Class: p.Name(),
-			Run: func(ctx context.Context, attempt int) error {
-				return c.runExecutorCell(ctx, spec, cell, attempt)
-			},
-		})
-	}
-	return jobs
-}
-
-// runExecutorCell drives one cell through the executor seam with the
-// same outcome discipline as the local pool: cancelled cells are never
-// recorded (a resumed campaign must re-run them), transient failures
-// propagate for the scheduler to retry, and the final attempt always
-// records a complete row — the executor's own if it produced one, a
-// synthesized missing value otherwise.
-func (c *campaign) runExecutorCell(ctx context.Context, spec CellSpec, cell pendingCell, attempt int) error {
-	sp := telemetry.StartSpan("cell", "execute:"+spec.Platform+"/"+spec.Graph+"/"+string(spec.Algorithm))
-	sp.SetAttr("attempt", attempt)
-	r, execErr := c.b.Executor.ExecuteCell(ctx, spec)
-	if execErr == nil && r.Platform != "" {
-		execErr = errOf(r.Status, r.Err)
-	}
-	if execErr != nil {
-		sp.SetAttr("error", execErr.Error())
-	}
-	sp.End()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	if execErr != nil && !c.finalAttempt(execErr, attempt) {
-		return execErr
-	}
-	if r.Platform == "" {
-		r = MissingValue(spec, execErr)
-	}
-	r.Attempts = attempt
-	c.finishCell(cell, r)
-	return execErr
 }

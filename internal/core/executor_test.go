@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"graphalytics/internal/platform"
 	"graphalytics/internal/platform/pregel"
 	"graphalytics/internal/report"
+	"graphalytics/internal/sched"
+	"graphalytics/internal/telemetry"
 )
 
 // fakeExecutor scripts ExecuteCell outcomes per cell for seam tests.
@@ -200,5 +203,64 @@ func TestExecutorSeamUptodateSkipsExecutor(t *testing.T) {
 		if r.Provenance != report.ProvenanceUptodate {
 			t.Errorf("%s: provenance %q, want uptodate", r.Cell(), r.Provenance)
 		}
+	}
+}
+
+// A cell that fails settles the same way whichever path ran it: run
+// locally, and through an executor that returns the error or a row
+// carrying it, one OOM cell gives the same report row (runtimes aside),
+// resolves as one failed scheduler job and adds one to
+// sched_jobs_failed_total.
+func TestSeamParityFailedCell(t *testing.T) {
+	g := smokeGraph(t, 150, "parity")
+	oom := fmt.Errorf("injected: %w", platform.ErrOutOfMemory)
+	failed := telemetry.Metrics.Counter("sched_jobs_failed_total", "jobs resolved with status failed")
+	run := func(exec CellExecutor) (report.RunResult, sched.Counts, int64) {
+		t.Helper()
+		b := &Benchmark{
+			Platforms:  []platform.Platform{&faultyPlatform{Platform: pregel.New(pregel.Options{}), fault: "oom"}},
+			Graphs:     []*graph.Graph{g},
+			Algorithms: []algo.Kind{algo.BFS},
+			Retries:    2,
+			Tracker:    sched.NewTracker(),
+			Executor:   exec,
+		}
+		before := failed.Value()
+		rep, err := b.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rep.Results[0]
+		r.Runtime, r.LoadTime = 0, 0
+		return r, b.Tracker.Snapshot().Counts, failed.Value() - before
+	}
+
+	local, localCounts, localFailed := run(nil)
+	if local.Status != report.StatusOOM || local.Attempts != 1 {
+		t.Fatalf("local cell: status %s, attempts %d; want oom, 1", local.Status, local.Attempts)
+	}
+	// The local pool's one extra job, the pair's load, succeeded.
+	localCounts.Total--
+	localCounts.Done--
+	if localCounts.Failed != 1 || localFailed != 1 {
+		t.Errorf("local: %+v, sched_jobs_failed_total +%d; want one failed job", localCounts, localFailed)
+	}
+	for name, exec := range map[string]func(CellSpec) (report.RunResult, error){
+		"error": func(CellSpec) (report.RunResult, error) { return report.RunResult{}, oom },
+		"row":   func(spec CellSpec) (report.RunResult, error) { return MissingValue(spec, oom), nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fake := &fakeExecutor{calls: map[string]int{}, run: func(spec CellSpec, _ int) (report.RunResult, error) {
+				return exec(spec)
+			}}
+			r, counts, delta := run(fake)
+			if !reflect.DeepEqual(r, local) {
+				t.Errorf("rows differ:\n executor %+v\n local    %+v", r, local)
+			}
+			if counts != localCounts || delta != localFailed {
+				t.Errorf("executor: %+v, sched_jobs_failed_total +%d; local: %+v, +%d",
+					counts, delta, localCounts, localFailed)
+			}
+		})
 	}
 }

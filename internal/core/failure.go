@@ -96,7 +96,8 @@ func errOf(status report.Status, detail string) error {
 // MissingValue is the report row of a cell that failed without
 // producing one: the cell's coordinates and the status its error
 // classifies as. It fills the slot of a cell whose executor returned no
-// row, and a runner sends it for a lease it could not turn into a cell.
+// row and, with LoadTime set on top, of each cell of a pair whose load
+// failed; a runner sends it for a lease it could not turn into a cell.
 func MissingValue(spec CellSpec, err error) report.RunResult {
 	r := report.RunResult{
 		Platform:   spec.Platform,

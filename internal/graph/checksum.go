@@ -46,9 +46,9 @@ func (g *Graph) WriteBinaryChecksummed(w io.Writer) ([32]byte, error) {
 
 // SaveBinaryChecksummed writes the graph to path in the checksummed
 // binary format and returns the payload's SHA-256. The file appears
-// under path only once it is complete (see writeFileAtomic).
+// under path only once it is complete (see WriteFileAtomic).
 func (g *Graph) SaveBinaryChecksummed(path string) (sum [32]byte, err error) {
-	err = writeFileAtomic(path, func(w io.Writer) (err error) {
+	err = WriteFileAtomic(path, func(w io.Writer) (err error) {
 		sum, err = g.WriteBinaryChecksummed(w)
 		return err
 	})

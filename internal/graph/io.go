@@ -316,27 +316,27 @@ func (g *Graph) WriteVertexList(w io.Writer) error {
 
 // SaveFiles writes <prefix>.v and <prefix>.e files for the graph. Each
 // file appears under its name only once it is complete (see
-// writeFileAtomic).
+// WriteFileAtomic).
 func (g *Graph) SaveFiles(prefix string) error {
-	if err := writeFileAtomic(prefix+".v", g.WriteVertexList); err != nil {
+	if err := WriteFileAtomic(prefix+".v", g.WriteVertexList); err != nil {
 		return err
 	}
-	return writeFileAtomic(prefix+".e", g.WriteEdgeList)
+	return WriteFileAtomic(prefix+".e", g.WriteEdgeList)
 }
 
-// writeFileAtomic writes path through write: into a temporary file in
+// WriteFileAtomic writes path through write: into a temporary file in
 // path's directory that is renamed onto path once write and Close have
 // succeeded. On any error the temporary file is removed and a file
 // already at path is left as it was, so a failed write never leaves a
 // partial file under the final name, and a killed process leaves at
 // most a stray "<name>.tmp*" beside it. There is no fsync: the
 // guarantee does not cover a power loss or an operating-system crash.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	// CreateTemp makes the file private (0600); a saved graph gets the
+	// CreateTemp makes the file private (0600); a written file gets the
 	// mode os.Create gives under the common umask 022.
 	if err := tmp.Chmod(0o644); err != nil {
 		tmp.Close()

@@ -201,7 +201,7 @@ func TestWriteFileAtomicKeepsOldFile(t *testing.T) {
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := writeFileAtomic(path, func(w io.Writer) error {
+		err := WriteFileAtomic(path, func(w io.Writer) error {
 			if _, err := w.Write(bytes.Repeat([]byte("9"), k)); err != nil {
 				return err
 			}
@@ -218,7 +218,7 @@ func TestWriteFileAtomicKeepsOldFile(t *testing.T) {
 			t.Fatalf("k=%d: temporary files left behind: %v", k, tmps)
 		}
 	}
-	if err := writeFileAtomic(path, func(w io.Writer) error {
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
 		_, err := io.WriteString(w, "5 6\n")
 		return err
 	}); err != nil {

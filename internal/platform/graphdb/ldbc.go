@@ -80,7 +80,7 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, e
 		return dist, nil
 	}
 	dist[p.Source] = 0
-	pq := &storeDistHeap{{v: p.Source, d: 0}}
+	pq := &algo.DistHeap{{V: p.Source, D: 0}}
 	pops := 0
 	for pq.Len() > 0 {
 		// Counter-based amortization: the old pq.Len()%1024 probe could
@@ -91,17 +91,17 @@ func (l *loaded) runSSSP(ctx context.Context, p algo.Params) (algo.SSSPOutput, e
 			}
 		}
 		pops++
-		it := heap.Pop(pq).(storeDistItem)
-		if it.d > dist[it.v] {
+		it := heap.Pop(pq).(algo.DistItem)
+		if it.D > dist[it.V] {
 			continue // stale entry
 		}
-		l.store.ExpandW(it.v, func(other graph.VertexID, w float64, outgoing bool) {
+		l.store.ExpandW(it.V, func(other graph.VertexID, w float64, outgoing bool) {
 			if !outgoing {
 				return
 			}
-			if nd := it.d + w; nd < dist[other] {
+			if nd := it.D + w; nd < dist[other] {
 				dist[other] = nd
-				heap.Push(pq, storeDistItem{v: other, d: nd})
+				heap.Push(pq, algo.DistItem{V: other, D: nd})
 			}
 		})
 	}
@@ -135,30 +135,4 @@ func (l *loaded) runLCC(ctx context.Context, _ algo.Params) (algo.LCCOutput, err
 		lcc[v] = float64(links) / (float64(d) * float64(d-1))
 	}
 	return lcc, nil
-}
-
-// storeDistItem / storeDistHeap: the Dijkstra frontier, vertex-ID
-// tie-broken for a deterministic pop order.
-type storeDistItem struct {
-	v graph.VertexID
-	d float64
-}
-
-type storeDistHeap []storeDistItem
-
-func (h storeDistHeap) Len() int { return len(h) }
-func (h storeDistHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
-	}
-	return h[i].v < h[j].v
-}
-func (h storeDistHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *storeDistHeap) Push(x any)   { *h = append(*h, x.(storeDistItem)) }
-func (h *storeDistHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
